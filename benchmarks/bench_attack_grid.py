@@ -22,9 +22,10 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_attack_grid.py           # full
     PYTHONPATH=src python benchmarks/bench_attack_grid.py --smoke   # CI
 
-Both modes write ``BENCH_attacks.json`` at the repo root (CI uploads
+A full run writes ``BENCH_attacks.json`` at the repo root (CI uploads
 every ``BENCH_*.json``); ``--smoke`` shrinks the budgets so the grid
-finishes in seconds.  The gate: every cell must finish under budget
+finishes in seconds and only prints, never overwriting the recorded
+baseline.  The gate: every cell must finish under budget
 with a conserved query ledger, and at least three of the new
 compositions must complete end-to-end.
 """
@@ -196,7 +197,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="CI gate: tiny budgets, same checks")
     parser.add_argument("--out", default=str(REPO_ROOT /
-                                             "BENCH_attacks.json"))
+                                             "BENCH_attacks.json"),
+                        help="output JSON path (full runs only)")
     args = parser.parse_args(argv)
 
     iterations = 6 if args.smoke else args.iterations
@@ -216,8 +218,9 @@ def main(argv: list[str] | None = None) -> int:
         "rate_per_s": rate_per_s,
         "cells": cells,
     }
-    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
-    print(f"[bench_attack_grid] wrote {args.out}")
+    if not args.smoke:
+        Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
+        print(f"[bench_attack_grid] wrote {args.out}")
 
     failures = []
     over = [c["strategy"] for c in cells if not c["under_budget"]]

@@ -2,10 +2,11 @@
 
 Runs the same small black-box attack loop (Vanilla: random support +
 SimBA over a live retrieval service) twice — tracing force-disabled and
-force-enabled — and micro-benches the disabled-path primitives.  The
-datapoint is written to ``BENCH_obs.json`` at the repo root: the first
-entry of the perf trajectory every later optimisation PR measures
-against.
+force-enabled — and micro-benches the disabled-path primitives.  A full
+run writes the datapoint to ``BENCH_obs.json`` at the repo root: the
+first entry of the perf trajectory every later optimisation PR measures
+against.  ``--smoke`` only prints; it never overwrites the recorded
+baseline.
 
 Usage::
 
@@ -101,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="tiny run for CI (overrides iterations/repeats)")
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_obs.json"),
-                        help="output JSON path")
+                        help="output JSON path (full runs only)")
     args = parser.parse_args(argv)
 
     iterations = 40 if args.smoke else args.iterations
@@ -140,10 +141,11 @@ def main(argv: list[str] | None = None) -> int:
         "span_records_on": records,
         **primitive_costs(),
     }
-    out_path = Path(args.out)
-    out_path.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
-    print(f"[bench_obs_overhead] wrote {out_path}")
+    if not args.smoke:
+        out_path = Path(args.out)
+        out_path.write_text(json.dumps(result, indent=2) + "\n")
+        print(f"[bench_obs_overhead] wrote {out_path}")
     return 0
 
 

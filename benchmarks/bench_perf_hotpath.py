@@ -15,9 +15,13 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_perf_hotpath.py           # full
     PYTHONPATH=src python benchmarks/bench_perf_hotpath.py --smoke   # CI
 
+The "before" legs run the strided-einsum convs of ``repro.qa.reference``
+(the seed implementation, kept as the oracle reference), swapped into
+``repro.nn.functional`` for that leg only; production convs are GEMM.
+
 The full run records ``BENCH_perf.json`` at the repo root — the baseline
-later PRs are held to.  ``--smoke`` is the CI gate: it asserts the GEMM
-path is auto-selected at model shapes, re-measures quickly, and fails if
+later PRs are held to.  ``--smoke`` is the CI gate: it asserts every
+model-shape conv lands on the GEMM op, re-measures quickly, and fails if
 a speedup ratio regressed more than 10% against the recorded baseline
 (ratios, not wall times, so the check is machine-independent).
 """
@@ -25,6 +29,7 @@ a speedup ratio regressed more than 10% against the recorded baseline
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -40,7 +45,7 @@ from repro.attacks.search import simba_search  # noqa: E402
 from repro.models import create_feature_extractor  # noqa: E402
 from repro.nn import Tensor, no_grad  # noqa: E402
 from repro.nn import functional as F  # noqa: E402
-from repro.perf import set_conv_impl, should_use_gemm  # noqa: E402
+from repro.qa import reference  # noqa: E402
 from repro.retrieval import (  # noqa: E402
     FeatureIndex,
     RetrievalEngine,
@@ -57,6 +62,17 @@ CONV_CASES = [
     ("conv3d.stem.b2", F.conv3d, (2, 3, 6, 12, 12), (2, 3, 3, 3, 3), 1, 1),
     ("conv2d.stem.b4", F.conv2d, (4, 3, 16, 16), (8, 3, 3, 3), 1, 1),
 ]
+
+
+@contextlib.contextmanager
+def einsum_convs():
+    """Run ``repro.nn.functional``'s convs as the qa einsum reference."""
+    saved = F.conv2d, F.conv3d
+    F.conv2d, F.conv3d = reference.conv2d, reference.conv3d
+    try:
+        yield
+    finally:
+        F.conv2d, F.conv3d = saved
 
 
 def _time_once(fn) -> float:
@@ -82,20 +98,13 @@ def bench_conv(trials: int) -> list[dict]:
         x = Tensor(rng.normal(size=x_shape))
         w = Tensor(rng.normal(size=w_shape))
 
-        def run(conv=conv, x=x, w=w, stride=stride, padding=padding):
+        def run(conv, x=x, w=w, stride=stride, padding=padding):
             with no_grad():
                 conv(x, w, stride=stride, padding=padding)
 
-        def timed_einsum():
-            set_conv_impl("einsum")
-            run()
-
-        def timed_gemm():
-            set_conv_impl("gemm")
-            run()
-
-        einsum_s, gemm_s = interleaved_best(timed_einsum, timed_gemm, trials)
-        set_conv_impl(None)
+        ref_conv = getattr(reference, conv.__name__)
+        einsum_s, gemm_s = interleaved_best(lambda: run(ref_conv),
+                                            lambda: run(conv), trials)
         rows.append({
             "name": name,
             "einsum_us": einsum_s * 1e6,
@@ -119,11 +128,10 @@ def build_attack_fixture(seed: int = 0):
 
 
 def attack_loop_seconds(extractor, dataset, iterations: int, repeats: int,
-                        conv_impl: str, batched: bool,
+                        einsum: bool, batched: bool,
                         cache_size: int) -> float:
     """Best-of-``repeats`` wall time of a seeded SimBA rectification loop."""
-    set_conv_impl(conv_impl)
-    try:
+    with einsum_convs() if einsum else contextlib.nullcontext():
         best = float("inf")
         original, target = dataset.test[0], dataset.test[1]
         support = np.zeros(original.pixels.shape, dtype=bool)
@@ -140,8 +148,6 @@ def attack_loop_seconds(extractor, dataset, iterations: int, repeats: int,
                          rng=np.random.default_rng(repeat), batched=batched)
             best = min(best, time.perf_counter() - start)
         return best
-    finally:
-        set_conv_impl(None)
 
 
 def bench_batched_search(trials: int) -> dict:
@@ -190,25 +196,13 @@ def bench_embed_cache(extractor, dataset, trials: int) -> dict:
 
 
 def assert_gemm_selected() -> None:
-    """The auto policy must pick GEMM for every model-shape conv case."""
-    for name, _, x_shape, w_shape, stride, padding in CONV_CASES:
-        kernel = w_shape[2:]
-        out_spatial = [
-            (size + 2 * padding - k) // stride + 1
-            for size, k in zip(x_shape[2:], kernel)
-        ]
-        gemm_elems = (x_shape[0] * x_shape[1]
-                      * int(np.prod(kernel)) * int(np.prod(out_spatial)))
-        if not should_use_gemm(gemm_elems):
-            raise AssertionError(
-                f"auto policy did not select GEMM for {name} "
-                f"({gemm_elems} im2col elements)")
-    # End-to-end: an auto-dispatched conv actually lands on the GEMM op.
-    x = Tensor(np.zeros(CONV_CASES[0][2]), requires_grad=True)
-    w = Tensor(np.zeros(CONV_CASES[0][3]))
-    out = F.conv3d(x, w, stride=1, padding=1)
-    if out.op != "conv3d.gemm":
-        raise AssertionError(f"auto dispatch produced op {out.op!r}")
+    """Every model-shape conv case must land on the GEMM op."""
+    for name, conv, x_shape, w_shape, stride, padding in CONV_CASES:
+        x = Tensor(np.zeros(x_shape), requires_grad=True)
+        out = conv(x, Tensor(np.zeros(w_shape)), stride=stride,
+                   padding=padding)
+        if out.op != f"{conv.__name__}.gemm":
+            raise AssertionError(f"{name} produced op {out.op!r}")
 
 
 def check_regression(result: dict, baseline_path: Path,
@@ -260,12 +254,12 @@ def main(argv: list[str] | None = None) -> int:
     trials = 10 if args.smoke else args.trials
 
     assert_gemm_selected()
-    print("[bench_perf_hotpath] GEMM auto-selected for all model shapes")
+    print("[bench_perf_hotpath] GEMM selected for all model shapes")
 
     extractor, dataset = build_attack_fixture()
     # Warm-up: one tiny run touches every code path on both impls.
-    attack_loop_seconds(extractor, dataset, 3, 1, "einsum", False, 0)
-    attack_loop_seconds(extractor, dataset, 3, 1, "auto", True, 0)
+    attack_loop_seconds(extractor, dataset, 3, 1, True, False, 0)
+    attack_loop_seconds(extractor, dataset, 3, 1, False, True, 0)
 
     def measure() -> dict:
         conv_rows = bench_conv(trials)
@@ -274,10 +268,10 @@ def main(argv: list[str] | None = None) -> int:
         # and would only add hashing overhead (the cache is measured on
         # its own below).
         before_s = attack_loop_seconds(extractor, dataset, iterations,
-                                       repeats, conv_impl="einsum",
+                                       repeats, einsum=True,
                                        batched=False, cache_size=0)
         after_s = attack_loop_seconds(extractor, dataset, iterations,
-                                      repeats, conv_impl="auto",
+                                      repeats, einsum=False,
                                       batched=True, cache_size=0)
         return {
             "bench": "perf_hotpath",

@@ -11,7 +11,6 @@ only learned state is stored.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +24,7 @@ from repro.surrogate.stealing import steal_training_set
 from repro.surrogate.trainer import SurrogateTrainer
 from repro.training.trainer import MetricTrainer, TrainingHistory
 from repro.training.victim import VictimSystem
+from repro.utils.envflags import env_str
 from repro.utils.logging import get_logger
 from repro.utils.seeding import SeedSequence
 from repro.video.datasets import SyntheticVideoDataset, load_dataset
@@ -33,8 +33,11 @@ logger = get_logger("experiments.fixtures")
 
 
 def cache_dir() -> Path:
-    """Return (and create) the fixture cache directory."""
-    path = Path(os.environ.get("REPRO_CACHE", ".repro_cache"))
+    """Return (and create) the fixture cache directory (``REPRO_CACHE``).
+
+    Unset or blank means the default ``.repro_cache``.
+    """
+    path = Path(env_str("REPRO_CACHE", ".repro_cache"))
     path.mkdir(parents=True, exist_ok=True)
     return path
 

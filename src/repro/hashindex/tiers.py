@@ -44,27 +44,6 @@ INDEX_TIER_ENV = "REPRO_INDEX_TIER"
 DEFAULT_TIER = "exact"
 
 
-#: Rerank depths the router may choose between for compressed tiers.
-RERANK_CHOICES = ("32", "64", "128")
-
-#: Depth used when nothing routes one (the index constructors' default).
-DEFAULT_RERANK = 64
-
-
-def routed_rerank(tier: str) -> int:
-    """Rerank depth for ``tier``: the router's pick, else the default.
-
-    Unlike the other routed knobs this one trades recall for scan cost,
-    so :meth:`Router.decide` only admits depths whose *measured* recall
-    (recorded by the calibration CLI next to the cost) clears the
-    router's recall floor; cold start keeps the constructor default.
-    """
-    from repro.router import active_router
-
-    return int(active_router().decide(
-        "rerank", tier, RERANK_CHOICES, str(DEFAULT_RERANK)))
-
-
 def _exact(similarity: SimilarityFn) -> FeatureIndex:
     return FeatureIndex(similarity)
 
@@ -74,13 +53,11 @@ def _ivf(similarity: SimilarityFn) -> IVFIndex:
 
 
 def _hamming(similarity: SimilarityFn) -> BinaryHashIndex:
-    return BinaryHashIndex(similarity=similarity, rng=0,
-                           rerank=routed_rerank("hamming"))
+    return BinaryHashIndex(similarity=similarity, rng=0)
 
 
 def _ivfpq(similarity: SimilarityFn) -> IVFPQIndex:
-    return IVFPQIndex(similarity=similarity, rng=0,
-                      rerank=routed_rerank("ivfpq"))
+    return IVFPQIndex(similarity=similarity, rng=0)
 
 
 #: tier name → ``factory(similarity) -> Index``.  Factories are seeded

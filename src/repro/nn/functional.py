@@ -1,8 +1,8 @@
 """Differentiable array operations: convolutions, pooling, losses.
 
-Convolutions use ``numpy.lib.stride_tricks.sliding_window_view`` for the
-forward pass (an im2col view without copying) and explicit scatter-adds for
-the input gradient.  Shapes follow the PyTorch convention:
+Convolutions run the im2col GEMM kernels of :mod:`repro.perf.gemm_conv`
+(the strided-``einsum`` reference they replaced lives in
+:mod:`repro.qa.reference`).  Shapes follow the PyTorch convention:
 
 * 2-D: activations ``(B, C, H, W)``, weights ``(F, C, kH, kW)``.
 * 3-D: activations ``(B, C, T, H, W)``, weights ``(F, C, kT, kH, kW)``.
@@ -13,29 +13,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.nn.tensor import (
-    Tensor,
-    get_op_impl,
-    get_tracer,
-    is_grad_enabled,
-    make_op,
-)
-
-
-def _gemm_kernels():
-    """The GEMM conv kernel module, or ``None`` when unavailable.
-
-    ``repro.perf`` registers its kernels on import; importing it here (once)
-    keeps ``import repro.nn`` working even if the perf package is removed.
-    """
-    impl = get_op_impl("conv2d.gemm")
-    if impl is None:
-        try:
-            import repro.perf  # noqa: F401 — registers the kernels
-        except ImportError:
-            return None
-        impl = get_op_impl("conv2d.gemm")
-    return impl
+from repro.nn.tensor import Tensor, get_tracer, is_grad_enabled, make_op
+from repro.perf import gemm_conv
 
 
 def _pair(value) -> tuple[int, int]:
@@ -59,230 +38,61 @@ def _triple(value) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------- #
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride=1, padding=0) -> Tensor:
-    """2-D cross-correlation (the deep-learning "convolution").
-
-    Dispatches between two numerically-equivalent implementations: the
-    strided-``einsum`` path below and the im2col GEMM fast path from
-    ``repro.perf`` (selected by problem size; force with
-    ``REPRO_CONV_IMPL=gemm|einsum``).
-    """
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
-    batch, in_ch, height, width = x.shape
-    out_ch, w_in_ch, kh, kw = weight.shape
-    if w_in_ch != in_ch:
-        raise ValueError(f"channel mismatch: input has {in_ch}, weight expects {w_in_ch}")
-
-    kernels = _gemm_kernels()
-    if kernels is not None:
-        out_h = (height + 2 * ph - kh) // sh + 1
-        out_w = (width + 2 * pw - kw) // sw + 1
-        if kernels.should_use_gemm(batch * out_h * out_w * in_ch * kh * kw):
-            return _conv2d_gemm(kernels, x, weight, bias, (sh, sw), (ph, pw))
-
-    padded = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    raw = np.einsum("bchwij,fcij->bfhw", windows, weight.data, optimize=True)
-    out = raw if bias is None else raw + bias.data.reshape(1, -1, 1, 1)
-    out_h, out_w = out.shape[2], out.shape[3]
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(grad, out=None):
-        grad_w = None
-        if weight.requires_grad:
-            grad_w = np.einsum("bchwij,bfhw->fcij", windows, grad, optimize=True)
-        grad_x = None
-        if x.requires_grad:
-            grad_padded = np.zeros_like(padded)
-            for ih in range(kh):
-                for iw in range(kw):
-                    contrib = np.einsum(
-                        "bfhw,fc->bchw", grad, weight.data[:, :, ih, iw],
-                        optimize=True,
-                    )
-                    grad_padded[
-                        :, :, ih : ih + out_h * sh : sh, iw : iw + out_w * sw : sw
-                    ] += contrib
-            grad_x = grad_padded[:, :, ph : ph + height, pw : pw + width]
-        if bias is None:
-            return grad_x, grad_w
-        grad_b = grad.sum(axis=(0, 2, 3)) if bias.requires_grad else None
-        return grad_x, grad_w, grad_b
-
-    result = make_op(out, parents, backward, "conv2d")
-    tracer = get_tracer()
-    if tracer is not None:
-        src, w_arr, buf = x.data, weight.data, result.data
-        bias_r = None if bias is None else bias.data.reshape(1, -1, 1, 1)
-        core = (slice(None), slice(None), slice(ph, ph + height),
-                slice(pw, pw + width))
-
-        def run():
-            # Refresh ``padded`` (and through it the ``windows`` view the
-            # backward closure captured), then recompute in place.
-            padded[core] = src
-            np.einsum("bchwij,fcij->bfhw", windows, w_arr, out=raw,
-                      optimize=True)
-            if bias_r is not None:
-                np.add(raw, bias_r, out=buf)
-
-        tracer.record(result, parents, run, op="conv2d")
-    return result
+    """2-D cross-correlation (the deep-learning "convolution")."""
+    return _conv_gemm(x, weight, bias, _pair(stride), _pair(padding),
+                      "conv2d.gemm")
 
 
-def _conv2d_gemm(kernels, x: Tensor, weight: Tensor, bias: Tensor | None,
-                 stride: tuple[int, int], padding: tuple[int, int]) -> Tensor:
-    """conv2d via the im2col GEMM kernels (same contract as :func:`conv2d`)."""
+def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
+           stride=1, padding=0) -> Tensor:
+    """3-D cross-correlation over ``(T, H, W)`` volumes."""
+    return _conv_gemm(x, weight, bias, _triple(stride), _triple(padding),
+                      "conv3d.gemm")
+
+
+def _conv_gemm(x: Tensor, weight: Tensor, bias: Tensor | None,
+               stride: tuple[int, ...], padding: tuple[int, ...],
+               op: str) -> Tensor:
+    """Convolution via the im2col GEMM kernels of :mod:`repro.perf.gemm_conv`."""
+    rank = len(stride) + 2
+    if x.ndim != rank or weight.ndim != rank:
+        raise ValueError(f"{op} expects {rank}-D input and weight, got "
+                         f"{x.shape} and {weight.shape}")
+    if weight.shape[1] != x.shape[1]:
+        raise ValueError(f"channel mismatch: input has {x.shape[1]}, "
+                         f"weight expects {weight.shape[1]}")
     records_grad = is_grad_enabled() and (
         x.requires_grad or weight.requires_grad
         or (bias is not None and bias.requires_grad)
     )
     # The plan's scratch buffer may only be reused when no backward closure
     # will capture ``cols`` (another same-shape forward would clobber it).
-    out, cols, padded_shape = kernels.conv2d_forward(
+    out, cols, padded_shape = gemm_conv.conv_forward(
         x.data, weight.data, stride, padding, reuse_scratch=not records_grad)
     if bias is not None:
-        out += bias.data.reshape(1, -1, 1, 1)
+        out += bias.data.reshape((1, -1) + (1,) * len(stride))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad, fwd=None):
-        grad_x, grad_w = kernels.conv2d_backward(
+        grad_x, grad_w = gemm_conv.conv_backward(
             grad, cols, weight.data, x.shape, padded_shape, stride, padding,
             x.requires_grad, weight.requires_grad)
         if bias is None:
             return grad_x, grad_w
-        grad_b = grad.sum(axis=(0, 2, 3)) if bias.requires_grad else None
+        grad_b = grad.sum(axis=(0, *range(2, grad.ndim))) \
+            if bias.requires_grad else None
         return grad_x, grad_w, grad_b
 
-    result = make_op(out, parents, backward, "conv2d.gemm")
+    result = make_op(out, parents, backward, op)
     tracer = get_tracer()
     if tracer is not None:
         tracer.record(
             result, parents,
-            kernels.bind_replay(x.data, weight.data,
-                                None if bias is None else bias.data,
-                                cols, result.data, stride, padding),
-            op="conv2d.gemm")
-    return result
-
-
-def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-           stride=1, padding=0) -> Tensor:
-    """3-D cross-correlation over ``(T, H, W)`` volumes.
-
-    Dispatches like :func:`conv2d`: strided ``einsum`` below, im2col GEMM
-    from ``repro.perf`` for large problems (``REPRO_CONV_IMPL`` overrides).
-    """
-    st, sh, sw = _triple(stride)
-    pt, ph, pw = _triple(padding)
-    batch, in_ch, frames, height, width = x.shape
-    out_ch, w_in_ch, kt, kh, kw = weight.shape
-    if w_in_ch != in_ch:
-        raise ValueError(f"channel mismatch: input has {in_ch}, weight expects {w_in_ch}")
-
-    kernels = _gemm_kernels()
-    if kernels is not None:
-        out_t = (frames + 2 * pt - kt) // st + 1
-        out_h = (height + 2 * ph - kh) // sh + 1
-        out_w = (width + 2 * pw - kw) // sw + 1
-        if kernels.should_use_gemm(
-                batch * out_t * out_h * out_w * in_ch * kt * kh * kw):
-            return _conv3d_gemm(kernels, x, weight, bias,
-                                (st, sh, sw), (pt, ph, pw))
-
-    padded = np.pad(x.data, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
-    windows = sliding_window_view(padded, (kt, kh, kw), axis=(2, 3, 4))[
-        :, :, ::st, ::sh, ::sw
-    ]
-    raw = np.einsum("bcthwijk,fcijk->bfthw", windows, weight.data, optimize=True)
-    out = raw if bias is None else raw + bias.data.reshape(1, -1, 1, 1, 1)
-    out_t, out_h, out_w = out.shape[2], out.shape[3], out.shape[4]
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(grad, out=None):
-        grad_w = None
-        if weight.requires_grad:
-            grad_w = np.einsum("bcthwijk,bfthw->fcijk", windows, grad, optimize=True)
-        grad_x = None
-        if x.requires_grad:
-            grad_padded = np.zeros_like(padded)
-            for it in range(kt):
-                for ih in range(kh):
-                    for iw in range(kw):
-                        contrib = np.einsum(
-                            "bfthw,fc->bcthw", grad, weight.data[:, :, it, ih, iw],
-                            optimize=True,
-                        )
-                        grad_padded[
-                            :,
-                            :,
-                            it : it + out_t * st : st,
-                            ih : ih + out_h * sh : sh,
-                            iw : iw + out_w * sw : sw,
-                        ] += contrib
-            grad_x = grad_padded[
-                :, :, pt : pt + frames, ph : ph + height, pw : pw + width
-            ]
-        if bias is None:
-            return grad_x, grad_w
-        grad_b = grad.sum(axis=(0, 2, 3, 4)) if bias.requires_grad else None
-        return grad_x, grad_w, grad_b
-
-    result = make_op(out, parents, backward, "conv3d")
-    tracer = get_tracer()
-    if tracer is not None:
-        src, w_arr, buf = x.data, weight.data, result.data
-        bias_r = None if bias is None else bias.data.reshape(1, -1, 1, 1, 1)
-        core = (slice(None), slice(None), slice(pt, pt + frames),
-                slice(ph, ph + height), slice(pw, pw + width))
-
-        def run():
-            padded[core] = src
-            np.einsum("bcthwijk,fcijk->bfthw", windows, w_arr, out=raw,
-                      optimize=True)
-            if bias_r is not None:
-                np.add(raw, bias_r, out=buf)
-
-        tracer.record(result, parents, run, op="conv3d")
-    return result
-
-
-def _conv3d_gemm(kernels, x: Tensor, weight: Tensor, bias: Tensor | None,
-                 stride: tuple[int, int, int],
-                 padding: tuple[int, int, int]) -> Tensor:
-    """conv3d via the im2col GEMM kernels (same contract as :func:`conv3d`)."""
-    records_grad = is_grad_enabled() and (
-        x.requires_grad or weight.requires_grad
-        or (bias is not None and bias.requires_grad)
-    )
-    out, cols, padded_shape = kernels.conv3d_forward(
-        x.data, weight.data, stride, padding, reuse_scratch=not records_grad)
-    if bias is not None:
-        out += bias.data.reshape(1, -1, 1, 1, 1)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(grad, fwd=None):
-        grad_x, grad_w = kernels.conv3d_backward(
-            grad, cols, weight.data, x.shape, padded_shape, stride, padding,
-            x.requires_grad, weight.requires_grad)
-        if bias is None:
-            return grad_x, grad_w
-        grad_b = grad.sum(axis=(0, 2, 3, 4)) if bias.requires_grad else None
-        return grad_x, grad_w, grad_b
-
-    result = make_op(out, parents, backward, "conv3d.gemm")
-    tracer = get_tracer()
-    if tracer is not None:
-        tracer.record(
-            result, parents,
-            kernels.bind_replay(x.data, weight.data,
-                                None if bias is None else bias.data,
-                                cols, result.data, stride, padding),
-            op="conv3d.gemm")
+            gemm_conv.bind_replay(x.data, weight.data,
+                                  None if bias is None else bias.data,
+                                  cols, result.data, stride, padding),
+            op=op)
     return result
 
 

@@ -25,7 +25,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.obs import counter
-from repro.utils.envflags import env_bool, env_raw
+from repro.utils.envflags import env_bool
 from repro.nn import modules as _modules
 from repro.nn import tensor as _tensor
 from repro.nn.tensor import Tensor, is_grad_enabled, make_op
@@ -52,18 +52,12 @@ def enabled() -> bool:
     """Whether trace-and-fuse replay is globally switched on.
 
     Resolution order: :func:`set_fuse` override > ``REPRO_NN_FUSE`` >
-    the active router's measured fuse decision (off unless a calibration
-    profile shows replay winning).  Replay is bit-identical to eager
-    (``nn.fused_vs_eager`` oracle), so routing it is a latency choice.
+    off.  Replay is bit-identical to eager (``nn.fused_vs_eager``
+    oracle), so the switch is a latency choice.
     """
     if _forced_fuse is not None:
         return _forced_fuse
-    if env_raw("REPRO_NN_FUSE") is not None:
-        return env_bool("REPRO_NN_FUSE")
-    from repro.router import active_router
-
-    return active_router().decide(
-        "fuse", "default", ("off", "on"), "off") == "on"
+    return env_bool("REPRO_NN_FUSE", False)
 
 
 def set_fuse(value: bool | None) -> None:

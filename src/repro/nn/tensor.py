@@ -793,27 +793,6 @@ def make_op(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> T
 
 
 # ---------------------------------------------------------------------- #
-# Alternative op implementations (performance fast paths)
-# ---------------------------------------------------------------------- #
-# Maps an implementation name (e.g. ``"conv2d.gemm"``) to whatever payload
-# the provider registered — typically a kernel module.  ``repro.nn`` never
-# imports the providers; packages like ``repro.perf`` register themselves
-# on import and :mod:`repro.nn.functional` looks implementations up at
-# dispatch time, falling back to its built-in path when absent.
-_OP_IMPLS: dict[str, object] = {}
-
-
-def register_op_impl(name: str, impl: object) -> None:
-    """Register (or replace) an alternative implementation for an op."""
-    _OP_IMPLS[str(name)] = impl
-
-
-def get_op_impl(name: str) -> object | None:
-    """Return the registered implementation for ``name`` (or ``None``)."""
-    return _OP_IMPLS.get(name)
-
-
-# ---------------------------------------------------------------------- #
 # Free functions over multiple tensors
 # ---------------------------------------------------------------------- #
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:

@@ -16,17 +16,20 @@ under ``REPRO_OBS_DIR`` (default ``results/obs``).
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.tracing import Tracer, get_tracer
+from repro.utils.envflags import env_str
 
 
 def obs_dir() -> Path:
-    """Output directory for observability artifacts (env-overridable)."""
-    return Path(os.environ.get("REPRO_OBS_DIR", os.path.join("results", "obs")))
+    """Output directory for observability artifacts (``REPRO_OBS_DIR``).
+
+    Unset or blank means the default ``results/obs``.
+    """
+    return Path(env_str("REPRO_OBS_DIR", "results/obs"))
 
 
 def _resolve(path_or_name: str | Path, suffix: str) -> Path:

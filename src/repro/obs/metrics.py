@@ -271,25 +271,6 @@ class MetricsRegistry:
         return instrument
 
     # -------------------------------------------------------------- #
-    # Iteration (router cost model, dashboards)
-    # -------------------------------------------------------------- #
-    def iter_histograms(self, prefix: str = ""):
-        """Yield ``(name, labels_dict, histogram)`` for matching names."""
-        with self._lock:
-            items = list(self._histograms.items())
-        for (name, key), instrument in items:
-            if name.startswith(prefix):
-                yield name, dict(key), instrument
-
-    def iter_gauges(self, prefix: str = ""):
-        """Yield ``(name, labels_dict, gauge)`` for matching names."""
-        with self._lock:
-            items = list(self._gauges.items())
-        for (name, key), instrument in items:
-            if name.startswith(prefix):
-                yield name, dict(key), instrument
-
-    # -------------------------------------------------------------- #
     # Lifecycle
     # -------------------------------------------------------------- #
     def reset(self) -> None:

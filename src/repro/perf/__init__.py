@@ -4,46 +4,27 @@ Three independent optimisations, all behaviour-preserving:
 
 * :mod:`repro.perf.gemm_conv` — im2col + GEMM kernels for conv2d/conv3d
   forward and backward with a per-shape plan cache and reusable scratch
-  buffers.  Auto-selected over the strided-``einsum`` path by problem
-  size; force with ``REPRO_CONV_IMPL=gemm|einsum|auto`` or
-  :func:`set_conv_impl`.
+  buffers.  GEMM always: ``repro.nn.functional`` calls these kernels for
+  every conv, and the strided-``einsum`` path survives only as the
+  :mod:`repro.qa.reference` oracle reference.
 * :mod:`repro.perf.cache` — content-hash LRU cache for query embeddings
   (:class:`EmbeddingCache`), used by the retrieval engine so repeated
   queries of unchanged videos skip the model forward entirely.
 * Batched candidate evaluation lives where the data lives
   (``RetrievalObjective.values``, ``ShardedGallery.search_batch``); this
   package only hosts the compute kernels those paths share.
-
-Importing this package registers the GEMM conv implementations with the
-``repro.nn`` op-dispatch table (:func:`repro.nn.tensor.register_op_impl`),
-which is how ``repro.nn.functional`` finds them without a hard dependency.
 """
 
 from repro.perf.cache import EmbeddingCache
 from repro.perf.gemm_conv import (
     clear_plan_cache,
-    conv_impl,
     plan_cache_cap,
     plan_cache_info,
-    set_conv_impl,
-    should_use_gemm,
 )
-
-# Register the GEMM kernels as alternative conv implementations.  The
-# import is one-way (perf → nn), so ``repro.nn`` never depends on this
-# package; ``repro.nn.functional`` looks the kernels up lazily.
-from repro.nn.tensor import register_op_impl as _register_op_impl
-from repro.perf import gemm_conv as _gemm_conv
-
-_register_op_impl("conv2d.gemm", _gemm_conv)
-_register_op_impl("conv3d.gemm", _gemm_conv)
 
 __all__ = [
     "EmbeddingCache",
     "clear_plan_cache",
-    "conv_impl",
     "plan_cache_cap",
     "plan_cache_info",
-    "set_conv_impl",
-    "should_use_gemm",
 ]

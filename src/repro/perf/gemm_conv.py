@@ -23,9 +23,12 @@ geometry and owns a reusable scratch buffer for ``cols``; the buffer is
 only handed out on inference calls (no autograd recording), because the
 backward closure of a recorded op must keep its own ``cols`` alive.
 
-All kernels operate on plain ``numpy`` arrays — autograd wiring stays in
-``repro.nn.functional``.  Outputs and gradients match the einsum path
-within ``allclose`` (same dtype, different summation order).
+This is the only production conv: ``repro.nn.functional.conv2d`` /
+``conv3d`` call these kernels for every problem size.  All kernels
+operate on plain ``numpy`` arrays — autograd wiring stays in
+``repro.nn.functional``.  Outputs and gradients match the strided-einsum
+reference in :mod:`repro.qa.reference` within ``allclose`` (same dtype,
+different summation order).
 """
 
 from __future__ import annotations
@@ -36,61 +39,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.obs import counter
-from repro.utils.envflags import env_choice, env_int
-
-_IMPL_CHOICES = ("auto", "gemm", "einsum")
-
-#: ``auto`` switches to GEMM once the im2col matrix has at least this many
-#: elements (``B · C · kernel_elems · out_positions``).  Measured speedups
-#: are 2–3× at the model shapes used here and taper to parity around 10⁶
-#: elements; only degenerate micro-convs stay on einsum.  Calibrated with
-#: ``benchmarks/bench_perf_hotpath.py``.
-GEMM_AUTO_THRESHOLD = 1 << 10
-
-_forced_impl: str | None = None
-
-
-def set_conv_impl(impl: str | None) -> None:
-    """Force the conv implementation (``None`` returns to env/auto)."""
-    if impl is not None and impl not in _IMPL_CHOICES:
-        raise ValueError(
-            f"unknown conv impl {impl!r}; choose from {_IMPL_CHOICES}")
-    global _forced_impl
-    _forced_impl = impl
-
-
-def conv_impl() -> str:
-    """Active implementation policy: forced > ``REPRO_CONV_IMPL`` > auto."""
-    if _forced_impl is not None:
-        return _forced_impl
-    return env_choice("REPRO_CONV_IMPL", _IMPL_CHOICES, "auto")
-
-
-def conv_size_key(gemm_elems: int) -> str:
-    """Router cost-table key: log2 bucket of the im2col element count."""
-    return f"e{max(int(gemm_elems), 1).bit_length()}"
-
-
-def should_use_gemm(gemm_elems: int) -> bool:
-    """Decide the fast path for an im2col matrix of ``gemm_elems`` elements.
-
-    A forced/env impl always wins; under ``auto`` the active router may
-    override the static size threshold with a measured per-size-bucket
-    decision (cold start falls back to the threshold).  Both paths are
-    equivalence-pinned by the ``conv*.einsum_vs_gemm`` oracles, so this
-    is a pure latency choice.
-    """
-    impl = conv_impl()
-    if impl == "gemm":
-        return True
-    if impl == "einsum":
-        return False
-    default = "gemm" if gemm_elems >= GEMM_AUTO_THRESHOLD else "einsum"
-    from repro.router import active_router
-
-    return active_router().decide(
-        "conv", conv_size_key(gemm_elems), ("einsum", "gemm"),
-        default) == "gemm"
+from repro.utils.envflags import env_int
 
 
 def _kernel_offsets(kernel: tuple[int, ...]):
@@ -113,7 +62,7 @@ class ConvPlan:
     """Cached geometry + scratch buffer for one conv problem shape."""
 
     __slots__ = ("x_shape", "w_shape", "stride", "padding", "out_spatial",
-                 "cols_shape", "gemm_elems", "positions", "kernel_elems",
+                 "cols_shape", "positions", "kernel_elems",
                  "padded_shape", "view_strides", "core_slices", "hits",
                  "_tls", "scratch_bytes")
 
@@ -131,7 +80,6 @@ class ConvPlan:
         batch, in_ch = x_shape[0], x_shape[1]
         # cols layout: (B, C, *kernel, *out_spatial) → (B, C·K, P) for GEMM.
         self.cols_shape = (batch, in_ch, *kernel, *self.out_spatial)
-        self.gemm_elems = int(np.prod(self.cols_shape))
         self.positions = int(np.prod(self.out_spatial))
         self.kernel_elems = int(np.prod(kernel))
         self.padded_shape = (batch, in_ch,
@@ -231,7 +179,7 @@ def clear_plan_cache() -> None:
 
 
 # ---------------------------------------------------------------------- #
-# Shared N-D kernels (2-D and 3-D differ only in rank)
+# N-D kernels (2-D and 3-D differ only in rank)
 # ---------------------------------------------------------------------- #
 def _zero_pad(x: np.ndarray, padding) -> np.ndarray:
     """Symmetric spatial zero padding (``np.pad`` minus its call overhead)."""
@@ -246,8 +194,14 @@ def _zero_pad(x: np.ndarray, padding) -> np.ndarray:
     return padded
 
 
-def _conv_forward(x: np.ndarray, weight: np.ndarray, stride, padding,
-                  reuse_scratch: bool):
+def conv_forward(x: np.ndarray, weight: np.ndarray, stride, padding,
+                 reuse_scratch: bool = False):
+    """GEMM forward; returns ``(out, cols, padded_shape)``.
+
+    ``cols`` is the ``(B, C·K, P)`` im2col matrix the backward pass needs
+    for ``grad_w``; callers must not hold it past the op when
+    ``reuse_scratch`` is set.
+    """
     plan = get_plan(x.shape, weight.shape, stride, padding)
     batch, in_ch = x.shape[0], x.shape[1]
     out_ch = weight.shape[0]
@@ -277,9 +231,10 @@ def _conv_forward(x: np.ndarray, weight: np.ndarray, stride, padding,
     return out.reshape(batch, out_ch, *plan.out_spatial), mat, plan.padded_shape
 
 
-def _conv_backward(grad: np.ndarray, cols: np.ndarray, weight: np.ndarray,
-                   x_shape, padded_shape, stride, padding,
-                   need_grad_x: bool, need_grad_w: bool):
+def conv_backward(grad: np.ndarray, cols: np.ndarray, weight: np.ndarray,
+                  x_shape, padded_shape, stride, padding,
+                  need_grad_x: bool, need_grad_w: bool):
+    """GEMM backward; returns ``(grad_x, grad_w)`` (``None`` when unneeded)."""
     batch, in_ch = x_shape[0], x_shape[1]
     spatial = x_shape[2:]
     out_ch = weight.shape[0]
@@ -304,40 +259,6 @@ def _conv_backward(grad: np.ndarray, cols: np.ndarray, weight: np.ndarray,
         crop = tuple(slice(p, p + size) for p, size in zip(padding, spatial))
         grad_x = grad_padded[(slice(None), slice(None), *crop)]
     return grad_x, grad_w
-
-
-# ---------------------------------------------------------------------- #
-# Rank-specific entry points (what ``repro.nn.functional`` dispatches to)
-# ---------------------------------------------------------------------- #
-def conv2d_forward(x: np.ndarray, weight: np.ndarray, stride, padding,
-                   reuse_scratch: bool = False):
-    """GEMM forward; returns ``(out, cols, padded_shape)``.
-
-    ``cols`` is the ``(B, C·K, P)`` im2col matrix the backward pass needs
-    for ``grad_w``; callers must not hold it past the op when
-    ``reuse_scratch`` is set.
-    """
-    return _conv_forward(x, weight, stride, padding, reuse_scratch)
-
-
-def conv2d_backward(grad, cols, weight, x_shape, padded_shape, stride,
-                    padding, need_grad_x: bool, need_grad_w: bool):
-    """GEMM backward; returns ``(grad_x, grad_w)`` (``None`` when unneeded)."""
-    return _conv_backward(grad, cols, weight, x_shape, padded_shape,
-                          stride, padding, need_grad_x, need_grad_w)
-
-
-def conv3d_forward(x: np.ndarray, weight: np.ndarray, stride, padding,
-                   reuse_scratch: bool = False):
-    """GEMM forward over ``(T, H, W)``; returns ``(out, cols, padded_shape)``."""
-    return _conv_forward(x, weight, stride, padding, reuse_scratch)
-
-
-def conv3d_backward(grad, cols, weight, x_shape, padded_shape, stride,
-                    padding, need_grad_x: bool, need_grad_w: bool):
-    """GEMM backward for conv3d; returns ``(grad_x, grad_w)``."""
-    return _conv_backward(grad, cols, weight, x_shape, padded_shape,
-                          stride, padding, need_grad_x, need_grad_w)
 
 
 # ---------------------------------------------------------------------- #

@@ -173,55 +173,12 @@ def scenario_run_all_fig5() -> dict:
     }
 
 
-def scenario_router_decisions() -> dict:
-    """Routing decisions against the checked-in calibration fixture.
-
-    Pins three contracts at once: the fixture file is byte-stable (its
-    digest is part of the golden), a given profile routes every probed
-    cell deterministically, and the guard rails hold — unmeasured cells
-    (cold start) fall back to the default and options whose measured
-    recall sits below the floor are never chosen.
-    """
-    from repro.router import CalibrationProfile, Router
-
-    fixture = Path(__file__).parent / "goldens" / \
-        "router_profile_fixture.json"
-    profile = CalibrationProfile.load(fixture)
-    router = Router(profile=profile)
-    probes = [
-        ("search", "b1", ("scalar", "batched"), "batched"),
-        ("search", "b2", ("scalar", "batched"), "batched"),
-        ("search", "b3", ("scalar", "batched"), "batched"),
-        ("search", "b9", ("scalar", "batched"), "batched"),  # cold cell
-        ("embed_cache", "default", ("off", "on"), "on"),
-        ("fuse", "default", ("off", "on"), "off"),
-        ("speculate", "simba", ("off", "on"), "on"),
-        ("speculate", "nes", ("off", "on"), "on"),
-        ("serving_batch", "default",
-         ("1", "2", "4", "8", "16", "32"), "8"),
-        ("rerank", "hamming", ("32", "64", "128"), "64"),
-        ("conv", "e12", ("einsum", "gemm"), "einsum"),  # unrouted domain
-    ]
-    decisions = [
-        f"{domain}/{key} default={default} -> "
-        f"{router.decide(domain, key, options, default)}"
-        for domain, key, options, default in probes
-    ]
-    return {
-        "profile_digest": array_digest(
-            np.frombuffer(fixture.read_bytes(), dtype=np.uint8)),
-        "decision_lines": decisions,
-        "cell_count": profile.num_cells,
-    }
-
-
 SCENARIOS: dict[str, Callable[[], dict]] = {
     "sparse_query": scenario_sparse_query,
     "sparse_transfer": scenario_sparse_transfer,
     "simba": scenario_simba,
     "nes": scenario_nes,
     "run_all_fig5": scenario_run_all_fig5,
-    "router_decisions": scenario_router_decisions,
 }
 
 

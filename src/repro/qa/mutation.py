@@ -7,10 +7,9 @@ differential oracles exist to catch); the mutation smoke test asserts
 the ``conv*.einsum_vs_gemm`` pairs fail under the fault and pass again
 once it is lifted.
 
-The injection point is ``repro.perf.gemm_conv._conv_forward``: the
-rank-specific entry points resolve it from module globals at call time,
-so swapping the module attribute reroutes every GEMM conv — including
-calls dispatched through ``repro.nn.functional`` — without touching any
+The injection point is ``repro.perf.gemm_conv.conv_forward``:
+``repro.nn.functional`` resolves it from the module at call time, so
+swapping the module attribute reroutes every conv without touching any
 other code path.
 """
 
@@ -30,18 +29,18 @@ def seeded_conv_fault(scale: float = 1.0 + 1e-3):
     notice, which is precisely the regression class the differential
     oracles must catch.
     """
-    original = gemm_conv._conv_forward
+    original = gemm_conv.conv_forward
 
     def faulty(x, weight, stride, padding, reuse_scratch):
         out, cols, padded_shape = original(x, weight, stride, padding,
                                            reuse_scratch)
         return out * scale, cols, padded_shape
 
-    gemm_conv._conv_forward = faulty
+    gemm_conv.conv_forward = faulty
     try:
         yield
     finally:
-        gemm_conv._conv_forward = original
+        gemm_conv.conv_forward = original
 
 
 @contextlib.contextmanager

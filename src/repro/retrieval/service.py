@@ -129,8 +129,6 @@ class RetrievalService:
             engine.configure_index_tier(config.index_tier)
         if config.fuse is not None:
             engine.configure_fuse(config.fuse)
-        if config.router is not None:
-            engine.configure_router(config.router)
         return cls(engine, config=config)
 
     # Legacy attribute surface (kept so existing call sites and tests

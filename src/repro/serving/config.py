@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping
 
-from repro.utils.envflags import env_bool, env_int, env_set
+from repro.utils.envflags import env_bool, env_int
 
 #: Priority classes, best first.  Interactive requests are dispatched
 #: before bulk ones queued at the same time, and bulk is shed first.
@@ -36,19 +36,11 @@ _ENV_CHURN = -1
 
 
 def default_batch_size() -> int:
-    """``REPRO_SERVING_BATCH`` when set, else routed/8.
+    """``REPRO_SERVING_BATCH`` when set (and valid), else 8.
 
-    Unset (or empty) falls back to the active router's micro-batch
-    decision — 8 unless a calibration profile says otherwise
-    (see :mod:`repro.router`).  Invalid or ``< 1`` values raise.
+    Invalid or ``< 1`` values raise.
     """
-    if env_set("REPRO_SERVING_BATCH"):
-        return env_int("REPRO_SERVING_BATCH", 8, minimum=1)
-    from repro.router import active_router
-
-    return int(active_router().decide(
-        "serving_batch", "default",
-        ("1", "2", "4", "8", "16", "32"), "8"))
+    return env_int("REPRO_SERVING_BATCH", 8, minimum=1)
 
 
 def default_workers() -> int:

@@ -1,28 +1,19 @@
-"""Equivalence and dispatch tests for the im2col GEMM conv fast path."""
+"""The im2col GEMM convs against the strided-einsum qa reference."""
 
 import numpy as np
 import pytest
 
-import repro.perf  # noqa: F401 — registers the GEMM kernels
 from repro.nn import Tensor
 from repro.nn import functional as F
-from repro.perf import (
-    clear_plan_cache,
-    conv_impl,
-    plan_cache_info,
-    set_conv_impl,
-    should_use_gemm,
-)
-from repro.perf.gemm_conv import GEMM_AUTO_THRESHOLD
+from repro.perf import clear_plan_cache, plan_cache_info
+from repro.qa import reference
 
 
 @pytest.fixture(autouse=True)
-def reset_impl():
-    """Restore the auto policy and an empty plan cache around each test."""
-    set_conv_impl(None)
+def empty_plan_cache():
+    """An empty plan cache around each test."""
     clear_plan_cache()
     yield
-    set_conv_impl(None)
     clear_plan_cache()
 
 
@@ -59,21 +50,25 @@ class TestConv2dEquivalence:
         x = rng.normal(size=x_shape)
         w = rng.normal(size=w_shape)
         b = rng.normal(size=w_shape[0])
-        set_conv_impl("einsum")
-        reference = _run_conv(F.conv2d, x, w, b, stride, padding)
-        set_conv_impl("gemm")
+        expected = _run_conv(reference.conv2d, x, w, b, stride, padding)
         fast = _run_conv(F.conv2d, x, w, b, stride, padding)
-        for ref, got in zip(reference, fast):
+        for ref, got in zip(expected, fast):
             np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
 
     def test_op_name_marks_dispatch(self, rng):
         # ``op`` is only recorded on grad-tracked outputs.
         x = Tensor(rng.normal(size=(1, 3, 12, 12)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
-        set_conv_impl("gemm")
         assert F.conv2d(x, w).op == "conv2d.gemm"
-        set_conv_impl("einsum")
-        assert F.conv2d(x, w).op == "conv2d"
+        assert reference.conv2d(x, w).op == "conv2d"
+
+
+    def test_bad_shapes_rejected(self, rng):
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)))
+        with pytest.raises(ValueError, match="4-D"):
+            F.conv2d(Tensor(rng.normal(size=(1, 3, 2, 12, 12))), w)
+        with pytest.raises(ValueError, match="channel mismatch"):
+            F.conv2d(Tensor(rng.normal(size=(1, 2, 12, 12))), w)
 
 
 class TestConv3dEquivalence:
@@ -83,11 +78,9 @@ class TestConv3dEquivalence:
         x = rng.normal(size=x_shape)
         w = rng.normal(size=w_shape)
         b = rng.normal(size=w_shape[0])
-        set_conv_impl("einsum")
-        reference = _run_conv(F.conv3d, x, w, b, stride, padding)
-        set_conv_impl("gemm")
+        expected = _run_conv(reference.conv3d, x, w, b, stride, padding)
         fast = _run_conv(F.conv3d, x, w, b, stride, padding)
-        for ref, got in zip(reference, fast):
+        for ref, got in zip(expected, fast):
             np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
 
     def test_no_bias_no_grad_inference(self, rng):
@@ -95,46 +88,50 @@ class TestConv3dEquivalence:
 
         x = Tensor(rng.normal(size=(1, 2, 6, 6, 6)))
         w = Tensor(rng.normal(size=(4, 2, 3, 3, 3)))
-        set_conv_impl("einsum")
         with no_grad():
-            reference = F.conv3d(x, w, stride=2, padding=1).data
-        set_conv_impl("gemm")
-        with no_grad():
+            expected = reference.conv3d(x, w, stride=2, padding=1).data
             fast = F.conv3d(x, w, stride=2, padding=1).data
-        np.testing.assert_allclose(fast, reference, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(fast, expected, rtol=1e-10, atol=1e-10)
 
 
-class TestDispatchPolicy:
-    def test_auto_threshold(self):
-        assert should_use_gemm(GEMM_AUTO_THRESHOLD)
-        assert not should_use_gemm(GEMM_AUTO_THRESHOLD - 1)
+class TestMicroConvs:
+    """Every size runs GEMM, down to the convs the old size policy sent
+    to einsum: a 1-element conv and the 512-element 1×1 stride-2
+    shortcut of the ResNet victim."""
 
-    def test_forced_override_wins(self):
-        set_conv_impl("einsum")
-        assert not should_use_gemm(10 * GEMM_AUTO_THRESHOLD)
-        set_conv_impl("gemm")
-        assert should_use_gemm(1)
+    @pytest.mark.parametrize("x_shape,w_shape,stride", [
+        ((1, 1, 1, 1), (1, 1, 1, 1), 1),
+        ((8, 4, 8, 8), (8, 4, 1, 1), 2),
+    ], ids=["1-element", "512-element-shortcut"])
+    def test_conv2d_runs_gemm_and_matches_reference(self, rng, x_shape,
+                                                    w_shape, stride):
+        self._check(rng, F.conv2d, reference.conv2d, "conv2d.gemm",
+                    x_shape, w_shape, stride)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CONV_IMPL", "einsum")
-        assert conv_impl() == "einsum"
-        assert not should_use_gemm(10 * GEMM_AUTO_THRESHOLD)
-        monkeypatch.setenv("REPRO_CONV_IMPL", "gemm")
-        assert should_use_gemm(1)
+    @pytest.mark.parametrize("x_shape,w_shape,stride", [
+        ((1, 1, 1, 1, 1), (1, 1, 1, 1, 1), 1),
+        ((8, 4, 2, 8, 8), (8, 4, 1, 1, 1), 2),
+    ], ids=["1-element", "512-element-shortcut"])
+    def test_conv3d_runs_gemm_and_matches_reference(self, rng, x_shape,
+                                                    w_shape, stride):
+        self._check(rng, F.conv3d, reference.conv3d, "conv3d.gemm",
+                    x_shape, w_shape, stride)
 
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CONV_IMPL", "fastest")
-        with pytest.raises(ValueError):
-            conv_impl()
-
-    def test_invalid_forced_rejected(self):
-        with pytest.raises(ValueError):
-            set_conv_impl("blas")
+    @staticmethod
+    def _check(rng, conv, ref_conv, op, x_shape, w_shape, stride):
+        x = rng.normal(size=x_shape)
+        w = rng.normal(size=w_shape)
+        b = rng.normal(size=w_shape[0])
+        probe = conv(Tensor(x, requires_grad=True), Tensor(w), stride=stride)
+        assert probe.op == op
+        fast = _run_conv(conv, x, w, b, stride, 0)
+        expected = _run_conv(ref_conv, x, w, b, stride, 0)
+        for ref, got in zip(expected, fast):
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
 
 
 class TestPlanCache:
     def test_repeat_shapes_hit(self, rng):
-        set_conv_impl("gemm")
         x = Tensor(rng.normal(size=(1, 3, 12, 12)))
         w = Tensor(rng.normal(size=(4, 3, 3, 3)))
         F.conv2d(x, w)
@@ -147,7 +144,6 @@ class TestPlanCache:
     def test_inference_reuses_scratch(self, rng):
         from repro.nn import no_grad
 
-        set_conv_impl("gemm")
         x = Tensor(rng.normal(size=(1, 3, 12, 12)))
         w = Tensor(rng.normal(size=(4, 3, 3, 3)))
         with no_grad():
@@ -168,7 +164,6 @@ class TestPlanCache:
 
         from repro.nn import no_grad
 
-        set_conv_impl("gemm")
         x_data = rng.normal(size=(2, 3, 12, 12))
         w = Tensor(rng.normal(size=(4, 3, 3, 3)))
         inputs = [Tensor(x_data + offset) for offset in range(4)]
@@ -198,7 +193,6 @@ class TestPlanCache:
         assert not errors, errors[0]
 
     def test_clear(self, rng):
-        set_conv_impl("gemm")
         x = Tensor(rng.normal(size=(1, 3, 12, 12)))
         w = Tensor(rng.normal(size=(4, 3, 3, 3)))
         F.conv2d(x, w)
@@ -213,7 +207,6 @@ class TestPlanCache:
 
         monkeypatch.setenv("REPRO_PLAN_CACHE_CAP", "2")
         assert plan_cache_cap() == 2
-        set_conv_impl("gemm")
         evictions = counter("perf.plan_cache.evictions")
         before = evictions.value
         w = Tensor(rng.normal(size=(4, 3, 3, 3)))

@@ -1,31 +1,32 @@
 """Extended numeric gradient coverage for the layers the original
-gradcheck suite skimmed over: conv3d with asymmetric stride/padding (on
-both conv implementations), multi-step LSTM sequences, BatchNorm in
+gradcheck suite skimmed over: conv3d with asymmetric stride/padding (the
+GEMM conv and the qa einsum reference), multi-step LSTM sequences, BatchNorm in
 training mode, and the lazy-window max_pool3d backward."""
 
 import numpy as np
 import pytest
 
-import repro.perf  # noqa: F401 — registers the GEMM kernels
 from repro.nn import BatchNorm, LSTM, MaxPool3d, Tensor
 from repro.nn import functional as F
-from repro.perf import clear_plan_cache, set_conv_impl
+from repro.perf import clear_plan_cache
+from repro.qa import reference
 
 from .gradcheck import assert_gradients_close, assert_parameter_gradients_close
 
 
 @pytest.fixture(autouse=True)
-def reset_impl():
-    set_conv_impl(None)
+def empty_plan_cache():
     clear_plan_cache()
     yield
-    set_conv_impl(None)
     clear_plan_cache()
 
 
 # ---------------------------------------------------------------------- #
 # conv3d with asymmetric stride / padding
 # ---------------------------------------------------------------------- #
+#: ``impl`` → conv3d: the production GEMM path and the qa einsum reference.
+CONV3D_IMPLS = {"einsum": reference.conv3d, "gemm": F.conv3d}
+
 ASYMMETRIC_CASES = [
     # (B, C, T, H, W), (F, C, kt, kh, kw), stride, padding
     ((1, 2, 5, 7, 6), (3, 2, 2, 3, 2), (1, 2, 1), (1, 0, 1)),
@@ -38,7 +39,7 @@ ASYMMETRIC_CASES = [
 @pytest.mark.parametrize("x_shape,w_shape,stride,padding", ASYMMETRIC_CASES)
 def test_conv3d_asymmetric_stride_padding(impl, x_shape, w_shape,
                                           stride, padding):
-    set_conv_impl(impl)
+    conv3d = CONV3D_IMPLS[impl]
     rng = np.random.default_rng(3)
     arrays = {
         "x": rng.normal(size=x_shape),
@@ -47,8 +48,8 @@ def test_conv3d_asymmetric_stride_padding(impl, x_shape, w_shape,
     }
 
     def build_loss(t):
-        out = F.conv3d(t["x"], t["w"], t["b"], stride=stride,
-                       padding=padding)
+        out = conv3d(t["x"], t["w"], t["b"], stride=stride,
+                     padding=padding)
         return (out * out).sum()
 
     assert_gradients_close(build_loss, arrays, rtol=1e-4, atol=1e-6)

@@ -12,10 +12,9 @@ from repro.qa.world import build_world
 
 
 @pytest.fixture
-def reset_conv_impl():
-    """Restore the conv dispatch policy and plan cache after a test."""
+def clear_conv_plans():
+    """Drop the conv plan cache after a test."""
     yield
-    gemm_conv.set_conv_impl(None)
     gemm_conv.clear_plan_cache()
 
 

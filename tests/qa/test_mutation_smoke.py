@@ -17,7 +17,7 @@ from repro.qa.oracle import OracleFailure, get_pair, check_pair
 
 @pytest.mark.parametrize("pair_name", ["conv2d.einsum_vs_gemm",
                                        "conv3d.einsum_vs_gemm"])
-def test_conv_fault_is_caught_then_cleared(pair_name, reset_conv_impl):
+def test_conv_fault_is_caught_then_cleared(pair_name, clear_conv_plans):
     pair = get_pair(pair_name)
     with seeded_conv_fault():
         with pytest.raises(OracleFailure) as excinfo:
@@ -27,7 +27,7 @@ def test_conv_fault_is_caught_then_cleared(pair_name, reset_conv_impl):
     assert check_pair(pair) == pair.cases
 
 
-def test_failure_case_is_shrunk_to_minimum(reset_conv_impl):
+def test_failure_case_is_shrunk_to_minimum(clear_conv_plans):
     pair = get_pair("conv2d.einsum_vs_gemm")
     with seeded_conv_fault():
         with pytest.raises(OracleFailure) as excinfo:
@@ -41,18 +41,18 @@ def test_failure_case_is_shrunk_to_minimum(reset_conv_impl):
 
 
 def test_fault_injection_restores_the_kernel():
-    original = gemm_conv._conv_forward
+    original = gemm_conv.conv_forward
     with seeded_conv_fault():
-        assert gemm_conv._conv_forward is not original
-    assert gemm_conv._conv_forward is original
+        assert gemm_conv.conv_forward is not original
+    assert gemm_conv.conv_forward is original
 
 
 def test_fault_restores_on_error():
-    original = gemm_conv._conv_forward
+    original = gemm_conv.conv_forward
     with pytest.raises(RuntimeError, match="boom"):
         with seeded_conv_fault():
             raise RuntimeError("boom")
-    assert gemm_conv._conv_forward is original
+    assert gemm_conv.conv_forward is original
 
 
 def test_fused_fault_is_caught_then_cleared():

@@ -32,6 +32,6 @@ def test_registry_covers_required_contracts():
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS))
-def test_pair_agrees(name, reset_conv_impl):
+def test_pair_agrees(name, clear_conv_plans):
     pair = PAIRS[name]
     assert check_pair(pair) == pair.cases

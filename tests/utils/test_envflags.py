@@ -6,6 +6,9 @@ silent fallback.  The table below is the complete flag inventory; adding
 a flag without a row here should feel like a missing test.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.utils.envflags import (
@@ -100,11 +103,6 @@ def _gallery_churn():
     return default_churn()
 
 
-def _conv_impl():
-    from repro.perf.gemm_conv import conv_impl
-    return conv_impl()
-
-
 def _plan_cache_cap():
     from repro.perf.gemm_conv import plan_cache_cap
     return plan_cache_cap()
@@ -130,7 +128,6 @@ FLAGS = [
     ("REPRO_SERVING_BATCH", _serving_batch, 8, "4", 4, "0"),
     ("REPRO_SERVING_WORKERS", _serving_workers, 1, "3", 3, "0"),
     ("REPRO_GALLERY_CHURN", _gallery_churn, False, "YES", True, "maybe"),
-    ("REPRO_CONV_IMPL", _conv_impl, "auto", "GEMM", "gemm", "blas"),
     ("REPRO_PLAN_CACHE_CAP", _plan_cache_cap, 64, "16", 16, "0"),
     ("REPRO_NN_FUSE", _nn_fuse, False, "on", True, "2"),
     ("REPRO_INDEX_TIER", _index_tier, "exact", "HAMMING", "hamming",
@@ -207,23 +204,60 @@ class TestAttackStrategy:
             resolve_strategy()
 
 
-class TestRouterFlags:
-    def test_router_env_is_boolean(self, monkeypatch):
-        from repro.router import active_router, set_router
+# ---------------------------------------------------------------------- #
+# Path flags: blank means the default, never the working directory
+# ---------------------------------------------------------------------- #
+def _obs_dir():
+    from repro.obs.export import obs_dir
+    return obs_dir()
 
-        set_router(None)
-        monkeypatch.setenv("REPRO_ROUTER", "garbage")
-        with pytest.raises(ValueError, match="REPRO_ROUTER"):
-            active_router()
-        monkeypatch.delenv("REPRO_ROUTER")
-        assert active_router().enabled is False
 
-    def test_profile_path_env(self, monkeypatch, tmp_path):
-        from repro.router import default_profile_path
-        from repro.router.profile import DEFAULT_PROFILE_PATH
+def _fixture_cache_dir():
+    from repro.experiments.fixtures import cache_dir
+    return cache_dir()
 
-        monkeypatch.delenv("REPRO_ROUTER_PROFILE", raising=False)
-        assert str(default_profile_path()) == DEFAULT_PROFILE_PATH
-        monkeypatch.setenv("REPRO_ROUTER_PROFILE",
-                           str(tmp_path / "p.json"))
-        assert default_profile_path() == tmp_path / "p.json"
+
+PATH_FLAGS = [
+    ("REPRO_OBS_DIR", _obs_dir, Path("results", "obs")),
+    ("REPRO_CACHE", _fixture_cache_dir, Path(".repro_cache")),
+]
+
+
+@pytest.mark.parametrize("flag,accessor,default", PATH_FLAGS,
+                         ids=[row[0] for row in PATH_FLAGS])
+class TestPathFlags:
+    @pytest.mark.parametrize("raw", [None, "", "   "],
+                             ids=["unset", "empty", "blank"])
+    def test_unset_or_blank_yields_default(self, monkeypatch, tmp_path,
+                                           flag, accessor, default, raw):
+        monkeypatch.chdir(tmp_path)  # cache_dir() creates the directory
+        if raw is None:
+            monkeypatch.delenv(flag, raising=False)
+        else:
+            monkeypatch.setenv(flag, raw)
+        assert accessor() == default
+
+    def test_value_is_stripped_path(self, monkeypatch, tmp_path, flag,
+                                    accessor, default):
+        monkeypatch.setenv(flag, f" {tmp_path / 'custom'} ")
+        assert accessor() == tmp_path / "custom"
+
+
+# ---------------------------------------------------------------------- #
+# Inventory: every flag the library reads is documented
+# ---------------------------------------------------------------------- #
+_REPO = Path(__file__).resolve().parents[2]
+
+
+def test_every_flag_read_by_the_library_is_documented():
+    """Each ``"REPRO_*"`` literal under ``src/repro`` has a README row."""
+    literal = re.compile(r"""["'](REPRO_[A-Z0-9_]+)["']""")
+    read = set()
+    for path in (_REPO / "src" / "repro").rglob("*.py"):
+        read.update(literal.findall(path.read_text()))
+    readme = (_REPO / "README.md").read_text()
+    documented = set(re.findall(r"^\| `(REPRO_[A-Z0-9_]+)` \|", readme,
+                                flags=re.MULTILINE))
+    assert read, "no REPRO_* literals found; is the source tree missing?"
+    missing = sorted(read - documented)
+    assert not missing, f"flags read but missing from README's table: {missing}"
