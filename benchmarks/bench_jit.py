@@ -38,11 +38,9 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.attacks.duo.sparse_query import SparseQuery  # noqa: E402
-from repro.attacks.objective import RetrievalObjective  # noqa: E402
 from repro.models import create_feature_extractor  # noqa: E402
 from repro.nn import Tensor, jit, no_grad  # noqa: E402
-from repro.qa.pairs import _qa_priors  # noqa: E402
+from repro.qa.pairs import _qa_priors, duo_query_attack  # noqa: E402
 from repro.qa.world import build_world  # noqa: E402
 
 #: Victim and surrogate extractors at the attack batch shapes.
@@ -115,18 +113,21 @@ def bench_models(trials: int) -> list[dict]:
 
 
 def sparse_query_seconds(fuse: bool, iterations: int, repeats: int) -> float:
-    """Best-of-``repeats`` wall time of a seeded SparseQuery attack."""
+    """Best-of-``repeats`` wall time of a seeded DUO query-stage attack."""
     best = float("inf")
     for repeat in range(repeats):
         world = build_world(73, cache_size=0)
         world.engine.configure_fuse(fuse)
-        objective = RetrievalObjective(world.service, world.original,
-                                       world.target)
-        attack = SparseQuery(iter_num_q=iterations, tau=30,
-                             rng=repeat, batched=True)
         priors = _qa_priors(world.original.pixels.shape, repeat + 9)
+        attack = duo_query_attack(priors, iterations, world.service, repeat,
+                                  batched=True)
+        # Issue the attack's two reference queries untimed first: fused
+        # replay traces each new batch shape on first use, and the timed
+        # region covers the search loop, not that one-off trace.
+        world.service.query(world.original)
+        world.service.query(world.target)
         start = time.perf_counter()
-        attack.run(world.original, priors, objective)
+        attack.run(world.original, world.target)
         best = min(best, time.perf_counter() - start)
     return best
 

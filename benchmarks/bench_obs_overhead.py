@@ -30,7 +30,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.attacks.vanilla import VanillaAttack  # noqa: E402
+from repro.attacks import AttackConfig, build_attack  # noqa: E402
 from repro.models import create_feature_extractor  # noqa: E402
 from repro.obs import (  # noqa: E402
     counter,
@@ -65,8 +65,10 @@ def attack_loop_seconds(service, original, target, iterations: int,
     """Best-of-``repeats`` wall time of one Vanilla attack run."""
     best = float("inf")
     for repeat in range(repeats):
-        attack = VanillaAttack(service, k=48, n=3,
-                               iterations=iterations, rng=repeat)
+        attack = build_attack(
+            AttackConfig(strategy="vanilla", k=48, n=3,
+                         iterations=iterations, seed=repeat),
+            service=service)
         start = time.perf_counter()
         attack.run(original, target)
         best = min(best, time.perf_counter() - start)

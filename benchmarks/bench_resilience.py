@@ -101,9 +101,9 @@ def attack_run(extractor, dataset, resilience, iterations,
 
     def run():
         start = time.perf_counter()
-        _, _, trace = simba_search(
+        trace = simba_search(
             original, objective, support, tau=0.1, iterations=iterations,
-            rng=np.random.default_rng(rng_seed))
+            rng=np.random.default_rng(rng_seed)).trace
         return time.perf_counter() - start, trace
 
     if fault_plan is None:

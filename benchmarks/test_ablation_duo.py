@@ -9,7 +9,7 @@ Toggles, one at a time, on a single (dataset, victim) cell:
 
 import numpy as np
 
-from repro.attacks.duo import DUOAttack
+from repro.attacks import AttackConfig, build_attack
 from repro.experiments import fixtures
 from repro.experiments.protocol import attack_pairs, without_attack_ap
 from repro.experiments.report import TableResult
@@ -17,11 +17,12 @@ from repro.metrics.ranking import ap_at_m
 
 from benchmarks.common import BENCH_SCALE, run_once, save_table
 
+#: ``(name, sampler overrides, feedback overrides)`` per variant.
 VARIANTS = (
-    ("full", {}),
-    ("no-target-init", {"target_init": False}),
-    ("tie-stay", {"tie_rule": "stay"}),
-    ("single-coordinate", {"block_size": 1}),
+    ("full", {}, {}),
+    ("no-target-init", {"target_init": False}, {}),
+    ("tie-stay", {}, {"tie_rule": "stay"}),
+    ("single-coordinate", {}, {"block_size": 1}),
 )
 
 
@@ -40,27 +41,23 @@ def _run() -> TableResult:
         f"w/o attack AP@m = {without_attack_ap(victim, pairs):.3f}"
     )
 
-    for name, overrides in VARIANTS:
+    for name, sampler, feedback in VARIANTS:
         aps, spas, queries = [], [], []
         for index, (original, target) in enumerate(pairs):
-            attack = DUOAttack(
-                surrogate, victim.service, k=k, n=scale.n, tau=scale.tau,
-                iter_num_q=scale.iter_num_q, iter_num_h=scale.iter_num_h,
-                transfer_outer_iters=scale.transfer_outer_iters,
-                theta_steps=scale.theta_steps, rng=100 + index,
-            )
-            if "target_init" in overrides:
-                attack.transfer.target_init = overrides["target_init"]
-            if "tie_rule" in overrides:
-                attack.query.tie_rule = overrides["tie_rule"]
-            if "block_size" in overrides:
-                attack.query.block_size = overrides["block_size"]
+            attack = build_attack(
+                AttackConfig(
+                    strategy="duo", k=k, n=scale.n, tau=scale.tau,
+                    iterations=scale.iter_num_q, rounds=scale.iter_num_h,
+                    seed=100 + index, feedback=feedback,
+                    sampler={"outer_iters": scale.transfer_outer_iters,
+                             "theta_steps": scale.theta_steps, **sampler}),
+                service=victim.service, surrogate=surrogate)
             result = attack.run(original, target)
             target_ids = victim.service.query(target).ids
             adv_ids = victim.service.query(result.adversarial).ids
             aps.append(ap_at_m(adv_ids, target_ids))
             spas.append(result.stats.spa)
-            queries.append(result.queries_used)
+            queries.append(result.queries)
         table.add_row(name, float(np.mean(aps)), int(np.mean(spas)),
                       int(np.mean(queries)))
     return table

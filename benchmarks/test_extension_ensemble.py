@@ -7,7 +7,7 @@ conjecture is that the ensemble is harder to steer.
 
 import numpy as np
 
-from repro.attacks.duo import DUOAttack
+from repro.attacks import AttackConfig, build_attack
 from repro.defenses import EnsembleEngine
 from repro.experiments import fixtures
 from repro.experiments.protocol import attack_pairs
@@ -41,16 +41,18 @@ def _run() -> TableResult:
         for index, (original, target) in enumerate(pairs):
             target_ids = service.query(target).ids
             baselines.append(ap_at_m(service.query(original).ids, target_ids))
-            attack = DUOAttack(
-                surrogate, service, k=k, n=scale.n, tau=scale.tau,
-                iter_num_q=scale.iter_num_q, iter_num_h=scale.iter_num_h,
-                transfer_outer_iters=scale.transfer_outer_iters,
-                theta_steps=scale.theta_steps, rng=300 + index,
-            )
+            attack = build_attack(
+                AttackConfig(
+                    strategy="duo", k=k, n=scale.n, tau=scale.tau,
+                    iterations=scale.iter_num_q, rounds=scale.iter_num_h,
+                    seed=300 + index,
+                    sampler={"outer_iters": scale.transfer_outer_iters,
+                             "theta_steps": scale.theta_steps}),
+                service=service, surrogate=surrogate)
             result = attack.run(original, target)
             aps.append(ap_at_m(service.query(result.adversarial).ids,
                                target_ids))
-            queries.append(result.queries_used)
+            queries.append(result.queries)
         table.add_row(name, float(np.mean(aps)), float(np.mean(baselines)),
                       int(np.mean(queries)))
     return table

@@ -7,7 +7,8 @@ analogue of AP@m.
 
 import numpy as np
 
-from repro.attacks.duo import DUOAttack
+from repro.attacks import AttackConfig, UntargetedRetrievalObjective, \
+    build_attack
 from repro.experiments import fixtures
 from repro.experiments.protocol import attack_pairs
 from repro.experiments.report import TableResult
@@ -29,16 +30,19 @@ def _run() -> TableResult:
         k = scale.k_for(pairs[0][0].pixels.size)
         escapes, spas, queries = [], [], []
         for index, (original, _) in enumerate(pairs):
-            attack = DUOAttack(
-                surrogate, victim.service, k=k, n=scale.n, tau=scale.tau,
-                iter_num_q=scale.iter_num_q, iter_num_h=1,
-                transfer_outer_iters=scale.transfer_outer_iters,
-                theta_steps=scale.theta_steps, rng=200 + index,
-            )
-            result = attack.run_untargeted(original)
-            escapes.append(result.metadata["escape_rate"])
+            attack = build_attack(
+                AttackConfig(
+                    strategy="duo", k=k, n=scale.n, tau=scale.tau,
+                    iterations=scale.iter_num_q, rounds=1, seed=200 + index,
+                    sampler={"outer_iters": scale.transfer_outer_iters,
+                             "theta_steps": scale.theta_steps}),
+                service=victim.service, surrogate=surrogate)
+            result = attack.run(original, None)
+            objective = UntargetedRetrievalObjective(victim.service,
+                                                     original)
+            escapes.append(objective.escape_rate(result.adversarial))
             spas.append(result.stats.spa)
-            queries.append(result.queries_used)
+            queries.append(result.queries)
         table.add_row(dataset_name, float(np.mean(escapes)),
                       int(np.mean(spas)), int(np.mean(queries)))
     return table

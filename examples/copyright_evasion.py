@@ -15,7 +15,7 @@ This example plays both roles:
   comes back clean.
 """
 
-from repro.attacks import DUOAttack
+from repro.attacks import AttackConfig, build_attack
 from repro.surrogate import steal_training_set, train_surrogate
 from repro.training import build_victim_system
 from repro.video import load_dataset
@@ -57,9 +57,10 @@ def main() -> None:
                                 rng=12)
     surrogate = train_surrogate(stolen, backbone="c3d", feature_dim=32,
                                 width=4, epochs=4, seed=13)
-    attack = DUOAttack(surrogate, victim.service,
-                       k=int(0.4 * copyrighted.pixels.size), n=6, tau=30,
-                       iter_num_q=150, iter_num_h=2, rng=14)
+    attack = build_attack(
+        AttackConfig(strategy="duo", k=int(0.4 * copyrighted.pixels.size),
+                     n=6, tau=30, iterations=150, rounds=2, seed=14),
+        service=victim.service, surrogate=surrogate)
     result = attack.run(copyrighted, decoy_target)
 
     print("owner checks the adversarial re-upload:")

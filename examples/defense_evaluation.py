@@ -8,7 +8,7 @@ compare detection rates — sparsification is what buys DUO its
 stealthiness.
 """
 
-from repro.attacks import DUOAttack, TIMIAttack, VanillaAttack
+from repro.attacks import AttackConfig, build_attack
 from repro.defenses import (
     FeatureSqueezer,
     Noise2SelfDenoiser,
@@ -48,12 +48,17 @@ def main() -> None:
     pairs = dataset.sample_attack_pairs(3, rng_or_seed=24)
     k = int(0.4 * pairs[0][0].pixels.size)
     attacks = {
-        "timi (dense)": lambda i: TIMIAttack(surrogate, tau=30, iterations=10),
-        "vanilla (sparse)": lambda i: VanillaAttack(
-            victim.service, k=k, n=6, tau=30, iterations=150, rng=30 + i),
-        "duo (sparse)": lambda i: DUOAttack(
-            surrogate, victim.service, k=k, n=6, tau=30, iter_num_q=100,
-            iter_num_h=1, rng=40 + i),
+        "timi (dense)": lambda i: build_attack(
+            AttackConfig(strategy="timi", tau=30, iterations=10),
+            surrogate=surrogate),
+        "vanilla (sparse)": lambda i: build_attack(
+            AttackConfig(strategy="vanilla", k=k, n=6, tau=30,
+                         iterations=150, seed=30 + i),
+            service=victim.service),
+        "duo (sparse)": lambda i: build_attack(
+            AttackConfig(strategy="duo", k=k, n=6, tau=30, iterations=100,
+                         rounds=1, seed=40 + i),
+            service=victim.service, surrogate=surrogate),
     }
 
     print(f"{'attack':18s} {'squeezing':>10s} {'noise2self':>11s}  spa")

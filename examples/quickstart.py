@@ -10,7 +10,7 @@ Runs in well under a minute on a laptop CPU.  The flow mirrors the paper:
 4. run DUO (SparseTransfer + SparseQuery) and report AP@m / Spa / PScore.
 """
 
-from repro.attacks import DUOAttack
+from repro.attacks import AttackConfig, build_attack
 from repro.metrics import ap_at_m, evaluate_map
 from repro.surrogate import steal_training_set, train_surrogate
 from repro.training import build_victim_system
@@ -54,10 +54,10 @@ def main() -> None:
         target_ids = victim.service.query(target).ids
         baseline_aps.append(
             ap_at_m(victim.service.query(original).ids, target_ids))
-        attack = DUOAttack(
-            surrogate, victim.service,
-            k=int(0.4 * total_values), n=6, tau=30,
-            iter_num_q=150, iter_num_h=2, rng=5 + index,
+        attack = build_attack(
+            AttackConfig(strategy="duo", k=int(0.4 * total_values), n=6,
+                         tau=30, iterations=150, rounds=2, seed=5 + index),
+            service=victim.service, surrogate=surrogate,
         )
         last_result = attack.run(original, target)
         adversarial_ids = victim.service.query(last_result.adversarial).ids
@@ -75,7 +75,7 @@ def main() -> None:
           f"PScore={stats.pscore:.3f} (8-bit), "
           f"frames={stats.frames}/{pairs[0][0].num_frames}, "
           f"linf={stats.linf * 255:.1f}/255, "
-          f"queries={last_result.queries_used}")
+          f"queries={last_result.queries}")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ perturbed query to stop containing the videos it correctly returns for
 the clean query (e.g. to hide a video from similarity search entirely).
 """
 
-from repro.attacks import DUOAttack
+from repro.attacks import AttackConfig, UntargetedRetrievalObjective, \
+    build_attack
 from repro.surrogate import steal_training_set, train_surrogate
 from repro.training import build_victim_system
 from repro.video import load_dataset
@@ -34,20 +35,24 @@ def main() -> None:
     print(f"clean query: {same_class}/{len(clean_list)} returned videos share "
           f"the true class {original.label}")
 
-    attack = DUOAttack(surrogate, victim.service,
-                       k=int(0.4 * original.pixels.size), n=6, tau=30,
-                       iter_num_q=150, iter_num_h=1, rng=44)
-    result = attack.run_untargeted(original)
+    attack = build_attack(
+        AttackConfig(strategy="duo", k=int(0.4 * original.pixels.size), n=6,
+                     tau=30, iterations=150, rounds=1, seed=44),
+        service=victim.service, surrogate=surrogate)
+    # No target video: DUO minimizes the untargeted objective instead.
+    result = attack.run(original, None)
+    escape_rate = UntargetedRetrievalObjective(
+        victim.service, original).escape_rate(result.adversarial)
 
     adv_list = victim.service.query(result.adversarial)
     same_class_adv = sum(1 for e in adv_list if e.label == original.label)
     print(f"adversarial query: {same_class_adv}/{len(adv_list)} share the "
           f"true class")
     print(f"escape rate (original list items no longer returned): "
-          f"{result.metadata['escape_rate']:.2f}")
+          f"{escape_rate:.2f}")
     stats = result.stats
     print(f"perturbation: Spa={stats.spa}, PScore={stats.pscore:.2f}, "
-          f"frames={stats.frames}, queries={result.queries_used}")
+          f"frames={stats.frames}, queries={result.queries}")
 
 
 if __name__ == "__main__":

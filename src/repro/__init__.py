@@ -16,7 +16,7 @@ Subpackages
 ``repro.retrieval``   distributed sharded gallery + black-box service
 ``repro.training``    victim training and system assembly
 ``repro.surrogate``   model stealing and surrogate training
-``repro.attacks``     DUO (SparseTransfer/SparseQuery), Vanilla, TIMI, HEU
+``repro.attacks``     DUO, Vanilla, TIMI, HEU as registry compositions
 ``repro.defenses``    feature squeezing, Noise2Self
 ``repro.metrics``     mAP, AP@m, Spa, PScore, NDCG-style list similarity
 ``repro.experiments`` one runner per paper table/figure

@@ -1,38 +1,33 @@
 """Adversarial-example attacks on video retrieval systems.
 
-The package implements the paper's DUO pipeline and the three baselines
-it compares against, decomposed into pluggable strategy components
-(see :mod:`repro.attacks.strategy` and :mod:`repro.attacks.registry`):
+Every attack is a registered {sampler × basis × feedback} composition
+(see :mod:`repro.attacks.strategy` and :mod:`repro.attacks.registry`),
+built with :func:`build_attack` and run by one driver,
+:class:`~repro.attacks.strategy.ComposedAttack`:
 
-* :class:`~repro.attacks.duo.DUOAttack` — SparseTransfer (Eq. 1 /
-  Algorithm 1) + SparseQuery (Eq. 2–4 / Algorithm 2), looped ``iter_numH``
-  times.
-* :class:`~repro.attacks.vanilla.VanillaAttack` — random pixel selection
-  + SimBA-style queries [53].
-* :class:`~repro.attacks.timi.TIMIAttack` — momentum + translation-
-  invariant dense transfer attack [25].
-* :class:`~repro.attacks.heu.HeuNesAttack` / ``HeuSimAttack`` — heuristic
-  frame/pixel selection with NES or SimBA optimization [16].
-
-Every attack is a registered {sampler × basis × feedback} composition:
+* ``"duo"`` — the paper's DUO: SparseTransfer (Eq. 1 / Algorithm 1) +
+  SparseQuery (Eq. 2–4 / Algorithm 2), looped ``iter_numH`` times
+  (``AttackConfig.rounds``); ``"duo-query"`` is the query stage alone
+  over fixed :class:`TransferPriors`.
+* ``"vanilla"`` — random pixel selection + SimBA-style queries [53].
+* ``"timi"`` — momentum + translation-invariant dense transfer [25].
+* ``"heu-nes"`` / ``"heu-sim"`` — heuristic frame/pixel selection with
+  NES or SimBA optimization [16].
 
 >>> from repro.attacks import AttackConfig, build_attack
->>> attack = build_attack(AttackConfig(strategy="vanilla", k=48),
-...                       service=service)
->>> report = attack.run(original, target)
-
-The legacy classes remain as deprecated shims over their registry
-entries, bit-identical to their pre-redesign behaviour.
+>>> attack = build_attack(AttackConfig(strategy="duo", k=48),
+...                       service=service, surrogate=surrogate)
+>>> report = attack.run(original, target)   # targeted
+>>> report = attack.run(original, None)     # untargeted DUO
 """
 
-from repro.attacks.base import Attack, AttackResult, project_linf, project_l2
+from repro.attacks.base import Attack, project_linf, project_l2
 from repro.attacks.config import AttackConfig
 from repro.attacks.objective import RetrievalObjective, UntargetedRetrievalObjective
 from repro.attacks.report import AttackReport
-from repro.attacks.vanilla import VanillaAttack
-from repro.attacks.timi import TIMIAttack, timi_transfer
-from repro.attacks.heu import HeuNesAttack, HeuSimAttack, motion_saliency
-from repro.attacks.duo import DUOAttack, SparseTransfer, SparseQuery, TransferPriors
+from repro.attacks.timi import timi_transfer
+from repro.attacks.heu import motion_saliency
+from repro.attacks.duo import SparseTransfer, TransferPriors
 
 # Registry/strategy exports resolve lazily so `python -m
 # repro.attacks.registry` does not re-import the module it is executing.
@@ -56,7 +51,6 @@ __all__ = [
     "Attack",
     "AttackConfig",
     "AttackReport",
-    "AttackResult",
     "ComposedAttack",
     "build_attack",
     "project_linf",
@@ -64,14 +58,8 @@ __all__ = [
     "resolve_strategy",
     "RetrievalObjective",
     "UntargetedRetrievalObjective",
-    "VanillaAttack",
-    "TIMIAttack",
     "timi_transfer",
-    "HeuNesAttack",
-    "HeuSimAttack",
     "motion_saliency",
-    "DUOAttack",
     "SparseTransfer",
-    "SparseQuery",
     "TransferPriors",
 ]

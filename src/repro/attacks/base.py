@@ -1,4 +1,4 @@
-"""Common attack interfaces, result types, and perturbation projections."""
+"""Common attack interface and perturbation projections."""
 
 from __future__ import annotations
 
@@ -6,12 +6,6 @@ import numpy as np
 
 from repro.attacks.report import AttackReport
 from repro.video.types import Video
-
-#: Legacy name of :class:`~repro.attacks.report.AttackReport`.  The old
-#: dataclass and the new consolidated report share constructor keywords
-#: (``queries_used`` / ``objective_trace`` still work), so every
-#: pre-redesign call site keeps importing ``AttackResult`` from here.
-AttackResult = AttackReport
 
 
 class Attack:

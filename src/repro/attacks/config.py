@@ -3,9 +3,7 @@
 Mirrors the :class:`~repro.retrieval.config.ServiceConfig` redesign: one
 immutable :class:`AttackConfig` is the single constructor argument for
 :class:`~repro.attacks.strategy.ComposedAttack` and for
-:func:`repro.attacks.registry.build_attack`.  The legacy per-attack
-positional constructors (``VanillaAttack(service, k, ...)``) still work
-but emit a :class:`DeprecationWarning` pointing here.
+:func:`repro.attacks.registry.build_attack`.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ class AttackConfig:
         Hard cap on black-box queries.  The driver sizes each round so
         the attack *finishes under* the budget (conservative per-step
         cost bounds), mirroring a per-tenant admission budget.
-        ``None`` disables the cap (legacy behaviour).
+        ``None`` disables the cap.
     seed:
         Attack rng seed (ignored when an explicit generator is passed to
         the builder).
@@ -49,7 +47,7 @@ class AttackConfig:
         passed to ``run()`` wins.
     batched:
         Speculative/batched candidate evaluation (``None`` auto-enables
-        when the service is stateless, exactly like the legacy attacks).
+        when the service is stateless).
     sampler / basis / feedback:
         Component-specific keyword overrides, forwarded verbatim to the
         registered component factories (e.g.

@@ -3,30 +3,25 @@
 HEU selects "key frames" and salient pixels heuristically before running
 a query-based optimizer:
 
-* :class:`HeuNesAttack` — saliency-guided frame/pixel selection + NES
-  gradient estimation (the paper's HEU-Nes).
-* :class:`HeuSimAttack` — the paper's ablation "HEU-Sim": the same
-  heuristic frame selection but *random* pixel selection (Vanilla's
-  strategy) with SimBA optimization.
+* ``"heu-nes"`` — saliency-guided frame/pixel selection + NES gradient
+  estimation (the paper's HEU-Nes).
+* ``"heu-sim"`` — the paper's ablation "HEU-Sim": the same heuristic
+  frame selection but *random* pixel selection (Vanilla's strategy)
+  with SimBA optimization.
 
 The saliency heuristic is motion energy: frames are ranked by how much
 they differ from their neighbours, and pixels by their temporal
 variation — the "prior knowledge" HEU exploits in lieu of a surrogate.
 
 :func:`saliency_support` is the selection rule (the ``SaliencySampler``
-strategy component); both attack classes are deprecated shims over
-their registry compositions (``"heu-nes"`` / ``"heu-sim"``) and
-reproduce the pre-redesign classes bit-for-bit.
+strategy component); both attacks are registry compositions built with
+:func:`~repro.attacks.registry.build_attack`.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from repro.attacks.base import Attack, AttackResult
-from repro.retrieval.service import RetrievalService
 from repro.utils.seeding import seeded_rng
 from repro.video.types import Video
 
@@ -76,94 +71,3 @@ def saliency_support(video: Video, k: int, n: int,
             picks = np.argsort(-flat_saliency[frame], kind="stable")[: int(count)]
         flat_support[frame, picks] = True
     return support
-
-
-class HeuNesAttack(Attack):
-    """Saliency-guided NES query attack (HEU-Nes).
-
-    .. deprecated::
-        Shim over the ``"heu-nes"`` registry composition; use
-        ``build_attack(AttackConfig(strategy="heu-nes", ...),
-        service=...)`` instead.
-    """
-
-    name = "heu-nes"
-
-    def __init__(self, service: RetrievalService, k: int, n: int = 4,
-                 tau: float = 30.0, iterations: int = 100, samples: int = 4,
-                 sigma: float = 0.05, eta: float = 1.0, rng=None,
-                 batched: bool | None = None) -> None:
-        warnings.warn(
-            "HeuNesAttack(service, k, ...) is deprecated; use "
-            "repro.attacks.registry.build_attack(AttackConfig("
-            "strategy='heu-nes', ...), service=...) instead",
-            DeprecationWarning, stacklevel=2)
-        from repro.attacks.config import AttackConfig
-        from repro.attacks.registry import build_attack
-
-        self.service = service
-        self.k = int(k)
-        self.n = int(n)
-        self.tau = float(tau) / 255.0
-        self.iterations = int(iterations)
-        self.samples = int(samples)
-        self.sigma = float(sigma)
-        self.eta = float(eta)
-        self.batched = batched
-        self.rng = seeded_rng(rng)
-        self._composed = build_attack(
-            AttackConfig(strategy="heu-nes", k=self.k, n=self.n,
-                         tau=float(tau), eta=self.eta,
-                         iterations=self.iterations, batched=batched,
-                         feedback={"samples": self.samples,
-                                   "sigma": self.sigma}),
-            service=service, rng=self.rng)
-
-    def run(self, original: Video, target: Video) -> AttackResult:
-        """Saliency-masked NES attack on the pair ``(v, v_t)``."""
-        report = self._composed.run(original, target)
-        report.metadata = {"k": self.k, "n": self.n, "tau": self.tau * 255.0}
-        return report
-
-
-class HeuSimAttack(Attack):
-    """Heuristic frames + random pixels + SimBA (HEU-Sim).
-
-    .. deprecated::
-        Shim over the ``"heu-sim"`` registry composition; use
-        ``build_attack(AttackConfig(strategy="heu-sim", ...),
-        service=...)`` instead.
-    """
-
-    name = "heu-sim"
-
-    def __init__(self, service: RetrievalService, k: int, n: int = 4,
-                 tau: float = 30.0, iterations: int = 1000, eta: float = 1.0,
-                 rng=None, batched: bool | None = None) -> None:
-        warnings.warn(
-            "HeuSimAttack(service, k, ...) is deprecated; use "
-            "repro.attacks.registry.build_attack(AttackConfig("
-            "strategy='heu-sim', ...), service=...) instead",
-            DeprecationWarning, stacklevel=2)
-        from repro.attacks.config import AttackConfig
-        from repro.attacks.registry import build_attack
-
-        self.service = service
-        self.k = int(k)
-        self.n = int(n)
-        self.tau = float(tau) / 255.0
-        self.iterations = int(iterations)
-        self.eta = float(eta)
-        self.batched = batched
-        self.rng = seeded_rng(rng)
-        self._composed = build_attack(
-            AttackConfig(strategy="heu-sim", k=self.k, n=self.n,
-                         tau=float(tau), eta=self.eta,
-                         iterations=self.iterations, batched=batched),
-            service=service, rng=self.rng)
-
-    def run(self, original: Video, target: Video) -> AttackResult:
-        """Saliency-framed, random-pixel SimBA attack on ``(v, v_t)``."""
-        report = self._composed.run(original, target)
-        report.metadata = {"k": self.k, "n": self.n, "tau": self.tau * 255.0}
-        return report

@@ -8,7 +8,7 @@ oracles — selects an adversary with one string:
 * programmatically, via ``build_attack(AttackConfig(strategy=...))``;
 * globally, via the ``REPRO_ATTACK`` environment variable.
 
-Legacy compositions (bit-identical to their pre-redesign classes):
+The paper's attack and its baselines:
 
 ``vanilla``
     random frames/pixels × sparse pixels × SimBA.
@@ -18,9 +18,10 @@ Legacy compositions (bit-identical to their pre-redesign classes):
     dense × pixels × surrogate transfer (zero queries).
 ``duo`` / ``duo-query``
     transfer-derived frame-pixel search (or fixed priors) × sparse
-    pixels × SimBA with DUO's ``attack.duo.query`` surface.
+    pixels × SimBA with DUO's ``attack.duo.query`` surface.  Without a
+    target video (``attack.run(original, None)``) DUO runs untargeted.
 
-New adversaries (ROADMAP item 4):
+Further adversaries:
 
 ``rl-sparse``
     EXP3 bandit learning frame selection from rank-shift rewards.
@@ -148,7 +149,7 @@ def build_attack(config: AttackConfig | None = None, *, service=None,
     ``service`` is the black-box victim (required by every query-based
     strategy), ``surrogate`` the white-box transfer model (required by
     ``timi`` and ``duo``).  ``rng`` overrides ``config.seed`` when given
-    (a Generator passes through unchanged, the legacy idiom).
+    (a Generator passes through unchanged).
     """
     config = config if config is not None else AttackConfig()
     entry = resolve_strategy(config.strategy)

@@ -1,37 +1,18 @@
 """The single result type every attack entry point returns.
 
-Before the strategy redesign the repo had three divergent result shapes:
-
-* :class:`AttackResult` (a dataclass) from the attack classes,
-* raw ``(adversarial, perturbation, trace)`` tuples from
-  :func:`~repro.attacks.search.simba_search` /
-  :func:`~repro.attacks.search.nes_search`,
-* ad-hoc tuples at the experiment layer.
-
-:class:`AttackReport` consolidates them.  The canonical fields are
+:class:`AttackReport` is what :class:`~repro.attacks.strategy.ComposedAttack`
+and every search primitive (:func:`~repro.attacks.search.simba_search`,
+:func:`~repro.attacks.search.nes_search`, ...) return.  Its fields are
 ``adversarial`` / ``perturbation`` / ``queries`` / ``trace`` /
-``metadata``; the legacy names stay importable and constructible:
-
-* ``AttackResult`` is an alias of this class
-  (``from repro.attacks.base import AttackResult``);
-* ``queries_used`` and ``objective_trace`` work both as constructor
-  keywords and as read-only property aliases;
-* iterating a report yields the legacy search tuple
-  ``(adversarial, perturbation, trace)``, so existing
-  ``adv, phi, trace = simba_search(...)`` call sites keep working.
+``metadata``.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 import numpy as np
 
 from repro.metrics.perturbation import PerturbationStats, perturbation_summary
 from repro.video.types import Video
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit value.
-_UNSET = object()
 
 
 class AttackReport:
@@ -57,50 +38,18 @@ class AttackReport:
 
     def __init__(self, adversarial: Video = None,
                  perturbation: np.ndarray | None = None,
-                 queries: int = _UNSET, trace: list[float] = _UNSET,
-                 metadata: dict | None = None, *,
-                 queries_used: int = _UNSET,
-                 objective_trace: list[float] = _UNSET) -> None:
-        if queries is not _UNSET and queries_used is not _UNSET:
-            raise TypeError("pass either queries or queries_used, not both")
-        if trace is not _UNSET and objective_trace is not _UNSET:
-            raise TypeError("pass either trace or objective_trace, not both")
-        if queries is _UNSET:
-            queries = 0 if queries_used is _UNSET else queries_used
-        if trace is _UNSET:
-            trace = [] if objective_trace is _UNSET else objective_trace
+                 queries: int = 0, trace: list[float] | None = None,
+                 metadata: dict | None = None) -> None:
         self.adversarial = adversarial
         self.perturbation = perturbation
         self.queries = int(queries)
         self.trace = list(trace) if trace is not None else []
         self.metadata = dict(metadata) if metadata is not None else {}
 
-    # ------------------------------------------------------------------ #
-    # Legacy field aliases
-    # ------------------------------------------------------------------ #
-    @property
-    def queries_used(self) -> int:
-        """Alias of :attr:`queries` (the pre-redesign field name)."""
-        return self.queries
-
-    @property
-    def objective_trace(self) -> list[float]:
-        """Alias of :attr:`trace` (the pre-redesign field name)."""
-        return self.trace
-
     @property
     def stats(self) -> PerturbationStats:
         """Stealthiness metrics (Spa, PScore, frames, ℓ∞) of this AE."""
         return perturbation_summary(self.perturbation)
-
-    # ------------------------------------------------------------------ #
-    # Legacy tuple shape of the search primitives
-    # ------------------------------------------------------------------ #
-    def __iter__(self) -> Iterator:
-        """Unpack as the legacy ``(adversarial, perturbation, trace)``."""
-        yield self.adversarial
-        yield self.perturbation
-        yield self.trace
 
     def __repr__(self) -> str:
         return (f"AttackReport(queries={self.queries}, "

@@ -6,15 +6,12 @@
   Gaussian probes restricted to a support mask, followed by signed
   descent steps (the optimizer inside HEU-Nes [16]).
 
-Both return an :class:`~repro.attacks.report.AttackReport`; iterating it
-yields the legacy ``(adversarial, perturbation, trace)`` tuple, so the
-pre-redesign unpacking call sites work unchanged.
+Both return an :class:`~repro.attacks.report.AttackReport`.
 
 ``metric_prefix`` / ``checkpoint_algo`` let a caller rebrand the obs
-counters, spans, and checkpoint tag — :class:`~repro.attacks.duo.
-sparse_query.SparseQuery` delegates here with its historical
-``attack.duo.query`` names and ``sparse_query`` checkpoint tag, so its
-observable behaviour is bit-identical to the pre-shim implementation.
+counters, spans, and checkpoint tag — DUO's query stage (the ``"duo"``
+and ``"duo-query"`` registry compositions) runs here under the
+``attack.duo.query`` names and the ``sparse_query`` checkpoint tag.
 """
 
 from __future__ import annotations
@@ -95,8 +92,7 @@ def simba_search(original: Video, objective: RetrievalObjective,
         transfer constraint (Table IX) the priors may legitimately
         exceed ``τ`` per coordinate, and only *steps* are projected.
 
-    Returns an :class:`AttackReport`; unpacks as the legacy
-    ``(adversarial, perturbation, trace)``.
+    Returns an :class:`AttackReport`.
     """
     rng = seeded_rng(rng)
     base = original.pixels
@@ -223,8 +219,7 @@ def nes_search(original: Video, objective: RetrievalObjective,
     loop state before propagating; calling again with the same arguments
     and path resumes bit-identically.
 
-    Returns an :class:`AttackReport`; unpacks as the legacy
-    ``(adversarial, perturbation, trace)``.
+    Returns an :class:`AttackReport`.
     """
     rng = seeded_rng(rng)
     base = original.pixels

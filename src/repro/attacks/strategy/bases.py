@@ -1,6 +1,6 @@
 """Perturbation bases: *what space* the feedback model searches.
 
-:class:`PixelBasis` is the legacy behaviour — the search moves pixel
+:class:`PixelBasis` is the paper's search space — the search moves pixel
 coordinates of the sampled support directly (dense when the plan has no
 mask).  :class:`LowRankBasis` is the new adversary substrate: a
 TenAd-style rank-``r`` factorization of the perturbation cube, where the
@@ -21,9 +21,6 @@ class PixelBasis:
     """Search pixel coordinates directly (sparse support or dense)."""
 
     name = "pixel"
-
-    def __init__(self, **_unused) -> None:
-        pass
 
     def prepare(self, current: Video, plan: SupportPlan,
                 ctx: AttackContext) -> BasisState:
@@ -58,7 +55,7 @@ class LowRankBasis:
 
     name = "lowrank"
 
-    def __init__(self, rank: int = 2, **_unused) -> None:
+    def __init__(self, rank: int = 2) -> None:
         if rank < 1:
             raise ValueError("rank must be >= 1")
         self.rank = int(rank)

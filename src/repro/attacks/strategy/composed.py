@@ -1,13 +1,11 @@
 """The driver that runs any {sampler × basis × feedback} composition.
 
-:class:`ComposedAttack` is the one attack loop left in the codebase:
-every legacy attack class is now a thin shim over a registered
-composition (see :mod:`repro.attacks.registry`), and the matrix of
-*new* adversaries (RL frame selection, low-rank bases, QAIR feedback)
-falls out of the same driver for free.
+:class:`ComposedAttack` is the one attack loop in the codebase: every
+attack — the paper's DUO and baselines as well as the RL frame
+selection, low-rank and QAIR adversaries — is a registered composition
+(see :mod:`repro.attacks.registry`) run by this driver.
 
-The driver owns the cross-cutting machinery the legacy classes each
-reimplemented:
+The driver owns the cross-cutting machinery:
 
 * **budget accounting** — one objective per run counts every query;
   with :attr:`AttackConfig.budget` set, each round's iteration cap is
@@ -20,9 +18,9 @@ reimplemented:
   accounting and a learned sampler's policy state;
 * **speculation/batching** — ``AttackConfig.batched`` flows to the
   search primitives, which auto-enable speculative pair evaluation on
-  stateless services exactly like the legacy attacks;
+  stateless services;
 * **observability** — ``attack.runs`` counter, ``attack.<name>`` span,
-  and a per-round objective gauge, mirroring the legacy surface.
+  and a per-round objective gauge.
 """
 
 from __future__ import annotations
@@ -136,7 +134,7 @@ class ComposedAttack(Attack):
                 try:
                     plan = self.sampler.sample(current, target, ctx)
                     if plan.is_empty():
-                        # SparseQuery's contract: an empty support costs
+                        # DUO's query-stage contract: an empty support costs
                         # no queries; the round degrades to applying the
                         # plan's initial perturbation (if any).
                         logger.warning(

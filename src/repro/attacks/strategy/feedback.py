@@ -2,10 +2,11 @@
 
 :class:`SimbaFeedback` and :class:`NesFeedback` delegate to the shared
 search primitives (:func:`~repro.attacks.search.simba_search` /
-:func:`~repro.attacks.search.nes_search`) and therefore reproduce the
-legacy attacks bit-for-bit.  :class:`QairFeedback` is the new
-query-efficient adversary: a QAIR-style relevance objective built from
-top-``m`` list overlap plus an adaptive-step search with early exit.
+:func:`~repro.attacks.search.nes_search`), so each composition matches
+its monolithic reference in :mod:`repro.qa.pairs` bit-for-bit.
+:class:`QairFeedback` is the query-efficient adversary: a QAIR-style
+relevance objective built from top-``m`` list overlap plus an
+adaptive-step search with early exit.
 :class:`TransferFeedback` closes the square — a feedback model that
 never queries (TIMI), so pure transfer attacks compose through the same
 driver.
@@ -21,7 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attacks.base import clip_video_range, project_linf
-from repro.attacks.objective import RetrievalObjective
+from repro.attacks.objective import RetrievalObjective, \
+    UntargetedRetrievalObjective
 from repro.attacks.report import AttackReport
 from repro.attacks.search import default_block_size, nes_search, simba_search
 from repro.attacks.strategy.protocols import AttackContext, BasisState
@@ -48,10 +50,13 @@ def _trim_iterations(iterations: int, max_queries: int | None,
 class SimbaFeedback:
     """SimBA ±ε coordinate descent on the objective ``T``.
 
-    In the ``"pixel"`` basis this *is* the legacy search (the DUO query
+    In the ``"pixel"`` basis this is :func:`simba_search` (the DUO query
     stage with ``metric_prefix="attack.duo.query"``); in a ``"coeff"``
     basis the same greedy rule runs over basis coefficients via
-    :func:`coefficient_search`.
+    :func:`coefficient_search`.  ``tie_rule="move"`` follows Eq. 3
+    (accept a step that does not *increase* ``T``); ``"stay"`` follows
+    Algorithm 2 literally (strict decreases only).  Without a target
+    video the objective is the untargeted ``T_unt``.
     """
 
     name = "simba"
@@ -59,7 +64,9 @@ class SimbaFeedback:
     def __init__(self, tie_rule: str = "move", block_size: int | None = None,
                  epsilon_scale: float | None = None,
                  metric_prefix: str = "attack.search.simba",
-                 checkpoint_algo: str = "simba", **_unused) -> None:
+                 checkpoint_algo: str = "simba") -> None:
+        if tie_rule not in ("move", "stay"):
+            raise ValueError("tie_rule must be 'move' or 'stay'")
         self.tie_rule = tie_rule
         self.block_size = block_size
         self.epsilon_scale = epsilon_scale
@@ -68,6 +75,9 @@ class SimbaFeedback:
 
     def build_objective(self, service, original: Video,
                         target: Video | None, config):
+        if target is None:
+            return UntargetedRetrievalObjective(service, original,
+                                                eta=config.eta)
         return RetrievalObjective(service, original, target, eta=config.eta)
 
     def optimize(self, current: Video, objective, state: BasisState,
@@ -197,7 +207,7 @@ class NesFeedback:
     name = "nes"
 
     def __init__(self, samples: int = 4, sigma: float = 0.05,
-                 lr: float | None = None, **_unused) -> None:
+                 lr: float | None = None) -> None:
         self.samples = int(samples)
         self.sigma = float(sigma)
         self.lr = lr
@@ -389,7 +399,7 @@ class QairFeedback:
 
     def __init__(self, step_init: float | None = None, grow: float = 1.5,
                  shrink: float = 0.5, patience: int = 2,
-                 early_exit: bool = True, **_unused) -> None:
+                 early_exit: bool = True) -> None:
         self.step_init = step_init
         self.grow = float(grow)
         self.shrink = float(shrink)
@@ -425,8 +435,7 @@ class TransferFeedback:
 
     name = "transfer"
 
-    def __init__(self, momentum: float = 1.0, kernel_size: int = 5,
-                 **_unused) -> None:
+    def __init__(self, momentum: float = 1.0, kernel_size: int = 5) -> None:
         if kernel_size % 2 == 0:
             raise ValueError("kernel_size must be odd")
         self.momentum = float(momentum)

@@ -37,7 +37,7 @@ class SupportPlan:
     ``support`` is a boolean mask over the video pixels (``None`` means
     dense: every coordinate).  ``initial`` optionally seeds the search
     with a perturbation (DUO's transfer priors).  ``project_initial``
-    mirrors SparseQuery's contract: the initial perturbation is *not*
+    is DUO's query-stage contract: the initial perturbation is *not*
     ℓ∞-projected when the priors were built under an ℓ2 constraint.
     """
 
@@ -125,8 +125,8 @@ class AttackContext:
     """Everything the driver threads through the components.
 
     ``rng`` is the single shared generator — samplers consume it before
-    the feedback model each round, exactly like the legacy attacks, so
-    compositions reproduce their monolithic counterparts bit-for-bit.
+    the feedback model each round, so compositions reproduce their
+    monolithic references in :mod:`repro.qa.pairs` bit-for-bit.
     """
 
     config: object

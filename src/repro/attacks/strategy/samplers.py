@@ -1,9 +1,9 @@
 """Support samplers: *which* frames × pixels an attack round may touch.
 
 Static samplers (:class:`RandomSampler`, :class:`SaliencySampler`,
-:class:`DenseSampler`) reproduce the legacy attacks' selection rules
-bit-for-bit, consuming rng from the shared context in exactly the legacy
-order.  :class:`TransferSampler` wraps DUO's frame-pixel search
+:class:`DenseSampler`) apply the baselines' selection rules, consuming
+rng from the shared context.  :class:`TransferSampler` wraps DUO's
+frame-pixel search
 (:class:`~repro.attacks.duo.sparse_transfer.SparseTransfer`) and re-plans
 every round, which is precisely the paper's ``iter_num_H`` loop.
 :class:`RLFrameSampler` is the new adversary: an EXP3 bandit that
@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attacks.base import clip_video_range
+from repro.attacks.duo.sparse_transfer import SparseTransfer
 from repro.attacks.heu import saliency_support
 from repro.attacks.report import AttackReport
 from repro.attacks.strategy.protocols import AttackContext, SupportPlan
@@ -29,9 +30,6 @@ class RandomSampler:
 
     name = "random"
     default_rounds = 1
-
-    def __init__(self, **_unused) -> None:
-        pass
 
     def sample(self, current: Video, target: Video | None,
                ctx: AttackContext) -> SupportPlan:
@@ -55,7 +53,7 @@ class SaliencySampler:
     name = "saliency"
     default_rounds = 1
 
-    def __init__(self, random_pixels: bool = False, **_unused) -> None:
+    def __init__(self, random_pixels: bool = False) -> None:
         self.random_pixels = bool(random_pixels)
 
     def sample(self, current: Video, target: Video | None,
@@ -78,9 +76,6 @@ class DenseSampler:
     name = "dense"
     default_rounds = 1
 
-    def __init__(self, **_unused) -> None:
-        pass
-
     def sample(self, current: Video, target: Video | None,
                ctx: AttackContext) -> SupportPlan:
         return SupportPlan(support=None)
@@ -95,11 +90,14 @@ class TransferSampler:
 
     Every :meth:`sample` call runs
     :class:`~repro.attacks.duo.sparse_transfer.SparseTransfer` from the
-    *current* adversarial point, exactly like
-    :class:`~repro.attacks.duo.pipeline.DUOAttack`'s outer loop — the
+    *current* adversarial point — the paper's ``iter_num_H`` loop.  The
     support is the nonzero mask of θ and the search is seeded with the
     clipped priors (not ℓ∞-projected: under the ℓ2 constraint θ may
-    legitimately exceed τ per coordinate).
+    legitimately exceed τ per coordinate).  Without a target video the
+    transfer stage runs untargeted (it pushes the surrogate feature away
+    from the current video, from a random start drawn from ``ctx.rng``).
+    ``transfer_kwargs`` (``frame_steps``, ``lr``, ...) are forwarded to
+    :class:`SparseTransfer`.
     """
 
     name = "transfer"
@@ -107,34 +105,27 @@ class TransferSampler:
 
     def __init__(self, lam: float = float(np.exp(-5.0)),
                  constraint: str = "linf", outer_iters: int = 3,
-                 theta_steps: int = 25, targeted: bool = True,
-                 **transfer_kwargs) -> None:
+                 theta_steps: int = 25, **transfer_kwargs) -> None:
         self.lam = float(lam)
         self.constraint = constraint
         self.outer_iters = int(outer_iters)
         self.theta_steps = int(theta_steps)
-        self.targeted = bool(targeted)
         self.transfer_kwargs = dict(transfer_kwargs)
-        self._transfer = None
-
-    def _stage(self, ctx: AttackContext):
-        if self._transfer is None:
-            from repro.attacks.duo.sparse_transfer import SparseTransfer
-            if ctx.surrogate is None:
-                raise ValueError(
-                    "the transfer sampler needs a surrogate model; pass "
-                    "surrogate=... to build_attack()")
-            config = ctx.config
-            self._transfer = SparseTransfer(
-                ctx.surrogate, k=config.k, n=config.n, tau=config.tau,
-                lam=self.lam, constraint=self.constraint,
-                outer_iters=self.outer_iters, theta_steps=self.theta_steps,
-                targeted=self.targeted, **self.transfer_kwargs)
-        return self._transfer
 
     def sample(self, current: Video, target: Video | None,
                ctx: AttackContext) -> SupportPlan:
-        priors = self._stage(ctx).run(current, target, init=None)
+        if ctx.surrogate is None:
+            raise ValueError(
+                "the transfer sampler needs a surrogate model; pass "
+                "surrogate=... to build_attack()")
+        config = ctx.config
+        transfer = SparseTransfer(
+            ctx.surrogate, k=config.k, n=config.n, tau=config.tau,
+            lam=self.lam, constraint=self.constraint,
+            outer_iters=self.outer_iters, theta_steps=self.theta_steps,
+            targeted=ctx.target is not None, rng=ctx.rng,
+            **self.transfer_kwargs)
+        priors = transfer.run(current, target, init=None)
         initial = clip_video_range(current.pixels, priors.perturbation())
         return SupportPlan(support=priors.support(), initial=initial,
                            project_initial=False,
@@ -150,14 +141,14 @@ class PriorSampler:
 
     Wraps a pre-computed
     :class:`~repro.attacks.duo.sparse_transfer.TransferPriors` so the
-    query stage composes without a surrogate in the loop — the shape the
-    :class:`~repro.attacks.duo.sparse_query.SparseQuery` shim uses.
+    query stage composes without a surrogate in the loop (the
+    ``"duo-query"`` registry entry).
     """
 
     name = "priors"
     default_rounds = 1
 
-    def __init__(self, priors, **_unused) -> None:
+    def __init__(self, priors) -> None:
         self.priors = priors
 
     def sample(self, current: Video, target: Video | None,
@@ -195,7 +186,7 @@ class RLFrameSampler:
     default_rounds = 4
 
     def __init__(self, exploration: float = 0.25,
-                 learning_rate: float = 1.0, **_unused) -> None:
+                 learning_rate: float = 1.0) -> None:
         if not 0.0 < exploration <= 1.0:
             raise ValueError("exploration must be in (0, 1]")
         self.exploration = float(exploration)

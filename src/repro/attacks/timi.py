@@ -11,18 +11,15 @@ As in the paper's evaluation, TIMI perturbs every frame and every pixel
 (``n = 16`` dense), which is why its Spa is ~×100 larger than DUO's.
 
 The loop lives in :func:`timi_transfer` (the ``TransferFeedback``
-strategy component); :class:`TIMIAttack` is a deprecated shim over the
-``"timi"`` registry composition.
+strategy component); the attack is the ``"timi"`` registry composition.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 from scipy import ndimage
 
-from repro.attacks.base import Attack, AttackResult, clip_video_range, project_linf
+from repro.attacks.base import clip_video_range, project_linf
 from repro.attacks.report import AttackReport
 from repro.models.feature_extractor import FeatureExtractor
 from repro.nn import Tensor
@@ -91,48 +88,3 @@ def timi_transfer(surrogate: FeatureExtractor, original: Video,
         perturbation=adversarial.pixels - original.pixels,
         queries=0,
         metadata={"tau": tau * 255.0, "iterations": iterations})
-
-
-class TIMIAttack(Attack):
-    """Dense targeted transfer attack on the surrogate model.
-
-    .. deprecated::
-        Shim over the ``"timi"`` registry composition; use
-        ``build_attack(AttackConfig(strategy="timi", ...),
-        surrogate=...)`` instead.
-    """
-
-    name = "timi"
-
-    def __init__(self, surrogate: FeatureExtractor, tau: float = 30.0,
-                 iterations: int = 20, momentum: float = 1.0,
-                 kernel_size: int = 5) -> None:
-        warnings.warn(
-            "TIMIAttack(surrogate, ...) is deprecated; use "
-            "repro.attacks.registry.build_attack(AttackConfig("
-            "strategy='timi', ...), surrogate=...) instead",
-            DeprecationWarning, stacklevel=2)
-        from repro.attacks.config import AttackConfig
-        from repro.attacks.registry import build_attack
-
-        self.surrogate = surrogate
-        self.tau = float(tau) / 255.0
-        self.iterations = int(iterations)
-        self.momentum = float(momentum)
-        if kernel_size % 2 == 0:
-            raise ValueError("kernel_size must be odd")
-        self.kernel_size = int(kernel_size)
-        self._composed = build_attack(
-            AttackConfig(strategy="timi", tau=float(tau),
-                         iterations=int(iterations),
-                         feedback={"momentum": float(momentum),
-                                   "kernel_size": int(kernel_size)}),
-            surrogate=surrogate)
-
-    def run(self, original: Video, target: Video) -> AttackResult:
-        """Craft a dense transfer AE for ``(v, v_t)`` (no queries)."""
-        report = self._composed.run(original, target)
-        # Legacy metadata shape.
-        report.metadata = {"tau": self.tau * 255.0,
-                           "iterations": self.iterations}
-        return report

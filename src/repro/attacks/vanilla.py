@@ -4,21 +4,15 @@ Paper Section V-B: "It first randomly selects pixels for each frame given
 a fixed Spa.  Then it uses a query-based attack [53] to generate v_adv."
 
 :func:`random_support` is the selection rule (the ``RandomSampler``
-strategy component); :class:`VanillaAttack` is a deprecated shim over
-the ``"vanilla"`` registry composition and reproduces the pre-redesign
-class bit-for-bit.
+strategy component); the attack itself is the ``"vanilla"`` registry
+composition (``build_attack(AttackConfig(strategy="vanilla", ...))``).
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from repro.attacks.base import Attack, AttackResult
-from repro.retrieval.service import RetrievalService
 from repro.utils.seeding import seeded_rng
-from repro.video.types import Video
 
 
 def random_support(shape: tuple[int, ...], k: int, n: int,
@@ -42,46 +36,3 @@ def random_support(shape: tuple[int, ...], k: int, n: int,
         picks = rng.choice(per_frame, size=int(count), replace=False)
         support.reshape(frames, -1)[frame, picks] = True
     return support
-
-
-class VanillaAttack(Attack):
-    """Random-selection sparse query attack (the paper's Vanilla).
-
-    .. deprecated::
-        Shim over the ``"vanilla"`` registry composition; use
-        ``build_attack(AttackConfig(strategy="vanilla", ...),
-        service=...)`` instead.
-    """
-
-    name = "vanilla"
-
-    def __init__(self, service: RetrievalService, k: int, n: int = 4,
-                 tau: float = 30.0, iterations: int = 1000, eta: float = 1.0,
-                 rng=None) -> None:
-        warnings.warn(
-            "VanillaAttack(service, k, ...) is deprecated; use "
-            "repro.attacks.registry.build_attack(AttackConfig("
-            "strategy='vanilla', ...), service=...) instead",
-            DeprecationWarning, stacklevel=2)
-        from repro.attacks.config import AttackConfig
-        from repro.attacks.registry import build_attack
-
-        self.service = service
-        self.k = int(k)
-        self.n = int(n)
-        self.tau = float(tau) / 255.0
-        self.iterations = int(iterations)
-        self.eta = float(eta)
-        self.rng = seeded_rng(rng)
-        self._composed = build_attack(
-            AttackConfig(strategy="vanilla", k=self.k, n=self.n,
-                         tau=float(tau), eta=self.eta,
-                         iterations=self.iterations),
-            service=service, rng=self.rng)
-
-    def run(self, original: Video, target: Video) -> AttackResult:
-        """Random-support SimBA attack on the pair ``(v, v_t)``."""
-        report = self._composed.run(original, target)
-        # Legacy metadata shape.
-        report.metadata = {"k": self.k, "n": self.n, "tau": self.tau * 255.0}
-        return report

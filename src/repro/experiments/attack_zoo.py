@@ -4,12 +4,10 @@ Centralizes how each named attack of the paper's tables is instantiated
 from an :class:`ExperimentScale`, a victim, and surrogates, so that every
 table compares identically configured attacks.
 
-Since the strategy redesign every row resolves through
-:func:`repro.attacks.registry.build_attack` with an
-:class:`~repro.attacks.config.AttackConfig` — the table runners no
-longer know the legacy per-attack constructors.  The configurations are
-bit-identical to the pre-redesign classes (see the
-``attacks.composed_vs_legacy`` qa oracle).
+Every row resolves through :func:`repro.attacks.registry.build_attack`
+with an :class:`~repro.attacks.config.AttackConfig`; each composition
+is pinned bit-identical to its monolithic loop by the
+``attacks.composed_vs_legacy`` qa oracle.
 """
 
 from __future__ import annotations

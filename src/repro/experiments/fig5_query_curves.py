@@ -50,7 +50,7 @@ def run(scale: ExperimentScale = DEFAULT_SCALE,
         for attack_name in attacks:
             factory = attack_factory(attack_name, victim, surrogates, scale, k)
             result = factory(0).run(*pairs[0])
-            trace = result.objective_trace or [float("nan")]
+            trace = result.trace or [float("nan")]
             # Running minimum, as the figure plots the achieved objective.
             running = np.minimum.accumulate(np.asarray(trace, dtype=float))
             positions = np.linspace(0, len(running) - 1, checkpoints)

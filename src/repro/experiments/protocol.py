@@ -13,7 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.attacks.base import Attack, AttackResult
+from repro.attacks.base import Attack
+from repro.attacks.report import AttackReport
 from repro.experiments.config import ExperimentScale
 from repro.metrics.perturbation import perturbation_summary
 from repro.metrics.ranking import ap_at_m
@@ -34,7 +35,7 @@ class AttackOutcome:
     pscore: float
     queries: float
     per_pair_ap: list[float] = field(default_factory=list)
-    results: list[AttackResult] = field(default_factory=list)
+    results: list[AttackReport] = field(default_factory=list)
 
 
 def attack_pairs(dataset: SyntheticVideoDataset,
@@ -60,7 +61,7 @@ def evaluate_attack(factory: AttackFactory, victim: VictimSystem,
     """Run an attack on every pair and average the paper's metrics."""
     aps, spas, pscores, queries = [], [], [], []
     per_pair: list[float] = []
-    results: list[AttackResult] = []
+    results: list[AttackReport] = []
     for index, (original, target) in enumerate(pairs):
         target_ids = victim.service.query(target).ids
         attack = factory(index)
@@ -72,7 +73,7 @@ def evaluate_attack(factory: AttackFactory, victim: VictimSystem,
         per_pair.append(ap)
         spas.append(stats.spa)
         pscores.append(stats.pscore)
-        queries.append(result.queries_used)
+        queries.append(result.queries)
         if keep_results:
             results.append(result)
     return AttackOutcome(

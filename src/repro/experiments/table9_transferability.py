@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.attacks.duo import DUOAttack
-from repro.attacks.timi import TIMIAttack
+from repro.attacks import AttackConfig, AttackReport, build_attack
+from repro.attacks.duo import SparseTransfer
 from repro.experiments import fixtures
 from repro.experiments.config import DEFAULT_SCALE, ExperimentScale
 from repro.experiments.protocol import attack_pairs
@@ -46,8 +46,10 @@ def run(scale: ExperimentScale = DEFAULT_SCALE,
 
     # TIMI reference rows (dense transfer).
     for surrogate_name, surrogate in surrogates.items():
-        attack = TIMIAttack(surrogate, tau=scale.tau,
-                            iterations=scale.timi_iterations)
+        attack = build_attack(
+            AttackConfig(strategy="timi", tau=scale.tau,
+                         iterations=scale.timi_iterations),
+            surrogate=surrogate)
         adversarials = [attack.run(v, vt) for v, vt in pairs]
         for victim_name, victim in victims_built.items():
             aps, spas, pscores = _evaluate(adversarials, victim, pairs)
@@ -57,19 +59,29 @@ def run(scale: ExperimentScale = DEFAULT_SCALE,
     # DUO transfer-only rows under both constraints.
     for constraint in constraints:
         for surrogate_name, surrogate in surrogates.items():
-            attack = DUOAttack(
-                surrogate, reference.service, k=k, n=scale.n, tau=scale.tau,
+            transfer = SparseTransfer(
+                surrogate, k=k, n=scale.n, tau=scale.tau,
                 constraint=constraint,
-                transfer_outer_iters=scale.transfer_outer_iters,
-                theta_steps=scale.theta_steps, rng=scale.seed,
+                outer_iters=scale.transfer_outer_iters,
+                theta_steps=scale.theta_steps,
             )
-            adversarials = [attack.transfer_only(v, vt) for v, vt in pairs]
+            adversarials = [_transfer_only(transfer, v, vt)
+                            for v, vt in pairs]
             for victim_name, victim in victims_built.items():
                 aps, spas, pscores = _evaluate(adversarials, victim, pairs)
                 table.add_row(victim_name, f"duo-{surrogate_name}", constraint,
                               aps, spas, pscores)
     table.notes.append("transfer-only: zero queries; DUO Spa ≪ TIMI Spa")
     return table
+
+
+def _transfer_only(transfer: SparseTransfer, original,
+                   target) -> AttackReport:
+    """One SparseTransfer AE for ``(v, v_t)``: zero queries."""
+    adversarial = original.perturbed(transfer.run(original, target)
+                                     .perturbation())
+    return AttackReport(adversarial=adversarial,
+                        perturbation=adversarial.pixels - original.pixels)
 
 
 def _evaluate(adversarials, victim, pairs):

@@ -36,9 +36,8 @@ from __future__ import annotations
 
 
 def _nn():
-    # Imported lazily: repro.obs is a leaf dependency of the whole stack
-    # (even repro.utils.timing pulls in repro.obs.tracing), so importing
-    # repro.nn at module level would create an import cycle.
+    # Imported lazily: repro.obs is a leaf dependency of the whole stack,
+    # so importing repro.nn at module level would create an import cycle.
     from repro.nn import modules, tensor
 
     return modules, tensor

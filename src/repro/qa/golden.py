@@ -20,13 +20,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.attacks.duo.sparse_query import SparseQuery
 from repro.attacks.duo.sparse_transfer import SparseTransfer
 from repro.attacks.objective import RetrievalObjective
 from repro.attacks.search import nes_search, simba_search
 from repro.metrics.perturbation import perturbed_frames, sparsity
 from repro.qa.comparators import array_digest
-from repro.qa.pairs import _qa_priors
+from repro.qa.pairs import _qa_priors, duo_query_attack
 from repro.qa.world import build_world, tiny_extractor
 
 #: Exact-match fields; everything else numeric is tolerance-compared.
@@ -82,16 +81,18 @@ def _objective_world():
 
 
 def scenario_sparse_query() -> dict:
-    world, objective = _objective_world()
-    attack = SparseQuery(iter_num_q=16, tau=30, rng=ATTACK_SEED)
+    """DUO's query stage over fixed priors (the ``duo-query`` composition)."""
+    world = build_world(WORLD_SEED, cache_size=0)
     priors = _qa_priors(world.original.pixels.shape, ATTACK_SEED + 1)
-    adversarial, trace = attack.run(world.original, priors, objective)
+    report = duo_query_attack(priors, 16, world.service, ATTACK_SEED).run(
+        world.original, world.target)
+    adversarial, trace = report.adversarial, report.trace
     perturbation = adversarial.perturbation_from(world.original)
     return {
         "perturbation_digest": array_digest(adversarial.pixels),
         "trace": [float(v) for v in trace],
         "final_objective": float(trace[-1]),
-        "objective_queries": int(objective.queries),
+        "objective_queries": int(report.queries),
         "service_query_count": int(world.service.query_count),
         "perturbation_spa": sparsity(perturbation),
         "perturbed_frames": int(perturbed_frames(perturbation)),
@@ -119,9 +120,10 @@ def scenario_simba() -> dict:
     world, objective = _objective_world()
     support = np.zeros(world.original.pixels.shape, dtype=bool)
     support[:2] = True
-    adversarial, perturbation, trace = simba_search(
+    report = simba_search(
         world.original, objective, support, tau=30 / 255.0, iterations=10,
         rng=ATTACK_SEED + 4)
+    perturbation, trace = report.perturbation, report.trace
     return {
         "perturbation_digest": array_digest(perturbation),
         "trace": [float(v) for v in trace],
@@ -135,9 +137,10 @@ def scenario_nes() -> dict:
     world, objective = _objective_world()
     support = np.zeros(world.original.pixels.shape, dtype=bool)
     support[:2] = True
-    adversarial, perturbation, trace = nes_search(
+    report = nes_search(
         world.original, objective, support, tau=30 / 255.0, iterations=3,
         samples=2, rng=ATTACK_SEED + 6)
+    perturbation, trace = report.perturbation, report.trace
     return {
         "perturbation_digest": array_digest(perturbation),
         "trace": [float(v) for v in trace],

@@ -9,7 +9,7 @@ with every reference/fast equivalence contract the library claims:
   :class:`IVFIndex`, and :class:`ShardedGallery`;
 * cached vs uncached query embeddings (``REPRO_EMBED_CACHE``);
 * replicated (r = 2, 3) vs single-shard retrieval;
-* sequential vs speculative/batched SparseQuery steps;
+* sequential vs speculative/batched DUO query-stage steps;
 * scalar vs vectorized NDCG list similarity;
 * micro-batched serving front end vs sequential replay against the bare
   service (``repro.serving``).
@@ -23,9 +23,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.attacks.duo.priors import TransferPriors
-from repro.attacks.duo.sparse_query import SparseQuery
-from repro.attacks.objective import RetrievalObjective
+from repro.attacks.base import clip_video_range
+from repro.attacks.config import AttackConfig
+from repro.attacks.duo import SparseTransfer, TransferPriors
+from repro.attacks.heu import saliency_support
+from repro.attacks.objective import RetrievalObjective, \
+    UntargetedRetrievalObjective
+from repro.attacks.registry import build_attack
+from repro.attacks.search import nes_search, simba_search
+from repro.attacks.timi import timi_transfer
+from repro.attacks.vanilla import random_support
 from repro.metrics.similarity import ndcg_similarity, ndcg_similarity_many
 from repro.nn import Tensor
 from repro.nn import functional as F
@@ -411,7 +418,7 @@ register(OraclePair(
 
 
 # ---------------------------------------------------------------------- #
-# sequential vs speculative SparseQuery
+# sequential vs speculative DUO query stage
 # ---------------------------------------------------------------------- #
 def _qa_priors(shape: tuple[int, ...], seed: int, k: int = 48) -> TransferPriors:
     rng = np.random.default_rng(seed)
@@ -427,19 +434,25 @@ def _qa_priors(shape: tuple[int, ...], seed: int, k: int = 48) -> TransferPriors
                           frame_mask=frame_mask, theta=theta)
 
 
+def duo_query_attack(priors: TransferPriors, iterations: int, service,
+                     rng, batched: bool | None = None):
+    """DUO's query stage over fixed priors (the ``duo-query`` composition)."""
+    config = AttackConfig(strategy="duo-query", tau=30.0,
+                          iterations=iterations, batched=batched,
+                          sampler={"priors": priors})
+    return build_attack(config, service=service, rng=rng)
+
+
 def _sparse_query_run(batched: bool, seed: int, iters: int):
     world = build_world(seed, cache_size=0)
-    objective = RetrievalObjective(world.service, world.original,
-                                   world.target)
-    attack = SparseQuery(iter_num_q=iters, tau=30, rng=seed + 5,
-                         batched=batched)
     priors = _qa_priors(world.original.pixels.shape, seed + 9)
-    adversarial, trace = attack.run(world.original, priors, objective)
+    report = duo_query_attack(priors, iters, world.service, seed + 5,
+                              batched=batched).run(world.original,
+                                                   world.target)
     return {
-        "perturbation_digest": array_digest(adversarial.pixels),
-        "trace": list(trace),
-        "objective_trace": list(objective.trace),
-        "objective_queries": objective.queries,
+        "perturbation_digest": array_digest(report.adversarial.pixels),
+        "trace": list(report.trace),
+        "objective_queries": report.queries,
         "service_queries": world.service.query_count,
     }
 
@@ -462,7 +475,7 @@ register(OraclePair(
     ),
     compare=_exact_compare,
     cases=2,
-    description="speculative ±ε SparseQuery steps match the sequential loop",
+    description="speculative ±ε DUO query steps match the sequential loop",
 ))
 
 
@@ -654,13 +667,15 @@ register(OraclePair(
 
 
 # ---------------------------------------------------------------------- #
-# composed strategies vs legacy attack implementations
+# composed strategies vs monolithic attack loops
 # ---------------------------------------------------------------------- #
-#: Legacy attacks re-expressed as registry compositions; the reference
-#: side runs the pre-redesign *code path* (the monolithic recipe — raw
-#: support function + search primitive, or the untouched DUOAttack
-#: pipeline), not the shim classes, so the contract is non-vacuous.
-_LEGACY_STRATEGIES = ("vanilla", "heu-sim", "heu-nes", "duo", "timi")
+#: The paper's attacks re-expressed as registry compositions; the
+#: reference side runs each as a monolithic loop over the raw support
+#: function / transfer stage and search primitive (never through the
+#: registry), so the contract is non-vacuous.  ``duo-untargeted`` is the
+#: ``duo`` composition run without a target video.
+_REFERENCE_ATTACKS = ("vanilla", "heu-sim", "heu-nes", "duo", "timi",
+                      "duo-untargeted")
 
 
 def _attack_digests(service, adversarial, trace, queries) -> dict:
@@ -672,48 +687,60 @@ def _attack_digests(service, adversarial, trace, queries) -> dict:
     }
 
 
-def _legacy_attack_run(name: str, seed: int, iters: int) -> dict:
-    """The monolithic pre-redesign recipe for each legacy attack."""
-    world = build_world(seed, cache_size=0)
+def _duo_reference(world, seed: int, iters: int, targeted: bool) -> dict:
+    """DUO's loop: SparseTransfer then SimBA over its support, twice."""
     rng = np.random.default_rng(seed + 17)
-    if name == "duo":
-        from repro.attacks.duo import DUOAttack
+    target = world.target if targeted else None
+    objective = RetrievalObjective(world.service, world.original, target) \
+        if targeted else UntargetedRetrievalObjective(world.service,
+                                                      world.original)
+    transfer = SparseTransfer(tiny_extractor(seed + 23), k=48, n=2, tau=30.0,
+                              outer_iters=1, theta_steps=3,
+                              targeted=targeted, rng=rng)
+    current = world.original
+    trace: list[float] = []
+    for _ in range(2):
+        # {I, F, θ, v_adv} → {I, F, θ, v}: each loop re-plans from the
+        # rectified video.
+        priors = transfer.run(current, target)
+        initial = clip_video_range(current.pixels, priors.perturbation())
+        support = priors.support()
+        if not np.any(support):
+            current = current.perturbed(initial)
+            continue
+        report = simba_search(current, objective, support, tau=30 / 255.0,
+                              iterations=iters, rng=rng, initial=initial,
+                              project_initial=False)
+        trace.extend(report.trace)
+        current = report.adversarial
+    return _attack_digests(world.service, current, trace, objective.queries)
 
-        attack = DUOAttack(tiny_extractor(seed + 23), world.service, k=48,
-                           n=2, tau=30.0, iter_num_q=iters, iter_num_h=2,
-                           transfer_outer_iters=1, theta_steps=3, rng=rng)
-        result = attack.run(world.original, world.target)
-        return _attack_digests(world.service, result.adversarial,
-                               result.objective_trace, result.queries_used)
+
+def _reference_attack_run(name: str, seed: int, iters: int) -> dict:
+    """The monolithic recipe for each attack."""
+    world = build_world(seed, cache_size=0)
+    if name in ("duo", "duo-untargeted"):
+        return _duo_reference(world, seed, iters, targeted=name == "duo")
     if name == "timi":
-        from repro.attacks.timi import timi_transfer
-
         report = timi_transfer(tiny_extractor(seed + 23), world.original,
                                world.target, tau=30 / 255.0,
                                iterations=iters)
         return _attack_digests(world.service, report.adversarial,
                                report.trace, report.queries)
 
-    from repro.attacks.search import nes_search, simba_search
-
+    rng = np.random.default_rng(seed + 17)
     objective = RetrievalObjective(world.service, world.original,
                                    world.target)
     if name == "vanilla":
-        from repro.attacks.vanilla import random_support
-
         support = random_support(world.original.pixels.shape, 48, 2, rng=rng)
         report = simba_search(world.original, objective, support,
                               tau=30 / 255.0, iterations=iters, rng=rng)
     elif name == "heu-sim":
-        from repro.attacks.heu import saliency_support
-
         support = saliency_support(world.original, 48, 2, random_pixels=True,
                                    rng=rng)
         report = simba_search(world.original, objective, support,
                               tau=30 / 255.0, iterations=iters, rng=rng)
     else:  # heu-nes
-        from repro.attacks.heu import saliency_support
-
         support = saliency_support(world.original, 48, 2, rng=rng)
         report = nes_search(world.original, objective, support,
                             tau=30 / 255.0, iterations=iters, samples=2,
@@ -724,14 +751,11 @@ def _legacy_attack_run(name: str, seed: int, iters: int) -> dict:
 
 def _composed_attack_run(name: str, seed: int, iters: int) -> dict:
     """The same attack through the registry and the ComposedAttack driver."""
-    from repro.attacks.config import AttackConfig
-    from repro.attacks.registry import build_attack
-
     world = build_world(seed, cache_size=0)
     rng = np.random.default_rng(seed + 17)
-    surrogate = tiny_extractor(seed + 23) if name in ("duo", "timi") \
-        else None
-    if name == "duo":
+    duo = name in ("duo", "duo-untargeted")
+    surrogate = tiny_extractor(seed + 23) if duo or name == "timi" else None
+    if duo:
         config = AttackConfig(strategy="duo", k=48, n=2, tau=30.0,
                               iterations=iters, rounds=2,
                               sampler={"outer_iters": 1, "theta_steps": 3})
@@ -746,19 +770,20 @@ def _composed_attack_run(name: str, seed: int, iters: int) -> dict:
     attack = build_attack(config,
                           service=None if name == "timi" else world.service,
                           surrogate=surrogate, rng=rng)
-    report = attack.run(world.original, world.target)
+    target = None if name == "duo-untargeted" else world.target
+    report = attack.run(world.original, target)
     return _attack_digests(world.service, report.adversarial, report.trace,
                            report.queries)
 
 
 register(OraclePair(
     name="attacks.composed_vs_legacy",
-    reference=_legacy_attack_run,
+    reference=_reference_attack_run,
     fast=_composed_attack_run,
     strategy=Strategy(
         "composed_attack",
         lambda rng: {
-            "name": str(rng.choice(_LEGACY_STRATEGIES)),
+            "name": str(rng.choice(_REFERENCE_ATTACKS)),
             "seed": int(rng.integers(0, 500)),
             "iters": int(rng.integers(2, 6)),
         },
@@ -766,8 +791,9 @@ register(OraclePair(
     ),
     compare=_exact_compare,
     cases=5,
-    description="every legacy attack re-expressed as a registry "
-                "composition is bit-identical (trace, queries, pixels)",
+    description="every paper attack (and untargeted DUO) as a registry "
+                "composition is bit-identical to its monolithic loop "
+                "(trace, queries, pixels)",
 ))
 
 

@@ -137,13 +137,10 @@ class CheckpointSession:
         service = self._service()
         if service is not None and checkpoint.service_query_count is not None:
             service.query_count = checkpoint.service_query_count
-            issued = getattr(checkpoint, "service_queries_issued", None)
-            if issued is not None and hasattr(service, "queries_issued"):
-                service.queries_issued = issued
-            refunded = getattr(checkpoint, "service_queries_refunded", None)
-            if refunded is not None and \
-                    hasattr(service, "queries_refunded"):
-                service.queries_refunded = refunded
+            if checkpoint.service_queries_issued is not None:
+                service.queries_issued = checkpoint.service_queries_issued
+            if checkpoint.service_queries_refunded is not None:
+                service.queries_refunded = checkpoint.service_queries_refunded
         if checkpoint.objective_queries is not None:
             self.objective.queries = checkpoint.objective_queries
         if checkpoint.objective_trace_len is not None:

@@ -1,11 +1,11 @@
 """Service-facing configuration for the black-box retrieval facade.
 
-:class:`ServiceConfig` replaces the kwarg sprawl that
-``RetrievalService.__init__`` had accumulated (``m``, ``query_budget``,
-``preprocessor``, ``quantize_queries``, plus the retry/replication knobs
-this PR adds through :class:`~repro.resilience.ResilienceConfig`).  The
-old kwargs still work — with a :class:`DeprecationWarning` — but new
-code should go through :meth:`RetrievalService.build`.
+:class:`ServiceConfig` holds every facade knob (``m``,
+``query_budget``, ``preprocessor``, ``quantize_queries``, ...); the
+retry/replication knobs live in
+:class:`~repro.resilience.ResilienceConfig`.  Build a service with
+:meth:`RetrievalService.build` (or ``RetrievalService(engine,
+config=...)``).
 """
 
 from __future__ import annotations

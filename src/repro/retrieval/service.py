@@ -8,12 +8,10 @@ queries.
 
 Construction
 ------------
-The preferred constructor is :meth:`RetrievalService.build`, which takes
-a :class:`~repro.retrieval.config.ServiceConfig` (plus an optional
+Build a service with :meth:`RetrievalService.build`, which takes a
+:class:`~repro.retrieval.config.ServiceConfig` (plus an optional
 :class:`~repro.resilience.ResilienceConfig` applied to the engine's
-gallery).  The legacy kwargs (``m``, ``query_budget``, ``preprocessor``,
-``quantize_queries``) still work on ``__init__`` but emit a
-:class:`DeprecationWarning`.
+gallery), or pass ``config=`` to ``__init__`` directly.
 
 Batched evaluation
 ------------------
@@ -40,7 +38,6 @@ uninterrupted run would have.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import fields
 
 from repro.errors import QueryBudgetExceeded, RetrievalUnavailable
@@ -58,10 +55,6 @@ __all__ = [
     "Preprocessor",
 ]
 
-#: Sentinel distinguishing "kwarg not passed" from an explicit default.
-_UNSET = object()
-
-
 class RetrievalService:
     """``R^m(·)`` as seen by an end user / attacker.
 
@@ -71,26 +64,8 @@ class RetrievalService:
     exactly this reason).
     """
 
-    def __init__(self, engine: RetrievalEngine, m=_UNSET, query_budget=_UNSET,
-                 preprocessor=_UNSET, quantize_queries=_UNSET, *,
+    def __init__(self, engine: RetrievalEngine, *,
                  config: ServiceConfig | None = None) -> None:
-        legacy = {
-            name: value
-            for name, value in (("m", m), ("query_budget", query_budget),
-                                ("preprocessor", preprocessor),
-                                ("quantize_queries", quantize_queries))
-            if value is not _UNSET
-        }
-        if legacy:
-            if config is not None:
-                raise TypeError(
-                    "pass either a ServiceConfig or legacy kwargs, not both")
-            warnings.warn(
-                "RetrievalService(engine, m=..., query_budget=..., ...) is "
-                "deprecated; use RetrievalService.build(engine, "
-                "ServiceConfig(...)) instead",
-                DeprecationWarning, stacklevel=2)
-            config = ServiceConfig(**legacy)
         self.config = config if config is not None else ServiceConfig()
         self.engine = engine
         self.query_count = 0
@@ -131,8 +106,7 @@ class RetrievalService:
             engine.configure_fuse(config.fuse)
         return cls(engine, config=config)
 
-    # Legacy attribute surface (kept so existing call sites and tests
-    # reading service.m / service.preprocessor keep working).
+    # Read-only views of the config fields callers inspect most.
     @property
     def m(self) -> int:
         return self.config.m

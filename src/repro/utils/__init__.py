@@ -1,12 +1,11 @@
-"""Shared utilities: deterministic seeding and lightweight logging.
+"""Shared utilities: deterministic seeding, lightweight logging and
+``REPRO_*`` environment-flag parsing.
 
-``Timer`` is a deprecated shim kept for backward compatibility; use
-``repro.obs.tracing.span`` for all new timing needs.
+Time code with :func:`repro.obs.tracing.span`.
 """
 
 from repro.utils.seeding import SeedSequence, seeded_rng, set_global_seed
 from repro.utils.logging import get_logger
-from repro.utils.timing import Timer
 from repro.utils.envflags import (
     env_bool,
     env_choice,
@@ -21,7 +20,6 @@ __all__ = [
     "seeded_rng",
     "set_global_seed",
     "get_logger",
-    "Timer",
     "env_bool",
     "env_choice",
     "env_int",

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attacks import (
-    HeuNesAttack,
-    HeuSimAttack,
-    TIMIAttack,
-    VanillaAttack,
-    motion_saliency,
-)
+from repro.attacks import AttackConfig, build_attack, motion_saliency
 from repro.attacks.heu import saliency_support
 from repro.attacks.vanilla import random_support
 
@@ -64,40 +58,48 @@ class TestMotionSaliency:
 class TestVanillaAttack:
     def test_run_produces_valid_ae(self, tiny_victim, attack_pair):
         original, target = attack_pair
-        attack = VanillaAttack(tiny_victim.service, k=60, n=3, tau=30,
-                               iterations=10, rng=1)
+        attack = build_attack(
+            AttackConfig(strategy="vanilla", k=60, n=3, tau=30,
+                         iterations=10, seed=1), service=tiny_victim.service)
         result = attack.run(original, target)
         assert result.adversarial.pixels.min() >= 0.0
         assert result.adversarial.pixels.max() <= 1.0
         assert result.stats.linf <= 30.0 / 255.0 + 1e-9
         assert result.stats.frames <= 3
-        assert result.queries_used >= 3
+        assert result.queries >= 3
         assert result.stats.spa <= 60
 
     def test_objective_trace_recorded(self, tiny_victim, attack_pair):
-        attack = VanillaAttack(tiny_victim.service, k=40, n=2, tau=30,
-                               iterations=5, rng=2)
+        attack = build_attack(
+            AttackConfig(strategy="vanilla", k=40, n=2, tau=30,
+                         iterations=5, seed=2), service=tiny_victim.service)
         result = attack.run(*attack_pair)
-        assert len(result.objective_trace) >= 1
+        assert len(result.trace) >= 1
 
 
 class TestTimiAttack:
     def test_dense_transfer(self, tiny_surrogate, attack_pair):
         original, target = attack_pair
-        attack = TIMIAttack(tiny_surrogate, tau=30, iterations=3)
+        attack = build_attack(
+            AttackConfig(strategy="timi", tau=30, iterations=3),
+            surrogate=tiny_surrogate)
         result = attack.run(original, target)
-        assert result.queries_used == 0
+        assert result.queries == 0
         assert result.stats.linf <= 30.0 / 255.0 + 1e-9
         # TIMI is dense: it touches (almost) every frame.
         assert result.stats.frames == original.num_frames
 
     def test_even_kernel_rejected(self, tiny_surrogate):
-        with pytest.raises(ValueError):
-            TIMIAttack(tiny_surrogate, kernel_size=4)
+        with pytest.raises(ValueError, match="odd"):
+            build_attack(AttackConfig(strategy="timi",
+                                      feedback={"kernel_size": 4}),
+                         surrogate=tiny_surrogate)
 
     def test_reduces_surrogate_distance(self, tiny_surrogate, attack_pair):
         original, target = attack_pair
-        attack = TIMIAttack(tiny_surrogate, tau=50, iterations=5)
+        attack = build_attack(
+            AttackConfig(strategy="timi", tau=50, iterations=5),
+            surrogate=tiny_surrogate)
         result = attack.run(original, target)
         f = tiny_surrogate.embed_videos
         before = np.linalg.norm(f(original)[0] - f(target)[0])
@@ -107,15 +109,18 @@ class TestTimiAttack:
 
 class TestHeuAttacks:
     def test_heu_nes_runs(self, tiny_victim, attack_pair):
-        attack = HeuNesAttack(tiny_victim.service, k=60, n=3, tau=30,
-                              iterations=2, samples=2, rng=3)
+        attack = build_attack(
+            AttackConfig(strategy="heu-nes", k=60, n=3, tau=30,
+                         iterations=2, seed=3, feedback={"samples": 2}),
+            service=tiny_victim.service)
         result = attack.run(*attack_pair)
         assert result.stats.linf <= 30.0 / 255.0 + 1e-9
-        assert result.queries_used >= 2 + 2 * (2 * 2 + 1)
+        assert result.queries >= 2 + 2 * (2 * 2 + 1)
 
     def test_heu_sim_runs(self, tiny_victim, attack_pair):
-        attack = HeuSimAttack(tiny_victim.service, k=60, n=3, tau=30,
-                              iterations=8, rng=4)
+        attack = build_attack(
+            AttackConfig(strategy="heu-sim", k=60, n=3, tau=30,
+                         iterations=8, seed=4), service=tiny_victim.service)
         result = attack.run(*attack_pair)
         assert result.stats.frames <= 3
         assert result.stats.spa <= 60

@@ -1,7 +1,7 @@
 """Batched candidate evaluation must be indistinguishable from sequential.
 
 The fast paths (``RetrievalObjective.values``, speculative ±ε pairs in
-SparseQuery/SimBA, probe batching in NES) promise *exact* sequential
+DUO's query stage/SimBA, probe batching in NES) promise *exact* sequential
 semantics: same rng consumption, same query counts, same traces, same
 accepted perturbations.  These tests run each attack twice — batching
 forced off, then on — against the same victim and assert the observable
@@ -11,12 +11,13 @@ state is identical.
 import numpy as np
 import pytest
 
-from repro.attacks.duo import SparseQuery, TransferPriors
+from repro.attacks.duo import TransferPriors
 from repro.attacks.objective import (
     RetrievalObjective,
     UntargetedRetrievalObjective,
 )
 from repro.attacks.search import nes_search, simba_search
+from repro.qa.pairs import duo_query_attack
 from repro.retrieval import RetrievalEngine, RetrievalService
 
 
@@ -35,7 +36,7 @@ def cacheless_engine(tiny_victim):
 
 
 def fresh_service(engine, **kwargs):
-    return RetrievalService(engine, m=8, **kwargs)
+    return RetrievalService.build(engine, m=8, **kwargs)
 
 
 def make_priors(original, rng, k=60):
@@ -62,18 +63,15 @@ class TestSparseQueryEquivalence:
         runs = {}
         for batched in (False, True):
             service = fresh_service(cacheless_engine)
-            objective = RetrievalObjective(service, original, target)
-            query = SparseQuery(iter_num_q=6, tau=30, rng=123,
-                                batched=batched)
-            adversarial, trace = query.run(original, priors, objective)
-            runs[batched] = (adversarial, trace, objective.queries,
-                             list(objective.trace), service.query_count)
+            report = duo_query_attack(priors, 6, service, 123,
+                                      batched=batched).run(original, target)
+            runs[batched] = (report.adversarial, report.trace,
+                             report.queries, service.query_count)
         seq, bat = runs[False], runs[True]
         np.testing.assert_array_equal(bat[0].pixels, seq[0].pixels)
         assert bat[1] == seq[1]          # attack trace, bit-identical
         assert bat[2] == seq[2]          # objective query count
-        assert bat[3] == seq[3]          # objective trace
-        assert bat[4] == seq[4]          # service query count
+        assert bat[3] == seq[3]          # service query count
 
     def test_auto_mode_disables_under_preprocessor(self, cacheless_engine,
                                                    attack_pair, rng):
@@ -86,9 +84,8 @@ class TestSparseQueryEquivalence:
             return video
 
         service = fresh_service(cacheless_engine, preprocessor=preprocessor)
-        objective = RetrievalObjective(service, original, target)
-        query = SparseQuery(iter_num_q=3, tau=30, rng=1)  # batched=None
-        query.run(original, priors, objective)
+        # batched=None: auto mode.
+        duo_query_attack(priors, 3, service, 1).run(original, target)
         # Every preprocessor call corresponds to a counted query: no
         # phantom evaluations leaked through speculation.
         assert len(calls) == service.query_count
@@ -102,12 +99,12 @@ class TestSparseQueryEquivalence:
         counts = {}
         for batched in (False, True):
             service = fresh_service(cacheless_engine, query_budget=7)
-            objective = RetrievalObjective(service, original, target)
-            query = SparseQuery(iter_num_q=50, tau=30, rng=123,
-                                batched=batched)
+            attack = duo_query_attack(priors, 50, service, 123,
+                                      batched=batched)
             with pytest.raises(QueryBudgetExceeded):
-                query.run(original, priors, objective)
-            counts[batched] = (service.query_count, list(objective.trace))
+                attack.run(original, target)
+            counts[batched] = (service.query_count, service.queries_issued,
+                               service.queries_refunded)
         assert counts[True] == counts[False]
 
 
@@ -120,11 +117,12 @@ class TestSimbaEquivalence:
         for batched in (False, True):
             service = fresh_service(cacheless_engine)
             objective = RetrievalObjective(service, original, target)
-            adversarial, perturbation, trace = simba_search(
+            report = simba_search(
                 original, objective, support, tau=0.1, iterations=6,
                 rng=np.random.default_rng(7), batched=batched,
             )
-            runs[batched] = (perturbation, trace, objective.queries,
+            runs[batched] = (report.perturbation, report.trace,
+                             objective.queries,
                              service.query_count)
         seq, bat = runs[False], runs[True]
         np.testing.assert_array_equal(bat[0], seq[0])
@@ -140,11 +138,12 @@ class TestNesEquivalence:
         for batched in (False, True):
             service = fresh_service(cacheless_engine)
             objective = RetrievalObjective(service, original, target)
-            adversarial, perturbation, trace = nes_search(
+            report = nes_search(
                 original, objective, support, tau=0.06, iterations=2,
                 samples=2, rng=np.random.default_rng(11), batched=batched,
             )
-            runs[batched] = (perturbation, trace, objective.queries,
+            runs[batched] = (report.perturbation, report.trace,
+                             objective.queries,
                              list(objective.trace), service.query_count)
         seq, bat = runs[False], runs[True]
         np.testing.assert_array_equal(bat[0], seq[0])

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.attacks import DUOAttack, SparseQuery, SparseTransfer
-from repro.attacks.objective import RetrievalObjective
+from repro.attacks import AttackConfig, SparseTransfer, TransferPriors, \
+    build_attack
+from repro.metrics.perturbation import sparsity
+from repro.qa.pairs import duo_query_attack
 
 
 @pytest.fixture(scope="module")
@@ -66,72 +68,71 @@ class TestSparseQuery:
     def test_preserves_support(self, tiny_victim, attack_pair,
                                transfer_priors):
         original, target = attack_pair
-        objective = RetrievalObjective(tiny_victim.service, original, target)
-        query = SparseQuery(iter_num_q=6, tau=30, rng=0)
-        adversarial, trace = query.run(original, transfer_priors, objective)
-        phi = adversarial.pixels - original.pixels
+        report = duo_query_attack(transfer_priors, 6, tiny_victim.service,
+                                  0).run(original, target)
+        phi = report.adversarial.pixels - original.pixels
         outside = ~transfer_priors.support()
         np.testing.assert_allclose(phi[outside], 0.0, atol=1e-12)
-        assert len(trace) >= 1
+        assert len(report.trace) >= 1
 
     def test_respects_tau(self, tiny_victim, attack_pair, transfer_priors):
         original, target = attack_pair
-        objective = RetrievalObjective(tiny_victim.service, original, target)
-        query = SparseQuery(iter_num_q=6, tau=30, rng=0)
-        adversarial, _ = query.run(original, transfer_priors, objective)
-        phi = adversarial.pixels - original.pixels
+        report = duo_query_attack(transfer_priors, 6, tiny_victim.service,
+                                  0).run(original, target)
+        phi = report.adversarial.pixels - original.pixels
         assert np.abs(phi).max() <= 30.0 / 255.0 + 1e-9
 
     def test_empty_support_noop(self, tiny_victim, attack_pair):
-        from repro.attacks.duo import TransferPriors
-
         original, target = attack_pair
         priors = TransferPriors.fresh(original.pixels.shape)  # theta = 0
-        objective = RetrievalObjective(tiny_victim.service, original, target)
-        query = SparseQuery(iter_num_q=3, tau=30, rng=0)
-        adversarial, trace = query.run(original, priors, objective)
-        np.testing.assert_allclose(adversarial.pixels, original.pixels)
-        assert trace == []
+        report = duo_query_attack(priors, 3, tiny_victim.service, 0).run(
+            original, target)
+        np.testing.assert_allclose(report.adversarial.pixels, original.pixels)
+        assert report.trace == []
 
-    def test_invalid_tie_rule(self):
-        with pytest.raises(ValueError):
-            SparseQuery(tie_rule="maybe")
+    def test_invalid_tie_rule(self, tiny_victim, transfer_priors):
+        config = AttackConfig(strategy="duo-query",
+                              sampler={"priors": transfer_priors},
+                              feedback={"tie_rule": "maybe"})
+        with pytest.raises(ValueError, match="tie_rule"):
+            build_attack(config, service=tiny_victim.service)
+
+
+def _duo(service, surrogate, k, n, iterations, rounds, seed):
+    return build_attack(
+        AttackConfig(strategy="duo", k=k, n=n, tau=30,
+                     iterations=iterations, rounds=rounds, seed=seed,
+                     sampler={"outer_iters": 1, "theta_steps": 2}),
+        service=service, surrogate=surrogate)
 
 
 class TestDUOPipeline:
     def test_full_attack(self, tiny_victim, tiny_surrogate, attack_pair):
         original, target = attack_pair
-        attack = DUOAttack(
-            tiny_surrogate, tiny_victim.service, k=120, n=3, tau=30,
-            iter_num_q=8, iter_num_h=2, transfer_outer_iters=1,
-            theta_steps=2, rng=9,
-        )
+        attack = _duo(tiny_victim.service, tiny_surrogate, k=120, n=3,
+                      iterations=8, rounds=2, seed=9)
         result = attack.run(original, target)
-        assert result.queries_used > 0
+        assert result.queries > 0
         assert result.stats.frames <= result.perturbation.shape[0]
         # Two loops, each bounded by τ, so total drift is at most 2τ.
         assert result.stats.linf <= 2 * 30.0 / 255.0 + 1e-9
-        assert result.metadata["iter_num_h"] == 2
+        assert result.metadata["rounds"] == 2
         assert result.metadata["k"] == 120
 
     def test_transfer_only_no_queries(self, tiny_victim, tiny_surrogate,
                                       attack_pair):
-        attack = DUOAttack(
-            tiny_surrogate, tiny_victim.service, k=80, n=2, tau=30,
-            transfer_outer_iters=1, theta_steps=2, rng=1,
-        )
+        original, target = attack_pair
+        transfer = SparseTransfer(tiny_surrogate, k=80, n=2, tau=30,
+                                  outer_iters=1, theta_steps=2)
         before = tiny_victim.service.query_count
-        result = attack.transfer_only(*attack_pair)
-        assert result.queries_used == 0
+        adversarial = original.perturbed(
+            transfer.run(original, target).perturbation())
         assert tiny_victim.service.query_count == before
-        assert result.stats.spa <= 80
+        assert sparsity(adversarial.pixels - original.pixels) <= 80
 
     def test_single_loop_respects_tau_strictly(self, tiny_victim,
                                                tiny_surrogate, attack_pair):
-        attack = DUOAttack(
-            tiny_surrogate, tiny_victim.service, k=80, n=2, tau=30,
-            iter_num_q=4, iter_num_h=1, transfer_outer_iters=1,
-            theta_steps=2, rng=1,
-        )
+        attack = _duo(tiny_victim.service, tiny_surrogate, k=80, n=2,
+                      iterations=4, rounds=1, seed=1)
         result = attack.run(*attack_pair)
         assert result.stats.linf <= 30.0 / 255.0 + 1e-9

@@ -1,26 +1,16 @@
-"""The consolidated result type keeps every legacy shape importable."""
+"""The consolidated result type: exports, stats, and search primitives."""
 
 import numpy as np
-import pytest
 
 from repro.video.types import Video
 
 
 class TestImportability:
-    def test_legacy_alias_is_the_same_class(self):
-        from repro.attacks import AttackReport, AttackResult
-        from repro.attacks.base import AttackResult as base_result
-        from repro.attacks.report import AttackReport as report_class
-
-        assert AttackResult is AttackReport
-        assert base_result is AttackReport
-        assert report_class is AttackReport
-
     def test_package_exports(self):
         import repro.attacks as attacks
 
-        for name in ("AttackReport", "AttackResult", "AttackConfig",
-                     "build_attack", "ComposedAttack", "ATTACK_STRATEGIES"):
+        for name in ("AttackReport", "AttackConfig", "build_attack",
+                     "ComposedAttack", "ATTACK_STRATEGIES"):
             assert hasattr(attacks, name), name
 
 
@@ -31,31 +21,6 @@ class TestAliases:
         video = Video(np.zeros((2, 4, 4, 3)))
         return AttackReport(adversarial=video,
                             perturbation=np.zeros((2, 4, 4, 3)), **kwargs)
-
-    def test_canonical_and_alias_kwargs_agree(self):
-        by_canonical = self.make_report(queries=7, trace=[3.0, 2.0])
-        by_alias = self.make_report(queries_used=7,
-                                    objective_trace=[3.0, 2.0])
-        assert by_canonical.queries == by_alias.queries == 7
-        assert by_canonical.trace == by_alias.trace == [3.0, 2.0]
-
-    def test_alias_properties_mirror_fields(self):
-        report = self.make_report(queries=5, trace=[1.0])
-        assert report.queries_used == report.queries
-        assert report.objective_trace is report.trace
-
-    def test_both_spellings_rejected(self):
-        with pytest.raises(TypeError):
-            self.make_report(queries=1, queries_used=1)
-        with pytest.raises(TypeError):
-            self.make_report(trace=[], objective_trace=[])
-
-    def test_unpacks_as_the_legacy_search_tuple(self):
-        report = self.make_report(queries=2, trace=[9.0])
-        adversarial, perturbation, trace = report
-        assert adversarial is report.adversarial
-        assert perturbation is report.perturbation
-        assert trace is report.trace
 
     def test_stats_summarize_the_perturbation(self):
         report = self.make_report()

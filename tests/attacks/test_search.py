@@ -47,46 +47,47 @@ class TestSimbaSearch:
     def test_respects_support(self, original, support, rng):
         target_phi = np.full(original.pixels.shape, 0.05)
         objective = CountingObjective(original, target_phi)
-        _, perturbation, _ = simba_search(
+        perturbation = simba_search(
             original, objective, support, tau=0.1, iterations=30, rng=rng,
-        )
+        ).perturbation
         assert np.all(perturbation[1] == 0.0)
 
     def test_respects_tau(self, original, support, rng):
         objective = CountingObjective(original,
                                       np.full(original.pixels.shape, 1.0))
-        _, perturbation, _ = simba_search(
+        perturbation = simba_search(
             original, objective, support, tau=0.05, iterations=30, rng=rng,
-        )
+        ).perturbation
         assert np.abs(perturbation).max() <= 0.05 + 1e-12
 
     def test_decreases_smooth_objective(self, original, support, rng):
         target_phi = np.zeros(original.pixels.shape)
         target_phi[0] = 0.08
         objective = CountingObjective(original, target_phi)
-        _, _, trace = simba_search(
+        trace = simba_search(
             original, objective, support, tau=0.1, iterations=60,
             epsilon=0.08, rng=rng, tie_rule="stay",
-        )
+        ).trace
         assert trace[-1] < trace[0]
 
     def test_empty_support_no_queries_after_baseline(self, original, rng):
         objective = CountingObjective(original,
                                       np.zeros(original.pixels.shape))
-        _, perturbation, trace = simba_search(
+        report = simba_search(
             original, objective, np.zeros(original.pixels.shape, dtype=bool),
             tau=0.1, iterations=10, rng=rng,
         )
+        perturbation, trace = report.perturbation, report.trace
         assert np.all(perturbation == 0.0)
         assert len(trace) == 1
 
     def test_stay_rule_monotone_best(self, original, support, rng):
         objective = CountingObjective(original,
                                       rng.normal(size=original.pixels.shape) * 0.05)
-        _, _, trace = simba_search(
+        trace = simba_search(
             original, objective, support, tau=0.1, iterations=40, rng=rng,
             tie_rule="stay",
-        )
+        ).trace
         best = np.minimum.accumulate(trace)
         assert best[-1] <= best[0]
 
@@ -94,20 +95,20 @@ class TestSimbaSearch:
         initial = np.zeros(original.pixels.shape)
         initial[0, 0, 0, 0] = 0.07
         objective = CountingObjective(original, initial)
-        adversarial, perturbation, trace = simba_search(
+        report = simba_search(
             original, objective, support, tau=0.1, iterations=0,
             initial=initial, rng=rng,
         )
-        np.testing.assert_allclose(perturbation, initial)
-        assert trace[0] == pytest.approx(0.0)
+        np.testing.assert_allclose(report.perturbation, initial)
+        assert report.trace[0] == pytest.approx(0.0)
 
     def test_block_size_one_single_coordinate_moves(self, original, support, rng):
         objective = CountingObjective(original,
                                       np.zeros(original.pixels.shape))
-        _, perturbation, _ = simba_search(
+        perturbation = simba_search(
             original, objective, support, tau=0.1, iterations=1,
             block_size=1, rng=rng, tie_rule="stay",
-        )
+        ).perturbation
         assert (np.abs(perturbation) > 0).sum() <= 1
 
 
@@ -115,10 +116,10 @@ class TestNesSearch:
     def test_respects_support_and_tau(self, original, support, rng):
         objective = CountingObjective(original,
                                       np.full(original.pixels.shape, 1.0))
-        _, perturbation, _ = nes_search(
+        perturbation = nes_search(
             original, objective, support, tau=0.06, iterations=5, samples=2,
             rng=rng,
-        )
+        ).perturbation
         assert np.all(perturbation[1] == 0.0)
         assert np.abs(perturbation).max() <= 0.06 + 1e-12
 
@@ -134,10 +135,11 @@ class TestNesSearch:
         target_phi = np.zeros(original.pixels.shape)
         target_phi[0] = 0.05
         objective = CountingObjective(original, target_phi)
-        _, best_perturbation, trace = nes_search(
+        report = nes_search(
             original, objective, support, tau=0.06, iterations=10,
             samples=4, sigma=0.02, rng=rng,
         )
+        best_perturbation, trace = report.perturbation, report.trace
         final = float(np.abs(best_perturbation - target_phi).sum())
         assert final < trace[0]
 

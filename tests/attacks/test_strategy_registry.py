@@ -28,6 +28,7 @@ from repro.attacks.strategy import (
 )
 from repro.errors import RetrievalUnavailable
 from repro.qa.invariants import check_budget_conservation
+from repro.qa.pairs import _qa_priors
 from repro.qa.world import build_world, tiny_extractor
 from repro.resilience import FaultPlan, ResilienceConfig
 
@@ -100,6 +101,34 @@ class TestRegistry:
     def test_build_rejects_missing_surrogate(self):
         with pytest.raises(ValueError, match="surrogate"):
             build_attack(make_config("timi"))
+
+
+class TestOverrideValidation:
+    """A misspelled component override fails loudly, naming its component."""
+
+    @pytest.mark.parametrize("name", sorted(ATTACK_STRATEGIES))
+    def test_misspelled_feedback_key_raises(self, name):
+        world = build_world(51, cache_size=0)
+        sampler = {"priors": _qa_priors(world.original.pixels.shape, 3)} \
+            if name == "duo-query" else {}
+        config = AttackConfig(strategy=name, sampler=sampler,
+                              feedback={"tie_rul": "stay"})
+        with pytest.raises(TypeError, match="Feedback.*tie_rul"):
+            build_attack(config, service=world.service,
+                         surrogate=tiny_extractor(3))
+
+    @pytest.mark.parametrize("name", GRID)
+    def test_misspelled_basis_key_raises(self, name):
+        config = AttackConfig(strategy=name, basis={"rnak": 2})
+        with pytest.raises(TypeError, match="Basis"):
+            build_attack(config, service=object(),
+                         surrogate=tiny_extractor(3))
+
+    def test_unknown_tie_rule_rejected(self):
+        config = AttackConfig(strategy="vanilla",
+                              feedback={"tie_rule": "maybe"})
+        with pytest.raises(ValueError, match="tie_rule"):
+            build_attack(config, service=object())
 
 
 class TestConformance:

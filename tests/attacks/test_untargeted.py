@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.attacks import DUOAttack, UntargetedRetrievalObjective
+from repro.attacks import AttackConfig, UntargetedRetrievalObjective, \
+    build_attack
 from repro.attacks.duo import SparseTransfer
 
 
@@ -54,13 +55,21 @@ class TestUntargetedTransfer:
 class TestUntargetedDUO:
     def test_run_untargeted(self, tiny_victim, tiny_surrogate, attack_pair):
         original, _ = attack_pair
-        attack = DUOAttack(tiny_surrogate, tiny_victim.service, k=150, n=3,
-                           tau=30, iter_num_q=10, iter_num_h=1,
-                           transfer_outer_iters=1, theta_steps=2, rng=2)
-        result = attack.run_untargeted(original)
-        assert result.metadata["mode"] == "untargeted"
-        assert 0.0 <= result.metadata["escape_rate"] <= 1.0
-        assert result.queries_used > 0
+        attack = build_attack(
+            AttackConfig(strategy="duo", k=150, n=3, tau=30, iterations=10,
+                         rounds=1, seed=2,
+                         sampler={"outer_iters": 1, "theta_steps": 2}),
+            service=tiny_victim.service, surrogate=tiny_surrogate)
+        before = tiny_victim.service.query_count
+        result = attack.run(original, None)
+        # Untargeted: one reference query for the original's list, none
+        # for a target.
+        assert result.queries == len(result.trace) + 1
+        assert tiny_victim.service.query_count - before == result.queries
+        objective = UntargetedRetrievalObjective(tiny_victim.service,
+                                                 original)
+        assert 0.0 <= objective.escape_rate(result.adversarial) <= 1.0
+        assert result.queries > 0
         assert result.stats.frames <= original.num_frames
         assert result.adversarial.pixels.min() >= 0.0
         assert result.adversarial.pixels.max() <= 1.0

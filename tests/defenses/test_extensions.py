@@ -46,7 +46,7 @@ class TestEnsembleEngine:
         assert fused == direct
 
     def test_works_behind_service(self, ensemble, tiny_dataset):
-        service = RetrievalService(ensemble, m=5)
+        service = RetrievalService.build(ensemble, m=5)
         assert len(service.query(tiny_dataset.test[0])) == 5
 
     def test_fusion_balances_members(self, ensemble, tiny_victim,
@@ -125,7 +125,7 @@ class TestStatefulQueryDetector:
     def test_simba_attack_trips_the_detector(self, tiny_victim, tiny_dataset,
                                              rng):
         """A real SimBA-style query stream is exactly what gets caught."""
-        from repro.attacks import VanillaAttack
+        from repro.attacks import AttackConfig, build_attack
 
         detector = StatefulQueryDetector(window=30, flag_after=8,
                                          distance_threshold=0.05)
@@ -138,8 +138,10 @@ class TestStatefulQueryDetector:
         tiny_victim.service.query = counted_query
         try:
             pair = tiny_dataset.sample_attack_pairs(1, rng_or_seed=5)[0]
-            attack = VanillaAttack(tiny_victim.service, k=60, n=3, tau=30,
-                                   iterations=20, rng=6)
+            attack = build_attack(
+                AttackConfig(strategy="vanilla", k=60, n=3, tau=30,
+                             iterations=20, seed=6),
+                service=tiny_victim.service)
             attack.run(*pair)
         finally:
             tiny_victim.service.query = original_query

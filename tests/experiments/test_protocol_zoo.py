@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.attacks.base import Attack, AttackResult
+from repro.attacks.base import Attack
+from repro.attacks.report import AttackReport
 from repro.experiments import QUICK_SCALE
 from repro.experiments.attack_zoo import ATTACK_ROWS, attack_factory
 from repro.experiments.protocol import (
@@ -18,10 +19,10 @@ class NullAttack(Attack):
     """Returns the original unchanged — a do-nothing reference."""
 
     def run(self, original, target):
-        return AttackResult(
+        return AttackReport(
             adversarial=original.copy(),
             perturbation=np.zeros_like(original.pixels),
-            queries_used=0,
+            queries=0,
         )
 
 

@@ -13,6 +13,7 @@ from repro.hashindex.tiers import (
     resolve_index_tier,
 )
 from repro.qa.generators import draw_clustered_gallery
+from repro.qa.pairs import _qa_priors, duo_query_attack
 from repro.qa.world import build_world
 from repro.retrieval import FeatureIndex, RetrievalEngine, ShardedGallery
 from repro.retrieval.config import ServiceConfig
@@ -122,40 +123,20 @@ class TestServiceWiring:
             assert [e.video_id for e in world.service.query(query)] == baseline
 
 
-def _qa_priors(shape, seed, k=48):
-    rng = np.random.default_rng(seed)
-    per_frame = int(np.prod(shape[1:]))
-    flat = np.zeros(int(np.prod(shape)), dtype=bool)
-    flat[rng.choice(2 * per_frame, size=min(k, 2 * per_frame),
-                    replace=False)] = True
-    theta = np.zeros(shape)
-    theta.reshape(-1)[flat] = rng.uniform(-0.1, 0.1, size=flat.sum())
-    frame_mask = np.zeros(shape[0])
-    frame_mask[:2] = 1.0
-    from repro.attacks.duo.priors import TransferPriors
-
-    return TransferPriors(pixel_mask=flat.reshape(shape).astype(float),
-                          frame_mask=frame_mask, theta=theta)
-
-
 @pytest.mark.parametrize("tier", ["hamming", "ivfpq"])
 def test_duo_attack_completes_under_budget_on_compressed_tier(tier):
-    """ISSUE acceptance: a DUO sparse-query attack against the
+    """A DUO query-stage attack against the
     compressed tier completes under the same query budget the exact
     tier needs (the rerank stage returns exact scores, so the attack
     loop sees the same objective landscape)."""
-    from repro.attacks.duo.sparse_query import SparseQuery
-    from repro.attacks.objective import RetrievalObjective
-
     def run(selected_tier, budget):
         world = build_world(11, cache_size=0, query_budget=budget)
         world.engine.configure_index_tier(selected_tier)
-        objective = RetrievalObjective(world.service, world.original,
-                                       world.target)
-        attack = SparseQuery(iter_num_q=2, tau=30, rng=16, batched=True)
         priors = _qa_priors(world.original.pixels.shape, 20)
-        adversarial, trace = attack.run(world.original, priors, objective)
-        return adversarial, list(trace), world.service.query_count
+        report = duo_query_attack(priors, 2, world.service, 16,
+                                  batched=True).run(world.original,
+                                                    world.target)
+        return report.adversarial, report.trace, world.service.query_count
 
     _, _, exact_queries = run("exact", budget=None)
     adversarial, trace, used = run(tier, budget=exact_queries)

@@ -2,12 +2,21 @@
 
 import numpy as np
 
-from repro.attacks import DUOAttack
+from repro.attacks import AttackConfig, build_attack
 from repro.attacks.objective import RetrievalObjective
 from repro.metrics import ap_at_m, ndcg_similarity
 from repro.surrogate import steal_training_set, train_surrogate
 from repro.training import build_victim_system
 from repro.video import load_dataset
+
+
+def _duo(surrogate, service, k, n, tau, iterations, theta_steps, seed):
+    """A one-loop DUO attack (transfer sweep + SimBA rectification)."""
+    return build_attack(
+        AttackConfig(strategy="duo", k=k, n=n, tau=tau,
+                     iterations=iterations, rounds=1, seed=seed,
+                     sampler={"outer_iters": 1, "theta_steps": theta_steps}),
+        service=service, surrogate=surrogate)
 
 
 def test_full_pipeline_runs_and_reports(tmp_path):
@@ -24,10 +33,9 @@ def test_full_pipeline_runs_and_reports(tmp_path):
                                 width=2, epochs=1, seed=5)
 
     original, target = dataset.sample_attack_pairs(1, rng_or_seed=6)[0]
-    attack = DUOAttack(surrogate, victim.service,
-                       k=int(original.pixels.size * 0.3), n=4, tau=30,
-                       iter_num_q=15, iter_num_h=1, transfer_outer_iters=1,
-                       theta_steps=3, rng=7)
+    attack = _duo(surrogate, victim.service,
+                  k=int(original.pixels.size * 0.3), n=4, tau=30,
+                  iterations=15, theta_steps=3, seed=7)
     result = attack.run(original, target)
 
     target_ids = victim.service.query(target).ids
@@ -36,12 +44,12 @@ def test_full_pipeline_runs_and_reports(tmp_path):
 
     # Structural invariants of a complete run.
     assert 0.0 <= ap <= 1.0
-    assert result.queries_used >= 3
+    assert result.queries >= 3
     assert result.stats.spa > 0
     assert result.stats.frames <= 4
     assert result.adversarial.pixels.min() >= 0.0
     assert result.adversarial.pixels.max() <= 1.0
-    assert np.isfinite(result.objective_trace).all()
+    assert np.isfinite(result.trace).all()
 
 
 def test_objective_decrease_tracks_list_movement(tiny_victim, tiny_surrogate,
@@ -52,15 +60,14 @@ def test_objective_decrease_tracks_list_movement(tiny_victim, tiny_surrogate,
     baseline_similarity = ndcg_similarity(
         tiny_victim.service.query(original).ids, objective.target_ids
     )
-    attack = DUOAttack(tiny_surrogate, tiny_victim.service, k=150, n=4,
-                       tau=40, iter_num_q=20, iter_num_h=1,
-                       transfer_outer_iters=1, theta_steps=3, rng=8)
+    attack = _duo(tiny_surrogate, tiny_victim.service, k=150, n=4, tau=40,
+                  iterations=20, theta_steps=3, seed=8)
     result = attack.run(original, target)
     final_similarity = ndcg_similarity(
         tiny_victim.service.query(result.adversarial).ids,
         objective.target_ids,
     )
-    trace = result.objective_trace
+    trace = result.trace
     if trace and min(trace) < trace[0]:
         assert final_similarity >= baseline_similarity - 1e-9
 
@@ -69,9 +76,8 @@ def test_attack_does_not_mutate_original(tiny_victim, tiny_surrogate,
                                          attack_pair):
     original, target = attack_pair
     pixels_before = original.pixels.copy()
-    attack = DUOAttack(tiny_surrogate, tiny_victim.service, k=60, n=2,
-                       tau=30, iter_num_q=5, iter_num_h=1,
-                       transfer_outer_iters=1, theta_steps=2, rng=9)
+    attack = _duo(tiny_surrogate, tiny_victim.service, k=60, n=2, tau=30,
+                  iterations=5, theta_steps=2, seed=9)
     attack.run(original, target)
     np.testing.assert_array_equal(original.pixels, pixels_before)
 

@@ -13,10 +13,8 @@ import pytest
 
 from repro.defenses.stateful import StatefulQueryDetector
 from repro.obs import counter
-from repro.attacks.duo.sparse_query import SparseQuery
-from repro.attacks.objective import RetrievalObjective
 from repro.qa.comparators import assert_retrieval_lists_equal
-from repro.qa.pairs import _qa_priors
+from repro.qa.pairs import _qa_priors, duo_query_attack
 from repro.qa.world import build_world
 
 
@@ -61,22 +59,19 @@ def test_query_batch_falls_back_through_the_wrapped_entry_point():
     assert wrapped.service.query_count == plain.service.query_count == 4
 
 
-def _run_sparse_query(world, objective_queries_out=None, batched=None,
-                      iters=6, seed=17):
-    objective = RetrievalObjective(world.service, world.original,
-                                   world.target)
-    attack = SparseQuery(iter_num_q=iters, tau=30, rng=seed, batched=batched)
+def _run_sparse_query(world, batched=None, iters=6, seed=17):
+    """DUO's query stage (``duo-query``) over fixed priors."""
     priors = _qa_priors(world.original.pixels.shape, seed + 1)
-    adversarial, trace = attack.run(world.original, priors, objective)
-    if objective_queries_out is not None:
-        objective_queries_out.append(objective.queries)
-    return adversarial, trace, objective
+    report = duo_query_attack(priors, iters, world.service, seed,
+                              batched=batched).run(world.original,
+                                                   world.target)
+    return report.adversarial, report.trace, report
 
 
 def test_attack_under_detector_matches_clean_sequential_run():
     # Clean world, explicitly sequential.
     plain = build_world(47)
-    plain_adv, plain_trace, plain_obj = _run_sparse_query(plain,
+    plain_adv, plain_trace, plain_report = _run_sparse_query(plain,
                                                           batched=False)
 
     # Same world, but every query flows through a detector spy; batched
@@ -84,7 +79,7 @@ def test_attack_under_detector_matches_clean_sequential_run():
     guarded = build_world(47)
     detector = StatefulQueryDetector()
     observed = _spy_on(guarded.service, detector)
-    guarded_adv, guarded_trace, guarded_obj = _run_sparse_query(guarded,
+    guarded_adv, guarded_trace, guarded_report = _run_sparse_query(guarded,
                                                                 batched=None)
 
     # Identical attack results...
@@ -93,8 +88,8 @@ def test_attack_under_detector_matches_clean_sequential_run():
     # ...and the detector saw every single query the attack issued.
     assert len(observed) == guarded.service.query_count
     assert guarded.service.query_count == plain.service.query_count
-    assert guarded_obj.queries == plain_obj.queries
-    assert guarded_obj.queries == guarded.service.query_count
+    assert guarded_report.queries == plain_report.queries
+    assert guarded_report.queries == guarded.service.query_count
 
 
 def test_speculative_path_reports_the_same_obs_counter_stream():
@@ -102,19 +97,19 @@ def test_speculative_path_reports_the_same_obs_counter_stream():
 
     sequential_world = build_world(53)
     before = queries_counter.value
-    _, seq_trace, seq_obj = _run_sparse_query(sequential_world,
+    _, seq_trace, seq_report = _run_sparse_query(sequential_world,
                                               batched=False)
     sequential_delta = queries_counter.value - before
 
     speculative_world = build_world(53)
     assert speculative_world.service.speculation_safe
     before = queries_counter.value
-    _, spec_trace, spec_obj = _run_sparse_query(speculative_world,
+    _, spec_trace, spec_report = _run_sparse_query(speculative_world,
                                                 batched=True)
     speculative_delta = queries_counter.value - before
 
     assert spec_trace == seq_trace
-    assert spec_obj.queries == seq_obj.queries
+    assert spec_report.queries == seq_report.queries
     # The obs counter ticks once per *committed* query — identical
     # totals, so dashboards cannot tell the fast path from the slow one.
     assert speculative_delta == sequential_delta
@@ -128,7 +123,7 @@ def test_jit_replay_preserves_query_instrumentation():
 
     plain = build_world(61)
     before = queries_counter.value
-    plain_adv, plain_trace, plain_obj = _run_sparse_query(plain,
+    plain_adv, plain_trace, plain_report = _run_sparse_query(plain,
                                                           batched=False)
     plain_delta = queries_counter.value - before
 
@@ -137,7 +132,7 @@ def test_jit_replay_preserves_query_instrumentation():
     detector = StatefulQueryDetector()
     observed = _spy_on(fused.service, detector)
     before = queries_counter.value
-    fused_adv, fused_trace, fused_obj = _run_sparse_query(fused,
+    fused_adv, fused_trace, fused_report = _run_sparse_query(fused,
                                                           batched=None)
     fused_delta = queries_counter.value - before
 
@@ -147,7 +142,7 @@ def test_jit_replay_preserves_query_instrumentation():
     # ...the detector saw every query the fused run issued...
     assert len(observed) == fused.service.query_count
     assert fused.service.query_count == plain.service.query_count
-    assert fused_obj.queries == plain_obj.queries
+    assert fused_report.queries == plain_report.queries
     # ...and the counter stream is indistinguishable from eager.
     assert fused_delta == plain_delta
 

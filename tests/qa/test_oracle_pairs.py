@@ -8,6 +8,7 @@ enumerates the registry at collection time.
 import pytest
 
 from repro.qa.oracle import all_pairs, check_pair
+from repro.qa.pairs import _REFERENCE_ATTACKS
 
 PAIRS = all_pairs()
 
@@ -35,3 +36,10 @@ def test_registry_covers_required_contracts():
 def test_pair_agrees(name, clear_conv_plans):
     pair = PAIRS[name]
     assert check_pair(pair) == pair.cases
+
+
+@pytest.mark.parametrize("name", _REFERENCE_ATTACKS)
+def test_composed_vs_legacy_covers_every_attack(name):
+    """The seeded draw may skip an attack; pin one case of each."""
+    PAIRS["attacks.composed_vs_legacy"].check_case(
+        {"name": name, "seed": 7, "iters": 3})

@@ -1,7 +1,7 @@
 """ISSUE acceptance scenario: attack rides out a node loss, exactly.
 
 Four data nodes with replication r=2; a seeded fault plan kills one node
-partway through a SparseQuery run and never brings it back.  The attack
+partway through a DUO query-stage run and never brings it back.  The attack
 must complete end to end with a trace, final perturbation, and query
 accounting identical to a fault-free run — the replicas make retrieval
 exact, so the attacker cannot even tell the incident happened.
@@ -9,8 +9,7 @@ exact, so the attacker cannot even tell the incident happened.
 
 import numpy as np
 
-from repro.attacks import SparseQuery
-from repro.attacks.objective import RetrievalObjective
+from repro.qa.pairs import duo_query_attack
 from repro.resilience import BreakerPolicy, FaultPlan, ResilienceConfig
 
 from tests.resilience.conftest import build_service, make_videos
@@ -25,10 +24,9 @@ def resilient_config():
 
 
 def run_attack(service, original, target, priors):
-    objective = RetrievalObjective(service, original, target)
-    attack = SparseQuery(iter_num_q=10, tau=30, rng=0)
-    adversarial, trace = attack.run(original, priors, objective)
-    return adversarial, trace, objective
+    """DUO's query stage (``duo-query``) over fixed priors."""
+    report = duo_query_attack(priors, 10, service, 0).run(original, target)
+    return report.adversarial, report.trace, report
 
 
 class TestNodeLossMidAttack:
@@ -38,7 +36,7 @@ class TestNodeLossMidAttack:
 
         clean_service = build_service(num_nodes=4,
                                       resilience=resilient_config())
-        clean_adv, clean_trace, clean_objective = run_attack(
+        clean_adv, clean_trace, clean_report = run_attack(
             clean_service, original, target, priors)
 
         faulted_service = build_service(num_nodes=4,
@@ -46,14 +44,14 @@ class TestNodeLossMidAttack:
         # Kill node-1 from logical query 6 onwards (mid-run), forever.
         plan = FaultPlan(seed=1).outage("node-1", 6, 10 ** 9)
         with plan.install(faulted_service.engine.gallery):
-            adversarial, trace, objective = run_attack(
+            adversarial, trace, report = run_attack(
                 faulted_service, original, target, priors)
 
         assert any(kind == "outage" for _, _, kind in plan.timeline()), \
             "the scripted outage never fired"
         assert trace == clean_trace
         np.testing.assert_array_equal(adversarial.pixels, clean_adv.pixels)
-        assert objective.queries == clean_objective.queries
+        assert report.queries == clean_report.queries
         assert faulted_service.query_count == clean_service.query_count
         # The breaker tripped and stopped burning attempts on the corpse.
         breaker = faulted_service.engine.gallery._breakers["node-1"]

@@ -66,12 +66,6 @@ class TestConstruction:
             service = RetrievalService(engine, config=ServiceConfig(m=4))
         assert service.m == 4
 
-    def test_legacy_kwargs_deprecated_but_work(self, engine):
-        with pytest.warns(DeprecationWarning):
-            service = RetrievalService(engine, m=3, quantize_queries=True)
-        assert service.m == 3
-        assert service.quantize_queries is True
-
     def test_legacy_and_config_together_rejected(self, engine):
         with pytest.raises(TypeError):
             RetrievalService(engine, m=3, config=ServiceConfig())
@@ -93,14 +87,6 @@ class TestConstruction:
         rebuilt = RetrievalService.build(engine, resilience=config)
         assert rebuilt.engine.resilience is config
         assert engine.gallery.replication == 2
-
-    def test_legacy_service_still_queries(self, engine):
-        with pytest.warns(DeprecationWarning):
-            service = RetrievalService(engine, m=5)
-        video = make_videos(1, seed=123)[0]
-        result = service.query(video)
-        assert len(result.ids) == 5
-        assert service.query_count == 1
 
 
 class TestIndexProtocol:

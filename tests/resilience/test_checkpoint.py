@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attacks import SparseQuery
+from repro.attacks.base import clip_video_range
 from repro.attacks.duo.priors import TransferPriors
 from repro.attacks.objective import RetrievalObjective
 from repro.attacks.search import nes_search, simba_search
@@ -36,6 +36,17 @@ def make_priors(shape, seed=0, k=40, frames=2):
     theta = rng.uniform(0.01, 30.0 / 255.0, size=shape) * \
         rng.choice((-1.0, 1.0), size=shape)
     return TransferPriors(pixel_mask, frame_mask, theta)
+
+
+def sparse_query(original, priors, objective, iterations, rng,
+                 checkpoint_path=None):
+    """``simba_search`` with the arguments DUO's query stage passes it."""
+    return simba_search(
+        original, objective, priors.support(), tau=30 / 255.0,
+        iterations=iterations, rng=rng,
+        initial=clip_video_range(original.pixels, priors.perturbation()),
+        checkpoint_path=checkpoint_path, metric_prefix="attack.duo.query",
+        checkpoint_algo="sparse_query", project_initial=False)
 
 
 def run_until_complete(fn, path):
@@ -136,17 +147,19 @@ class TestSparseQueryResume:
         priors = make_priors(setup.original.pixels.shape, seed=4)
         path = tmp_path / "sparse.pkl"
 
-        clean_attack = SparseQuery(iter_num_q=8, tau=30, rng=0)
-        clean_adv, clean_trace = clean_attack.run(
-            setup.original, priors, setup.objectives["clean"])
+        clean = sparse_query(setup.original, priors,
+                             setup.objectives["clean"], 8,
+                             np.random.default_rng(0))
+        clean_adv, clean_trace = clean.adversarial, clean.trace
 
-        attack = SparseQuery(iter_num_q=8, tau=30, rng=0)
+        rng = np.random.default_rng(0)
         with setup.plan.install(setup.gallery):
-            (adversarial, trace), failures = run_until_complete(
-                lambda: attack.run(setup.original, priors,
-                                   setup.objectives["faulted"],
-                                   checkpoint_path=path),
+            result, failures = run_until_complete(
+                lambda: sparse_query(setup.original, priors,
+                                     setup.objectives["faulted"], 8, rng,
+                                     checkpoint_path=path),
                 path)
+        adversarial, trace = result.adversarial, result.trace
 
         assert failures >= 1, "the outage never interrupted the attack"
         assert trace == clean_trace
@@ -165,9 +178,11 @@ class TestSimbaResume:
         support = rng.random(setup.original.pixels.shape) < 0.1
         path = tmp_path / "simba.pkl"
 
-        clean_adv, clean_phi, clean_trace = simba_search(
+        clean = simba_search(
             setup.original, setup.objectives["clean"], support,
             tau=0.1, iterations=8, rng=0)
+        clean_adv, clean_phi, clean_trace = \
+            clean.adversarial, clean.perturbation, clean.trace
 
         with setup.plan.install(setup.gallery):
             result, failures = run_until_complete(
@@ -175,7 +190,8 @@ class TestSimbaResume:
                     setup.original, setup.objectives["faulted"], support,
                     tau=0.1, iterations=8, rng=0, checkpoint_path=path),
                 path)
-        adversarial, phi, trace = result
+        adversarial, phi, trace = \
+            result.adversarial, result.perturbation, result.trace
 
         assert failures >= 1
         assert trace == clean_trace
@@ -193,9 +209,11 @@ class TestNesResume:
         support = rng.random(setup.original.pixels.shape) < 0.1
         path = tmp_path / "nes.pkl"
 
-        clean_adv, clean_phi, clean_trace = nes_search(
+        clean = nes_search(
             setup.original, setup.objectives["clean"], support,
             tau=0.1, iterations=4, samples=2, rng=0)
+        clean_adv, clean_phi, clean_trace = \
+            clean.adversarial, clean.perturbation, clean.trace
 
         with setup.plan.install(setup.gallery):
             result, failures = run_until_complete(
@@ -204,7 +222,8 @@ class TestNesResume:
                     tau=0.1, iterations=4, samples=2, rng=0,
                     checkpoint_path=path),
                 path)
-        adversarial, phi, trace = result
+        adversarial, phi, trace = \
+            result.adversarial, result.perturbation, result.trace
 
         assert failures >= 1
         assert trace == clean_trace

@@ -162,8 +162,8 @@ class TestBatchedSimilarity:
 class TestServiceAndEngineBatch:
     def test_query_batch_matches_sequential(self, tiny_victim, tiny_dataset):
         videos = tiny_dataset.test[:4]
-        service_a = RetrievalService(tiny_victim.engine, m=5)
-        service_b = RetrievalService(tiny_victim.engine, m=5)
+        service_a = RetrievalService.build(tiny_victim.engine, m=5)
+        service_b = RetrievalService.build(tiny_victim.engine, m=5)
         sequential = [service_a.query(video) for video in videos]
         batched = service_b.query_batch(videos)
         assert service_b.query_count == service_a.query_count == len(videos)
@@ -172,7 +172,8 @@ class TestServiceAndEngineBatch:
 
     def test_query_batch_budget_stops_mid_batch(self, tiny_victim,
                                                 tiny_dataset):
-        service = RetrievalService(tiny_victim.engine, m=4, query_budget=2)
+        service = RetrievalService.build(
+            tiny_victim.engine, m=4, query_budget=2)
         with pytest.raises(QueryBudgetExceeded):
             service.query_batch(tiny_dataset.test[:4])
         assert service.query_count == 2
@@ -234,8 +235,8 @@ class TestServiceAndEngineBatch:
 
     def test_speculate_requires_stateless_service(self, tiny_victim,
                                                   tiny_dataset):
-        service = RetrievalService(tiny_victim.engine, m=4,
-                                   preprocessor=lambda video: video)
+        service = RetrievalService.build(tiny_victim.engine, m=4,
+                                         preprocessor=lambda video: video)
         assert not service.speculation_safe
         with pytest.raises(RuntimeError, match="stateless"):
             service.speculate(tiny_dataset.test[:2])
@@ -244,7 +245,7 @@ class TestServiceAndEngineBatch:
                                                 tiny_dataset):
         # Wrapping the instance's query (as a stateful detector would)
         # must disable speculation and route query_batch through the wrapper.
-        service = RetrievalService(tiny_victim.engine, m=4)
+        service = RetrievalService.build(tiny_victim.engine, m=4)
         original = service.query
         calls = []
 
@@ -259,7 +260,7 @@ class TestServiceAndEngineBatch:
         assert service.query_count == 3
 
     def test_speculate_then_commit_counts(self, tiny_victim, tiny_dataset):
-        service = RetrievalService(tiny_victim.engine, m=4)
+        service = RetrievalService.build(tiny_victim.engine, m=4)
         results = service.speculate(tiny_dataset.test[:2])
         assert service.query_count == 0
         assert len(results) == 2

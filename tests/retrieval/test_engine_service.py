@@ -40,7 +40,7 @@ class TestRetrievalEngine:
 
 class TestRetrievalService:
     def test_query_counting(self, tiny_victim, tiny_dataset):
-        service = RetrievalService(tiny_victim.engine, m=4)
+        service = RetrievalService.build(tiny_victim.engine, m=4)
         service.query(tiny_dataset.test[0])
         service.query(tiny_dataset.test[1])
         assert service.query_count == 2
@@ -48,15 +48,16 @@ class TestRetrievalService:
         assert service.query_count == 0
 
     def test_m_override(self, tiny_victim, tiny_dataset):
-        service = RetrievalService(tiny_victim.engine, m=4)
+        service = RetrievalService.build(tiny_victim.engine, m=4)
         assert len(service.query(tiny_dataset.test[0], m=2)) == 2
 
     def test_invalid_m(self, tiny_victim):
         with pytest.raises(ValueError):
-            RetrievalService(tiny_victim.engine, m=0)
+            RetrievalService.build(tiny_victim.engine, m=0)
 
     def test_query_budget(self, tiny_victim, tiny_dataset):
-        service = RetrievalService(tiny_victim.engine, m=4, query_budget=2)
+        service = RetrievalService.build(
+            tiny_victim.engine, m=4, query_budget=2)
         service.query(tiny_dataset.test[0])
         service.query(tiny_dataset.test[0])
         with pytest.raises(QueryBudgetExceeded):
@@ -69,8 +70,8 @@ class TestRetrievalService:
             calls.append(video.video_id)
             return video
 
-        service = RetrievalService(tiny_victim.engine, m=4,
-                                   preprocessor=preprocessor)
+        service = RetrievalService.build(tiny_victim.engine, m=4,
+                                         preprocessor=preprocessor)
         service.query(tiny_dataset.test[0])
         assert calls == [tiny_dataset.test[0].video_id]
 

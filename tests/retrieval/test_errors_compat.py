@@ -1,7 +1,7 @@
-"""Back-compat surface of the errors consolidation and the service
-constructor redesign: legacy import paths must alias the canonical
-``repro.errors`` classes, and legacy ``RetrievalService(...)`` kwargs
-must keep working behind a :class:`DeprecationWarning`."""
+"""The errors consolidation and the service constructor: module import
+paths alias the canonical ``repro.errors`` classes, and a service is
+built only from a :class:`ServiceConfig` (the pre-config kwargs are
+gone)."""
 
 import pytest
 
@@ -40,19 +40,10 @@ class TestErrorAliases:
 
 
 class TestLegacyServiceConstructor:
-    def test_legacy_kwargs_warn_but_work(self):
-        engine = object()
-        with pytest.warns(DeprecationWarning,
-                          match="RetrievalService.build"):
-            service = RetrievalService(engine, m=4, query_budget=9)
-        assert service.m == 4
-        assert service.query_budget == 9
-        assert service.config == ServiceConfig(m=4, query_budget=9)
-
-    def test_each_legacy_kwarg_triggers_the_warning(self):
+    def test_pre_config_kwargs_are_rejected(self):
         for kwargs in ({"m": 3}, {"query_budget": 5},
                        {"preprocessor": None}, {"quantize_queries": True}):
-            with pytest.warns(DeprecationWarning):
+            with pytest.raises(TypeError):
                 RetrievalService(object(), **kwargs)
 
     def test_config_path_does_not_warn(self):
@@ -63,10 +54,6 @@ class TestLegacyServiceConstructor:
             service = RetrievalService(object(),
                                        config=ServiceConfig(m=6))
         assert service.m == 6
-
-    def test_mixing_config_and_legacy_kwargs_raises(self):
-        with pytest.raises(TypeError, match="not both"):
-            RetrievalService(object(), m=4, config=ServiceConfig())
 
     def test_build_rejects_unknown_override(self):
         with pytest.raises(TypeError, match="unknown ServiceConfig"):

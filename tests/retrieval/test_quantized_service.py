@@ -7,7 +7,8 @@ from repro.video import Video
 
 
 def test_quantized_service_returns_lists(tiny_victim, tiny_dataset):
-    service = RetrievalService(tiny_victim.engine, m=5, quantize_queries=True)
+    service = RetrievalService.build(
+        tiny_victim.engine, m=5, quantize_queries=True)
     result = service.query(tiny_dataset.test[0])
     assert len(result) == 5
 
@@ -21,8 +22,8 @@ def test_quantization_preserves_video_metadata(tiny_victim, tiny_dataset):
         seen.append(dict(video.metadata))
         return video
 
-    service = RetrievalService(tiny_victim.engine, m=5, quantize_queries=True,
-                               preprocessor=spy)
+    service = RetrievalService.build(
+        tiny_victim.engine, m=5, quantize_queries=True, preprocessor=spy)
     video = tiny_dataset.test[0].copy()
     video.metadata["tenant"] = "benign-0"
     service.query(video)
@@ -31,7 +32,8 @@ def test_quantization_preserves_video_metadata(tiny_victim, tiny_dataset):
 
 def test_sub_quantum_perturbations_are_erased(tiny_victim, tiny_dataset):
     """Perturbations below half an 8-bit step cannot affect the service."""
-    service = RetrievalService(tiny_victim.engine, m=6, quantize_queries=True)
+    service = RetrievalService.build(
+        tiny_victim.engine, m=6, quantize_queries=True)
     video = tiny_dataset.test[0]
     # Snap the base video onto the 8-bit lattice first so that a tiny
     # extra perturbation is guaranteed to round back to the same lattice.
@@ -45,7 +47,8 @@ def test_sub_quantum_perturbations_are_erased(tiny_victim, tiny_dataset):
 def test_tau_scale_perturbations_survive_quantization(tiny_victim,
                                                       tiny_dataset, rng):
     """τ=30/255 perturbations are far above the quantum and persist."""
-    service = RetrievalService(tiny_victim.engine, m=6, quantize_queries=True)
+    service = RetrievalService.build(
+        tiny_victim.engine, m=6, quantize_queries=True)
     video = tiny_dataset.test[0]
     phi = rng.choice([-30.0 / 255.0, 30.0 / 255.0], size=video.pixels.shape)
     perturbed = video.perturbed(phi)

@@ -21,9 +21,9 @@ def _blur_like(video):
 class TestBudgetWithDefense:
     def test_budget_fires_exactly_at_limit(self, tiny_victim, tiny_dataset):
         budget = 3
-        service = RetrievalService(tiny_victim.engine, m=4,
-                                   query_budget=budget,
-                                   preprocessor=_blur_like)
+        service = RetrievalService.build(tiny_victim.engine, m=4,
+                                         query_budget=budget,
+                                         preprocessor=_blur_like)
         for _ in range(budget):
             service.query(tiny_dataset.test[0])
         assert service.query_count == budget
@@ -38,8 +38,8 @@ class TestBudgetWithDefense:
         preprocessed_before = counter("retrieval.defense.preprocessed").value
         exceeded_before = counter("retrieval.budget_exceeded").value
 
-        service = RetrievalService(tiny_victim.engine, m=4, query_budget=2,
-                                   preprocessor=_blur_like)
+        service = RetrievalService.build(
+            tiny_victim.engine, m=4, query_budget=2, preprocessor=_blur_like)
         service.query(tiny_dataset.test[0])
         service.query(tiny_dataset.test[1])
         with pytest.raises(QueryBudgetExceeded):
@@ -52,7 +52,8 @@ class TestBudgetWithDefense:
             - exceeded_before == 1
 
     def test_budget_remaining_gauge_tracks(self, tiny_victim, tiny_dataset):
-        service = RetrievalService(tiny_victim.engine, m=4, query_budget=5)
+        service = RetrievalService.build(
+            tiny_victim.engine, m=4, query_budget=5)
         service.query(tiny_dataset.test[0])
         assert gauge("retrieval.budget_remaining").value == 4
         service.query(tiny_dataset.test[0])
@@ -66,8 +67,8 @@ class TestBudgetWithDefense:
             calls.append(video.video_id)
             return video
 
-        service = RetrievalService(tiny_victim.engine, m=4, query_budget=1,
-                                   preprocessor=preprocessor)
+        service = RetrievalService.build(
+            tiny_victim.engine, m=4, query_budget=1, preprocessor=preprocessor)
         service.query(tiny_dataset.test[0])
         with pytest.raises(QueryBudgetExceeded):
             service.query(tiny_dataset.test[1])
@@ -76,9 +77,9 @@ class TestBudgetWithDefense:
 
     def test_defense_changes_results_not_accounting(self, tiny_victim,
                                                     tiny_dataset):
-        plain = RetrievalService(tiny_victim.engine, m=4)
-        defended = RetrievalService(tiny_victim.engine, m=4,
-                                    preprocessor=_blur_like)
+        plain = RetrievalService.build(tiny_victim.engine, m=4)
+        defended = RetrievalService.build(tiny_victim.engine, m=4,
+                                          preprocessor=_blur_like)
         video = tiny_dataset.test[0]
         plain.query(video)
         defended.query(video)
