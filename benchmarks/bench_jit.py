@@ -8,7 +8,9 @@ Two measurements:
    construction and Python op dispatch; fusion additionally collapses
    elementwise chains into shared buffers.
 2. **end-to-end SparseQuery** — the black-box attack loop against a live
-   victim service with fuse off vs on.  The victim embedding forward
+   victim service on the eager reference forward (under
+   :func:`repro.qa.eager_forwards`) vs the production trace replay.
+   The victim embedding forward
    dominates the query path, so this is the headline number the ROADMAP
    gate reads (≥1.5× over the current fast path in the full run).
 
@@ -28,6 +30,7 @@ overwrites the baseline.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -40,6 +43,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.models import create_feature_extractor  # noqa: E402
 from repro.nn import Tensor, jit, no_grad  # noqa: E402
+from repro.qa import eager_forwards  # noqa: E402
 from repro.qa.pairs import _qa_priors, duo_query_attack  # noqa: E402
 from repro.qa.world import build_world  # noqa: E402
 
@@ -113,22 +117,25 @@ def bench_models(trials: int) -> list[dict]:
 
 
 def sparse_query_seconds(fuse: bool, iterations: int, repeats: int) -> float:
-    """Best-of-``repeats`` wall time of a seeded DUO query-stage attack."""
+    """Best-of-``repeats`` wall time of a seeded DUO query-stage attack.
+
+    ``fuse=False`` runs every victim forward on the eager reference.
+    """
     best = float("inf")
     for repeat in range(repeats):
         world = build_world(73, cache_size=0)
-        world.engine.configure_fuse(fuse)
         priors = _qa_priors(world.original.pixels.shape, repeat + 9)
         attack = duo_query_attack(priors, iterations, world.service, repeat,
                                   batched=True)
-        # Issue the attack's two reference queries untimed first: fused
-        # replay traces each new batch shape on first use, and the timed
-        # region covers the search loop, not that one-off trace.
-        world.service.query(world.original)
-        world.service.query(world.target)
-        start = time.perf_counter()
-        attack.run(world.original, world.target)
-        best = min(best, time.perf_counter() - start)
+        with contextlib.nullcontext() if fuse else eager_forwards():
+            # Issue the attack's two reference queries untimed first:
+            # replay traces each new batch shape on first use, and the
+            # timed region covers the search loop, not that one-off trace.
+            world.service.query(world.original)
+            world.service.query(world.target)
+            start = time.perf_counter()
+            attack.run(world.original, world.target)
+            best = min(best, time.perf_counter() - start)
     return best
 
 

@@ -6,7 +6,9 @@
 #   3. the perf hot-path smoke bench (gates against BENCH_perf.json),
 #   4. the resilience overhead smoke bench (gates the <5% fault-free
 #      wrapper overhead contract),
-#   5. the qa golden-trace regression gate,
+#   5. the qa golden-trace regression gate (on the production trace-replay
+#      forward; tier-1's golden test also pins every golden on the eager
+#      reference forward),
 #   6. the serving smoke bench (gates the 1.5x batched-throughput floor
 #      and timeline determinism), the slow/churn-marked gallery stress
 #      tests, and the worker-pool + churn smoke bench (gates the 1.5x
@@ -14,9 +16,8 @@
 #      equality),
 #   7. the ANN smoke bench (gates recall@10 >= 0.9 and the memmap
 #      residency ceiling),
-#   8. the trace-and-fuse smoke bench (gates the 1.3x replay floor) and
-#      a second golden-trace pass with REPRO_NN_FUSE=1 (replay must be
-#      byte-identical to the eager goldens),
+#   8. the trace-and-fuse smoke bench (gates the 1.3x replay floor and
+#      replay's bit-identity to eager),
 #   9. the attack strategy grid smoke bench (every registry composition
 #      under budget against the stateful detector + admission control).
 # Smoke benches only print: none of them rewrites a committed BENCH_*.json.
@@ -54,9 +55,6 @@ python benchmarks/bench_ann.py --smoke
 
 echo "== jit trace-and-fuse smoke bench =="
 python benchmarks/bench_jit.py --smoke
-
-echo "== qa golden-trace gate (REPRO_NN_FUSE=1) =="
-REPRO_NN_FUSE=1 python -m repro.qa.regen --check
 
 echo "== attack strategy grid smoke bench =="
 python benchmarks/bench_attack_grid.py --smoke

@@ -5,12 +5,16 @@ same victims across many tables.  Fixtures are cached under
 ``$REPRO_CACHE`` (default ``./.repro_cache``): model weights as ``.npz``
 state dicts and gallery features as arrays, keyed by a configuration
 hash.  Datasets are regenerated deterministically from their seed, so
-only learned state is stored.
+only learned state is stored.  Archives are written atomically, and an
+unreadable one is logged with its path and rebuilt like a cache miss.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +44,36 @@ def cache_dir() -> Path:
     path = Path(env_str("REPRO_CACHE", ".repro_cache"))
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _load_arrays(path: Path) -> dict[str, np.ndarray] | None:
+    """The arrays cached at ``path``, or ``None`` on a cache miss.
+
+    A missing file is a miss; so is an unreadable one (say, truncated by
+    an interrupted run), which is logged with its path.
+    """
+    if not path.exists():
+        return None
+    try:
+        # np.load leaks its own file handle when the archive is corrupt.
+        with open(path, "rb") as handle, np.load(handle) as archive:
+            return {name: archive[name] for name in archive.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        logger.warning("ignoring unreadable fixture cache %s: %s", path, exc)
+        return None
+
+
+def _save_arrays(path: Path, **arrays: np.ndarray) -> None:
+    """Write ``arrays`` to ``path`` as ``.npz`` via a temp file + rename."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name,
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            np.savez(handle, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def dataset_for(name: str, scale: ExperimentScale) -> SyntheticVideoDataset:
@@ -86,14 +120,13 @@ def victim_for(dataset: SyntheticVideoDataset, backbone: str, loss: str,
     meta_path = cache_dir() / f"victim-{key}.json"
     seeds = SeedSequence(scale.seed)
 
-    if weights_path.exists():
+    state = _load_arrays(weights_path)
+    if state is not None:
         logger.info("loading cached victim %s/%s/%s", dataset.name, backbone, loss)
         extractor = create_feature_extractor(
             backbone, feature_dim=scale.feature_dim, width=scale.model_width,
             rng=seeds.rng("victim", dataset.name, backbone),
         )
-        with np.load(weights_path) as archive:
-            state = {name: archive[name] for name in archive.files}
         gallery_features = state.pop("__gallery_features__")
         extractor.load_state_dict(state)
         extractor.eval()
@@ -113,7 +146,7 @@ def victim_for(dataset: SyntheticVideoDataset, backbone: str, loss: str,
     victim = _build_victim(dataset, backbone, loss, scale)
     state = victim.engine.extractor.state_dict()
     features = victim.engine.extractor.embed_videos(dataset.train)
-    np.savez(weights_path, __gallery_features__=features, **state)
+    _save_arrays(weights_path, __gallery_features__=features, **state)
     meta_path.write_text(json.dumps({"losses": victim.history.losses}))
     return victim
 
@@ -134,12 +167,10 @@ def surrogate_for(dataset: SyntheticVideoDataset, victim: VictimSystem,
         backbone, feature_dim=feature_dim, width=scale.model_width,
         rng=seeds.rng("surrogate", dataset.name, backbone),
     )
-    if weights_path.exists():
+    state = _load_arrays(weights_path)
+    if state is not None:
         logger.info("loading cached surrogate %s/%s", dataset.name, backbone)
-        with np.load(weights_path) as archive:
-            surrogate.load_state_dict(
-                {name: archive[name] for name in archive.files}
-            )
+        surrogate.load_state_dict(state)
         surrogate.eval()
         surrogate.requires_grad_(False)
         return surrogate
@@ -155,5 +186,5 @@ def surrogate_for(dataset: SyntheticVideoDataset, victim: VictimSystem,
     )
     trainer.train(surrogate, stolen)
     surrogate.requires_grad_(False)
-    np.savez(weights_path, **surrogate.state_dict())
+    _save_arrays(weights_path, **surrogate.state_dict())
     return surrogate

@@ -41,14 +41,14 @@ class FeatureExtractor(Module):
     # -------------------------------------------------------------- #
     def embed_videos(self, videos: Video | list[Video],
                      batch_size: int = 16,
-                     fuse: bool | None = None) -> np.ndarray:
+                     fuse: bool = True) -> np.ndarray:
         """Embed videos without building a graph; returns ``(B, D)`` array.
 
-        ``fuse=True`` routes each forward through the trace-and-fuse
-        replay engine (:mod:`repro.nn.jit`): the first call per batch
-        shape records a replay schedule, later calls skip graph
-        construction entirely.  Replays are bit-identical to eager;
-        ``None`` follows the global ``REPRO_NN_FUSE`` switch.
+        Each forward replays through the trace-and-fuse engine
+        (:mod:`repro.nn.jit`): the first call per batch shape records a
+        replay schedule, later calls skip graph construction entirely.
+        Replays are bit-identical to eager; ``fuse=False`` runs the
+        eager reference forward instead.
         """
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
@@ -61,8 +61,7 @@ class FeatureExtractor(Module):
         was_training = self.training
         if was_training:
             self.eval()
-        run = self._fused_forward() if self._resolve_fuse(fuse) \
-            else self.forward
+        run = self._fused_forward() if fuse else self.forward
         chunks = []
         try:
             with no_grad():
@@ -73,14 +72,6 @@ class FeatureExtractor(Module):
             if was_training:
                 self.train()
         return np.concatenate(chunks, axis=0)
-
-    @staticmethod
-    def _resolve_fuse(fuse: bool | None) -> bool:
-        if fuse is not None:
-            return bool(fuse)
-        from repro.nn import jit
-
-        return jit.enabled()
 
     def _fused_forward(self):
         """The lazily-built :class:`~repro.nn.jit.CompiledModule` wrapper."""

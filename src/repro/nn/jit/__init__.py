@@ -16,10 +16,18 @@ signature, then replay.
   buffers.
 * :mod:`~repro.nn.jit.fuse` collapses elementwise chains into single
   schedule slots and aliases their intermediates into one arena buffer.
-* Guards fall back to eager on installed profiling/NaN hooks, rebound
-  parameters or batchnorm buffers, and untraceable constructs (training
-  batchnorm/dropout, data-dependent selects), so instrumentation and
-  stateful defenses always observe real executions.
+* Guards fall back to eager on an installed op-level profiling/NaN
+  hook, and retrace on rebound parameters or batchnorm buffers;
+  untraceable constructs (training batchnorm/dropout, data-dependent
+  selects) stay eager, so instrumentation and stateful defenses always
+  observe real executions.  A module call hook is fed per-module time
+  from the replay itself.
+* Programs are cached per ``(thread, signature)``, so worker threads
+  replay one module concurrently, each in its own arena.
+
+Every inference forward of a
+:class:`~repro.models.feature_extractor.FeatureExtractor` replays;
+``embed_videos(..., fuse=False)`` is the eager reference path.
 
 See DESIGN.md §14 for lifecycle, fusion rules, and fallback semantics.
 """
@@ -28,8 +36,6 @@ from repro.nn.jit.compiled import (
     CompiledModule,
     clear_trace_caches,
     compile,
-    enabled,
-    set_fuse,
     trace_cache_info,
 )
 from repro.nn.jit.program import TraceProgram
@@ -41,7 +47,5 @@ __all__ = [
     "Tracer",
     "clear_trace_caches",
     "compile",
-    "enabled",
-    "set_fuse",
     "trace_cache_info",
 ]

@@ -9,7 +9,9 @@ Three pillars (DESIGN.md §11):
   on seeded generated inputs with shrink-on-failure.
 * :mod:`repro.qa.golden` + :mod:`repro.qa.regen` — compact JSON golden
   traces for the attack loops and one end-to-end experiment, with a
-  deterministic regeneration CLI (``python -m repro.qa.regen``).
+  deterministic regeneration CLI (``python -m repro.qa.regen``).  Tests
+  pin each golden on the production trace-replay forward and, under
+  :func:`~repro.qa.reference.eager_forwards`, on the eager reference.
 * :mod:`repro.qa.invariants` — NaN/Inf autograd guards, query-budget
   conservation, metric range checks, and embed-cache coherence, usable
   as pytest helpers or opt-in runtime guards (``REPRO_QA_NANGUARD=1``).
@@ -44,6 +46,7 @@ from repro.qa.oracle import (
     get_pair,
     register,
 )
+from repro.qa.reference import eager_forwards
 
 __all__ = [
     "BarrierHarness",
@@ -62,6 +65,7 @@ __all__ = [
     "check_metric_ranges",
     "check_pair",
     "check_snapshot_consistency",
+    "eager_forwards",
     "finite_guard",
     "get_pair",
     "install_runtime_guards",

@@ -640,7 +640,6 @@ register(OraclePair(
     cases=3,
     description="trace-and-fuse replay is bit-identical to eager "
                 "(outputs and gradients, replay pass included)",
-    guards=("REPRO_NN_FUSE",),
 ))
 
 

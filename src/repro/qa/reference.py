@@ -13,9 +13,15 @@ bench).
   GEMM kernels of :mod:`repro.perf.gemm_conv`); outputs and gradients
   agree within ``allclose``.  They record no trace-replay rule, so a
   trace that meets one falls back to eager.
+* :func:`eager_forwards` — runs every
+  :meth:`~repro.models.feature_extractor.FeatureExtractor.embed_videos`
+  inside the block on the eager forward (``fuse=False``) instead of the
+  production trace replay, so one scenario can be pinned on both paths.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -98,4 +104,25 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return _conv_einsum(x, weight, bias, stride, padding, "conv3d")
 
 
-__all__ = ["conv2d", "conv3d"]
+@contextlib.contextmanager
+def eager_forwards():
+    """Force the eager reference forward for every embed in the block.
+
+    Patches the class method for the whole process, so it is meant for
+    single-threaded tests and oracle runs; nesting is safe.
+    """
+    from repro.models.feature_extractor import FeatureExtractor
+
+    replayed = FeatureExtractor.embed_videos
+
+    def eager(self, videos, batch_size=16, fuse=True):
+        return replayed(self, videos, batch_size=batch_size, fuse=False)
+
+    FeatureExtractor.embed_videos = eager
+    try:
+        yield
+    finally:
+        FeatureExtractor.embed_videos = replayed
+
+
+__all__ = ["conv2d", "conv3d", "eager_forwards"]

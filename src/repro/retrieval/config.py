@@ -40,12 +40,6 @@ class ServiceConfig:
         ``"hamming"`` | ``"ivfpq"``, see :mod:`repro.hashindex.tiers`).
         ``None`` keeps the engine's current tier (which itself defaults
         from ``REPRO_INDEX_TIER``).
-    fuse:
-        Run query embeddings through the trace-and-fuse replay engine
-        (:mod:`repro.nn.jit`).  ``True``/``False`` force it on/off for
-        this service; ``None`` (default) follows the global
-        ``REPRO_NN_FUSE`` switch.  Replays are bit-identical to eager, so
-        this is a pure latency knob.
     """
 
     m: int = 10
@@ -53,7 +47,6 @@ class ServiceConfig:
     preprocessor: Preprocessor | None = None
     quantize_queries: bool = False
     index_tier: str | None = None
-    fuse: bool | None = None
 
     def __post_init__(self) -> None:
         if self.m < 1:

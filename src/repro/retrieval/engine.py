@@ -44,8 +44,6 @@ class RetrievalEngine:
                                       index_tier=index_tier,
                                       placement=placement)
         self.embedding_cache = EmbeddingCache(cache_size)
-        #: None = follow the global REPRO_NN_FUSE switch.
-        self._fuse: bool | None = None
 
     def configure_resilience(self, resilience: ResilienceConfig | None) -> None:
         """Install (or clear) a resilience config on the gallery.
@@ -61,38 +59,6 @@ class RetrievalEngine:
         :mod:`repro.hashindex.tiers`); stored rows are re-ingested."""
         self.gallery.set_index_tier(tier)
 
-    def configure_fuse(self, fuse: bool | None) -> None:
-        """Force trace-and-fuse query embedding on/off for this engine.
-
-        ``None`` reverts to the global ``REPRO_NN_FUSE`` switch
-        (:func:`repro.nn.jit.enabled`).  Replay is bit-identical to
-        eager, so flipping this never changes retrieval results.
-        """
-        self._fuse = None if fuse is None else bool(fuse)
-
-    def _fuse_effective(self, override: bool | None = None) -> bool:
-        """Resolve the fuse switch for the next embedding batch.
-
-        An installed :class:`~repro.resilience.FaultPlan` forces eager:
-        fault-injection runs audit the exact op-by-op execution, and the
-        suppression is surfaced on the ``nn.jit.fallbacks`` counter.
-        ``override`` short-circuits the engine/global switches — the
-        pooled serving executor passes ``False`` because the fuse replay
-        arenas are per-model, not per-thread.
-        """
-        from repro.nn import jit
-
-        if override is not None:
-            fuse = bool(override)
-        else:
-            fuse = jit.enabled() if self._fuse is None else self._fuse
-        if fuse and getattr(self.gallery, "fault_plan", None) is not None:
-            from repro.obs import counter
-
-            counter("nn.jit.fallbacks", reason="fault_plan").inc()
-            return False
-        return fuse
-
     @property
     def index_tier(self) -> str:
         return self.gallery.index_tier
@@ -105,15 +71,12 @@ class RetrievalEngine:
     # Embedding (cached)
     # -------------------------------------------------------------- #
     def embed_queries(self, videos: list[Video],
-                      batch_size: int = 16,
-                      fuse_override: bool | None = None) -> np.ndarray:
+                      batch_size: int = 16) -> np.ndarray:
         """Embed videos through the cache; misses share one forward batch."""
         if not videos:
             return np.zeros((0, self.extractor.feature_dim))
-        fuse = self._fuse_effective(fuse_override)
         if not self.embedding_cache.enabled:
-            return self.extractor.embed_videos(videos, batch_size=batch_size,
-                                               fuse=fuse)
+            return self.extractor.embed_videos(videos, batch_size=batch_size)
         keys = [content_key(video.pixels) for video in videos]
         features: list[np.ndarray | None] = [
             self.embedding_cache.get(key) for key in keys
@@ -121,8 +84,7 @@ class RetrievalEngine:
         miss_rows = [i for i, feature in enumerate(features) if feature is None]
         if miss_rows:
             fresh = self.extractor.embed_videos(
-                [videos[i] for i in miss_rows], batch_size=batch_size,
-                fuse=fuse)
+                [videos[i] for i in miss_rows], batch_size=batch_size)
             for row, feature in zip(miss_rows, fresh):
                 self.embedding_cache.put(keys[row], feature)
                 features[row] = feature
@@ -177,8 +139,7 @@ class RetrievalEngine:
         return RetrievalList(self.gallery.search(feature, m))
 
     def retrieve_batch(self, videos: list[Video], m: int,
-                       snapshots: list | None = None,
-                       fuse_override: bool | None = None
+                       snapshots: list | None = None
                        ) -> list[RetrievalList]:
         """``R^m`` for every video, embedded in one forward batch.
 
@@ -202,7 +163,7 @@ class RetrievalEngine:
         """
         if not videos:
             return []
-        features = self.embed_queries(videos, fuse_override=fuse_override)
+        features = self.embed_queries(videos)
         if snapshots is not None:
             return self._retrieve_batch_pinned(features, m, snapshots)
         if getattr(self.gallery, "fault_plan", None) is None:

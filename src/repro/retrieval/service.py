@@ -102,8 +102,6 @@ class RetrievalService:
             engine.configure_resilience(resilience)
         if config.index_tier is not None:
             engine.configure_index_tier(config.index_tier)
-        if config.fuse is not None:
-            engine.configure_fuse(config.fuse)
         return cls(engine, config=config)
 
     # Read-only views of the config fields callers inspect most.
@@ -268,8 +266,7 @@ class RetrievalService:
         return prepared
 
     def compute_batch(self, prepared: list[Video], m: int | None = None,
-                      snapshots: list | None = None,
-                      fuse_override: bool | None = None
+                      snapshots: list | None = None
                       ) -> list[RetrievalList]:
         """Pure compute for a batch accounted via :meth:`begin_batch`.
 
@@ -280,7 +277,7 @@ class RetrievalService:
         with span("retrieval.query_batch", batch=len(prepared)):
             return self.engine.retrieve_batch(
                 prepared, self.config.m if m is None else int(m),
-                snapshots=snapshots, fuse_override=fuse_override)
+                snapshots=snapshots)
 
     def settle_interrupted(self, total: int, served: int) -> None:
         """Sequential serve-or-refund settlement for an interrupted batch.

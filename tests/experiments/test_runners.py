@@ -4,6 +4,9 @@ These use an even smaller configuration than QUICK_SCALE and a tmp cache
 so they are hermetic; they assert structure, not attack quality.
 """
 
+import logging
+
+import numpy as np
 import pytest
 
 from repro.experiments import ExperimentScale
@@ -154,3 +157,35 @@ def test_victim_cache_roundtrip(tmp_path, monkeypatch):
     second = fixtures.victim_for(dataset, "c3d", "arcface", MICRO)
     query = dataset.test[0]
     assert first.service.query(query).ids == second.service.query(query).ids
+
+
+def test_truncated_cache_archive_is_a_logged_miss(tmp_path, monkeypatch,
+                                                  caplog):
+    from repro.experiments import fixtures
+
+    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "c3"))
+    dataset = fixtures.dataset_for("ucf101", MICRO)
+    key = MICRO.cache_key("victim", dataset.name, "c3d", "arcface")
+    path = fixtures.cache_dir() / f"victim-{key}.npz"
+    # A run interrupted mid-write leaves a truncated archive behind.
+    np.savez(path, weights=np.arange(4096.0))
+    path.write_bytes(path.read_bytes()[:512])
+
+    repro_logger = logging.getLogger("repro")
+    repro_logger.addHandler(caplog.handler)
+    try:
+        victim = fixtures.victim_for(dataset, "c3d", "arcface", MICRO)
+    finally:
+        repro_logger.removeHandler(caplog.handler)
+
+    warnings = [record for record in caplog.records
+                if record.levelno == logging.WARNING]
+    assert any(str(path) in record.getMessage() for record in warnings)
+    # Rebuilt like a miss, and rewritten as a loadable archive.
+    with np.load(path) as archive:
+        assert "__gallery_features__" in archive.files
+    assert list(path.parent.glob("*.tmp")) == []
+    reloaded = fixtures.victim_for(dataset, "c3d", "arcface", MICRO)
+    query = dataset.test[0]
+    assert victim.service.query(query).ids == \
+        reloaded.service.query(query).ids

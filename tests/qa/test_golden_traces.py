@@ -2,11 +2,12 @@
 regen CLI enforces its contract (check mode, dirty-tree refusal,
 golden-dir override)."""
 
+import contextlib
 import json
 
 import pytest
 
-from repro.qa import regen
+from repro.qa import eager_forwards, regen
 from repro.qa.golden import (
     SCENARIOS,
     check_scenario,
@@ -18,9 +19,16 @@ from repro.qa.golden import (
 )
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_scenario_matches_stored_golden(name):
-    assert check_scenario(name) == []
+@pytest.mark.parametrize(
+    "name,eager",
+    [(name, False) for name in sorted(SCENARIOS)]
+    + [(name, True) for name in sorted(SCENARIOS)],
+    ids=sorted(SCENARIOS) + [f"{name}-eager" for name in sorted(SCENARIOS)])
+def test_scenario_matches_stored_golden(name, eager):
+    """Production trace replay (plain ids) and the eager reference
+    forward (``-eager`` ids) both reproduce every stored golden."""
+    with eager_forwards() if eager else contextlib.nullcontext():
+        assert check_scenario(name) == []
 
 
 # ---------------------------------------------------------------------- #

@@ -13,6 +13,7 @@ import pytest
 
 from repro.defenses.stateful import StatefulQueryDetector
 from repro.obs import counter
+from repro.qa import eager_forwards
 from repro.qa.comparators import assert_retrieval_lists_equal
 from repro.qa.pairs import _qa_priors, duo_query_attack
 from repro.qa.world import build_world
@@ -123,12 +124,12 @@ def test_jit_replay_preserves_query_instrumentation():
 
     plain = build_world(61)
     before = queries_counter.value
-    plain_adv, plain_trace, plain_report = _run_sparse_query(plain,
-                                                          batched=False)
+    with eager_forwards():
+        plain_adv, plain_trace, plain_report = _run_sparse_query(
+            plain, batched=False)
     plain_delta = queries_counter.value - before
 
     fused = build_world(61)
-    fused.engine.configure_fuse(True)
     detector = StatefulQueryDetector()
     observed = _spy_on(fused.service, detector)
     before = queries_counter.value
@@ -150,9 +151,10 @@ def test_jit_replay_preserves_query_instrumentation():
 def test_jit_fuse_toggle_is_invisible_to_query_results():
     eager = build_world(67)
     fused = build_world(67)
-    fused.engine.configure_fuse(True)
     for video in eager.gallery_videos[:3]:
-        assert_retrieval_lists_equal([eager.service.query(video)],
+        with eager_forwards():
+            expected = eager.service.query(video)
+        assert_retrieval_lists_equal([expected],
                                      [fused.service.query(video)])
     assert eager.service.query_count == fused.service.query_count
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs import counter
+from repro.qa import eager_forwards
 from repro.qa.invariants import check_budget_conservation
 from repro.qa.world import build_world, tiny_videos
 from repro.resilience import FaultPlan
@@ -90,6 +91,27 @@ class TestPooledEquivalence:
                 assert [e.video_id for e in mine.result.entries] == \
                     [e.video_id for e in theirs.result.entries]
         check_budget_conservation(pooled_service)
+
+    def test_pooled_replay_matches_the_eager_reference(self):
+        # Worker threads replay their own traces; the results (scores
+        # included) equal the same pooled run on the eager forward.
+        replays = counter("nn.jit.replays")
+        world = build_world(64, num_videos=8)
+        before = replays.value
+        pooled = ServingFrontend(world.service, config_with(3)).run(
+            make_timeline(world))
+        assert pooled.workers == 3 and replays.value > before
+        reference_world = build_world(64, num_videos=8)
+        with eager_forwards():
+            reference = ServingFrontend(reference_world.service,
+                                        config_with(3)).run(
+                make_timeline(reference_world))
+        assert [r.status for r in reference.responses] == \
+            [r.status for r in pooled.responses]
+        for mine, theirs in zip(reference.responses, pooled.responses):
+            if mine.ok:
+                assert [(e.video_id, e.score) for e in mine.result.entries] \
+                    == [(e.video_id, e.score) for e in theirs.result.entries]
 
     def test_more_workers_never_lengthen_the_virtual_makespan(self):
         makespans = []

@@ -108,11 +108,6 @@ def _plan_cache_cap():
     return plan_cache_cap()
 
 
-def _nn_fuse():
-    from repro.nn import jit
-    return jit.enabled()
-
-
 def _index_tier():
     from repro.hashindex.tiers import default_index_tier
     return default_index_tier()
@@ -129,7 +124,6 @@ FLAGS = [
     ("REPRO_SERVING_WORKERS", _serving_workers, 1, "3", 3, "0"),
     ("REPRO_GALLERY_CHURN", _gallery_churn, False, "YES", True, "maybe"),
     ("REPRO_PLAN_CACHE_CAP", _plan_cache_cap, 64, "16", 16, "0"),
-    ("REPRO_NN_FUSE", _nn_fuse, False, "on", True, "2"),
     ("REPRO_INDEX_TIER", _index_tier, "exact", "HAMMING", "hamming",
      "fancy"),
     ("REPRO_TRACE", _trace, True, "0", False, "2"),
