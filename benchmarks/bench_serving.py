@@ -49,6 +49,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.qa.reference import replay_sequential  # noqa: E402
 from repro.qa.world import build_world, tiny_videos  # noqa: E402
 from repro.serving import (  # noqa: E402
     ServingConfig,
@@ -57,7 +58,6 @@ from repro.serving import (  # noqa: E402
     TenantSpec,
     generate_churn,
     generate_timeline,
-    replay_sequential_mutating,
 )
 
 #: The virtual service-cost model shared by every measurement.
@@ -227,8 +227,7 @@ def bench_churn(per_tenant: int, seed: int = 29) -> dict:
         if pooled:
             report = ServingFrontend(world.service, config).run(timeline)
         else:
-            report = replay_sequential_mutating(timeline, world.service,
-                                                config)
+            report = replay_sequential(timeline, world.service, config)
         ledger = (world.service.query_count, world.service.queries_issued,
                   world.service.queries_refunded)
         return report, ledger

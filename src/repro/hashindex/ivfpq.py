@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.hashindex.base import CompressedIndex
 from repro.hashindex.store import MemmapStore
-from repro.retrieval.ann import _kmeans, assign_clusters, squared_distances
+from repro.hashindex.kmeans import _kmeans, assign_clusters, squared_distances
 from repro.retrieval.similarity import SimilarityFn, negative_l2
 from repro.utils.seeding import seeded_rng
 

@@ -8,16 +8,13 @@ tiers with one knob:
 * programmatically, via ``ServiceConfig(index_tier=...)`` /
   ``RetrievalEngine(..., index_tier=...)``;
 * globally, via the ``REPRO_INDEX_TIER`` environment variable
-  (``exact`` | ``ivf`` | ``hamming`` | ``ivfpq``).
+  (``exact`` | ``hamming`` | ``ivfpq``).
 
 Tiers:
 
 ``exact``
     Brute-force :class:`~repro.retrieval.index.FeatureIndex` (seed
     behaviour, the differential reference).
-``ivf``
-    :class:`~repro.retrieval.ann.IVFIndex` — coarse cells over float
-    features.
 ``hamming``
     :class:`~repro.hashindex.binary.BinaryHashIndex` — packed binary
     codes, popcount top-k, exact rerank.
@@ -32,7 +29,6 @@ from typing import Callable
 
 from repro.hashindex.binary import BinaryHashIndex
 from repro.hashindex.ivfpq import IVFPQIndex
-from repro.retrieval.ann import IVFIndex
 from repro.retrieval.index import FeatureIndex
 from repro.retrieval.similarity import SimilarityFn
 from repro.utils.envflags import env_choice
@@ -48,10 +44,6 @@ def _exact(similarity: SimilarityFn) -> FeatureIndex:
     return FeatureIndex(similarity)
 
 
-def _ivf(similarity: SimilarityFn) -> IVFIndex:
-    return IVFIndex(similarity=similarity, rng=0)
-
-
 def _hamming(similarity: SimilarityFn) -> BinaryHashIndex:
     return BinaryHashIndex(similarity=similarity, rng=0)
 
@@ -64,7 +56,6 @@ def _ivfpq(similarity: SimilarityFn) -> IVFPQIndex:
 #: so two nodes built for the same tier behave identically run to run.
 INDEX_TIERS: dict[str, Callable[[SimilarityFn], object]] = {
     "exact": _exact,
-    "ivf": _ivf,
     "hamming": _hamming,
     "ivfpq": _ivfpq,
 }

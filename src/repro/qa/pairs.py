@@ -5,8 +5,8 @@ with every reference/fast equivalence contract the library claims:
 
 * ``conv2d`` / ``conv3d``: the :mod:`repro.qa.reference` strided-einsum
   convs vs the production im2col GEMM (forward and both gradients);
-* ``search`` vs ``search_batch`` on :class:`FeatureIndex`,
-  :class:`IVFIndex`, and :class:`ShardedGallery`;
+* ``search`` vs ``search_batch`` on :class:`FeatureIndex` and
+  :class:`ShardedGallery`;
 * cached vs uncached query embeddings (``REPRO_EMBED_CACHE``);
 * replicated (r = 2, 3) vs single-shard retrieval;
 * sequential vs speculative/batched DUO query-stage steps;
@@ -51,7 +51,6 @@ from repro.qa import reference
 from repro.qa.oracle import OraclePair, register
 from repro.qa.world import build_world, tiny_extractor
 from repro.resilience.config import ResilienceConfig
-from repro.retrieval.ann import IVFIndex
 from repro.retrieval.index import FeatureIndex
 from repro.retrieval.nodes import ShardedGallery
 from repro.serving import (
@@ -60,7 +59,6 @@ from repro.serving import (
     TenantPolicy,
     TenantSpec,
     generate_timeline,
-    replay_sequential,
 )
 
 # ---------------------------------------------------------------------- #
@@ -155,7 +153,7 @@ register(OraclePair(
 
 
 # ---------------------------------------------------------------------- #
-# search vs search_batch (FeatureIndex / IVFIndex / ShardedGallery)
+# search vs search_batch (FeatureIndex / ShardedGallery)
 # ---------------------------------------------------------------------- #
 def _index_strategy(rng: np.random.Generator) -> dict:
     return {
@@ -209,25 +207,6 @@ register(OraclePair(
     compare=assert_retrieval_lists_equal,
     cases=8,
     description="FeatureIndex.search_batch vs per-query search (bit-exact)",
-))
-
-
-def _ivf_index(seed, rows, dim):
-    rng = np.random.default_rng(seed)
-    index = IVFIndex(num_cells=4, nprobe=2, rng=np.random.default_rng(seed + 2))
-    index.add_batch(*draw_gallery(rng, rows, dim))
-    index.build()
-    return index
-
-
-register(OraclePair(
-    name="ivf_index.search_vs_batch",
-    reference=_search_sequential(_ivf_index),
-    fast=_search_batched(_ivf_index),
-    strategy=Strategy("ivf_index", _index_strategy, _INDEX_SHRINKERS),
-    compare=assert_retrieval_lists_equal,
-    cases=6,
-    description="IVFIndex.search_batch vs per-query search (same cells)",
 ))
 
 
@@ -520,7 +499,7 @@ def _serving_run(batched: bool, seed: int, tenants: int, per_tenant: int,
     if batched:
         report = ServingFrontend(world.service, config).run(timeline)
     else:
-        report = replay_sequential(timeline, world.service, config)
+        report = reference.replay_sequential(timeline, world.service, config)
     return {
         "statuses": [response.status for response in report.responses],
         "lists": [response.result for response in report.responses
@@ -891,15 +870,13 @@ def _mutating_run(pooled: bool, seed: int, tenants: int, per_tenant: int,
     makes add/delete/re-embed under traffic linearizable at arrival
     order, with bit-identical ledgers.
     """
-    from repro.serving import replay_sequential_mutating
-
     world, timeline = _mutating_timeline(seed, tenants, per_tenant,
                                          adds, deletes, reembeds)
     config = _pooled_config(batch, 3)
     if pooled:
         report = ServingFrontend(world.service, config).run(timeline)
     else:
-        report = replay_sequential_mutating(timeline, world.service, config)
+        report = reference.replay_sequential(timeline, world.service, config)
     return {
         "statuses": [response.status for response in report.responses],
         "lists": [response.result for response in report.responses

@@ -17,6 +17,10 @@ bench).
   :meth:`~repro.models.feature_extractor.FeatureExtractor.embed_videos`
   inside the block on the eager forward (``fuse=False``) instead of the
   production trace replay, so one scenario can be pinned on both paths.
+* :func:`replay_sequential` — a serving timeline (requests, optionally
+  interleaved with gallery events) replayed one query at a time against
+  the bare service: the reference for
+  :class:`~repro.serving.frontend.ServingFrontend`.
 """
 
 from __future__ import annotations
@@ -26,7 +30,14 @@ import contextlib
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.errors import QueryBudgetExceeded, RetrievalUnavailable
+from repro.hashindex.compaction import CompactionPolicy
 from repro.nn.tensor import Tensor, make_op
+from repro.obs import counter
+from repro.serving.admission import AdmissionController
+from repro.serving.config import ServingConfig
+from repro.serving.events import apply_gallery_event, canonical_order
+from repro.serving.frontend import Response, ServingReport
 
 #: Subscript letters for output positions and kernel offsets, by rank.
 _POS = "thw"
@@ -125,4 +136,74 @@ def eager_forwards():
         FeatureExtractor.embed_videos = replayed
 
 
-__all__ = ["conv2d", "conv3d", "eager_forwards"]
+def replay_sequential(items: list, service,
+                      config: ServingConfig | None = None) -> ServingReport:
+    """Replay a timeline one query at a time against a bare service.
+
+    The oracle reference for
+    :class:`~repro.serving.frontend.ServingFrontend`: the same admission
+    rules (token buckets and tenant budgets depend only on arrival
+    times, so their decisions are batching-invariant), but every
+    admitted request goes straight through ``service.query`` in the
+    canonical arrival order with no queueing or coalescing.  Gallery
+    events in ``items`` apply at their place in that order, so each
+    query sees the gallery current at its arrival.  Churn is enabled
+    exactly when the front end enables it (any event, or
+    ``config.churn``).  Under a no-shed load the front end must match
+    it exactly — retrieval lists, per-tenant served counts, applied
+    events, and the service's query ledger.
+    """
+    config = config if config is not None else ServingConfig()
+    arrivals = canonical_order(items)
+    if config.churn or any(index is None for index, _ in arrivals):
+        service.engine.enable_churn()
+    policy = CompactionPolicy(config.compact_dead_fraction,
+                              config.compact_min_dead)
+    admission = AdmissionController(config)
+    responses: dict[int, Response] = {}
+    applied = 0
+    last_s = 0.0
+    for index, item in arrivals:
+        now = item.arrival_s
+        last_s = max(last_s, now)
+        if index is None:
+            apply_gallery_event(service.engine, item, policy)
+            applied += 1
+            continue
+        counter("serving.requests", tenant=item.tenant).inc()
+        rejection = admission.admit(item.tenant, now)
+        if rejection is not None:
+            responses[index] = Response(
+                item, "rejected", reason=rejection.reason,
+                retry_after_s=rejection.retry_after_s, completed_s=now)
+            continue
+        try:
+            result = service.query(item.video)
+        except QueryBudgetExceeded as exc:
+            admission.refund(item.tenant)
+            responses[index] = Response(item, "budget",
+                                        reason="global_budget", error=exc,
+                                        completed_s=now)
+            continue
+        except RetrievalUnavailable as exc:
+            admission.refund(item.tenant)
+            responses[index] = Response(item, "unavailable",
+                                        reason="retrieval_unavailable",
+                                        error=exc, completed_s=now)
+            continue
+        admission.mark_served(item.tenant)
+        responses[index] = Response(item, "ok", result=result,
+                                    completed_s=now, latency_s=0.0,
+                                    batch_size=1)
+    served = sum(1 for response in responses.values() if response.ok)
+    return ServingReport(
+        responses=[responses[index] for index in range(len(responses))],
+        served_by_tenant=admission.served_by_tenant(),
+        makespan_s=last_s,
+        batches=served,
+        dispatched=served,
+        gallery_events=applied,
+    )
+
+
+__all__ = ["conv2d", "conv3d", "eager_forwards", "replay_sequential"]

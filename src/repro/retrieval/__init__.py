@@ -30,7 +30,6 @@ from repro.errors import (
 from repro.retrieval.lists import RetrievalEntry, RetrievalList
 from repro.retrieval.protocol import Index
 from repro.retrieval.index import FeatureIndex
-from repro.retrieval.ann import IVFIndex
 from repro.retrieval.config import Preprocessor, ServiceConfig
 from repro.retrieval.nodes import DataNode, ShardedGallery
 from repro.retrieval.placement import ConsistentHashRing, stable_hash
@@ -52,7 +51,6 @@ __all__ = [
     "RetrievalList",
     "Index",
     "FeatureIndex",
-    "IVFIndex",
     "DataNode",
     "ShardedGallery",
     "ConsistentHashRing",

@@ -36,8 +36,8 @@ class ServiceConfig:
         Round query pixels to 8-bit before embedding, modelling a real
         upload API (the paper's τ is specified in 8-bit units).
     index_tier:
-        Gallery index implementation (``"exact"`` | ``"ivf"`` |
-        ``"hamming"`` | ``"ivfpq"``, see :mod:`repro.hashindex.tiers`).
+        Gallery index implementation (``"exact"`` | ``"hamming"`` |
+        ``"ivfpq"``, see :mod:`repro.hashindex.tiers`).
         ``None`` keeps the engine's current tier (which itself defaults
         from ``REPRO_INDEX_TIER``).
     """

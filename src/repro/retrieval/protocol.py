@@ -1,13 +1,12 @@
 """The single ``Index`` protocol every searchable container implements.
 
-Before this module, :class:`~repro.retrieval.index.FeatureIndex`,
-:class:`~repro.retrieval.ann.IVFIndex`,
+:class:`~repro.retrieval.index.FeatureIndex`, the compressed tiers
+(:class:`~repro.hashindex.binary.BinaryHashIndex`,
+:class:`~repro.hashindex.ivfpq.IVFPQIndex`),
 :class:`~repro.retrieval.nodes.DataNode`, and
-:class:`~repro.retrieval.nodes.ShardedGallery` each grew their own
-slightly-divergent surface (``IVFIndex`` had no ``search_batch``,
-``DataNode`` had no ``add_batch``/``labels_of``).  They now share this
-one structural protocol, so any of them can back a data node, a shard,
-or a standalone gallery interchangeably — and tests can assert
+:class:`~repro.retrieval.nodes.ShardedGallery` share this one
+structural protocol, so any of them can back a data node, a shard, or
+a standalone gallery interchangeably — and tests can assert
 conformance with ``isinstance(obj, Index)``.
 """
 

@@ -290,28 +290,6 @@ class RetrievalService:
         self._refund(1)
         self._unissue(int(total) - int(served) - 1)
 
-    def query_batch_pinned(self, videos: list[Video], snapshots: list,
-                           m: int | None = None) -> list[RetrievalList]:
-        """:meth:`query_batch` with one pinned gallery snapshot per video.
-
-        Used by the serving frontend under churn: each query is
-        evaluated against the gallery version it was admitted under,
-        with the same sequential accounting semantics as
-        :meth:`query_batch`.  An instance-level :meth:`query` override
-        (stateful detector, test spy) falls back to per-video queries
-        against the *current* gallery — instrumented services are not
-        snapshot-pinned.
-        """
-        if "query" in self.__dict__:
-            return [self.query(video, m) for video in videos]
-        prepared = self.begin_batch(videos)
-        try:
-            return self.compute_batch(prepared, m, snapshots=snapshots)
-        except RetrievalUnavailable as exc:
-            self.settle_interrupted(len(prepared),
-                                    int(getattr(exc, "served_count", 0)))
-            raise
-
     # -------------------------------------------------------------- #
     # Speculative evaluation
     # -------------------------------------------------------------- #

@@ -1,12 +1,13 @@
 """repro.serving — deterministic traffic front end for retrieval.
 
 The layer between tenants and :class:`~repro.retrieval.service.RetrievalService`:
-a virtual-clock event-loop scheduler that coalesces concurrent queries
-into micro-batches, per-tenant admission control (token-bucket rate
-limits and query budgets under the service's global budget), and a
-bounded queue with priority-aware load shedding.  Batching is provably
+one virtual-clock event-loop scheduler that coalesces concurrent queries
+into micro-batches and runs them on a worker pool, per-tenant admission
+control (token-bucket rate limits and query budgets under the service's
+global budget), and a bounded queue with priority-aware load shedding.  Batching is provably
 cosmetic — the ``serving.batched_vs_sequential`` qa oracle replays every
-timeline sequentially and demands identical retrieval lists and ledgers.
+timeline sequentially (:func:`repro.qa.reference.replay_sequential`) and
+demands identical retrieval lists and ledgers.
 
 >>> from repro.serving import ServingFrontend, ServingConfig, Request
 >>> frontend = ServingFrontend(service, ServingConfig(max_batch_size=8))
@@ -36,14 +37,12 @@ from repro.serving.events import (
     ReembedVideo,
     generate_churn,
     merge_timeline,
-    replay_sequential_mutating,
 )
 from repro.serving.frontend import (
     Request,
     Response,
     ServingFrontend,
     ServingReport,
-    replay_sequential,
 )
 from repro.serving.pool import WorkerPool
 from repro.serving.queue import BoundedQueue
@@ -80,6 +79,4 @@ __all__ = [
     "generate_churn",
     "generate_timeline",
     "merge_timeline",
-    "replay_sequential",
-    "replay_sequential_mutating",
 ]

@@ -128,8 +128,8 @@ class ServingConfig:
         of eight.
     workers:
         Worker-pool size for dispatched batches.  ``1`` (the default)
-        is the single-server scheduler; ``> 1`` runs batch compute on a
-        thread pool leaning on the GIL-releasing BLAS kernels, with
+        runs batch compute inline on the event-loop thread; ``> 1`` runs
+        it on a thread pool leaning on the GIL-releasing BLAS kernels, with
         per-worker virtual clocks.  Defaults to
         ``REPRO_SERVING_WORKERS`` (else 1).  Semantics-invisible — see
         the ``serving.pooled_vs_single`` oracle.

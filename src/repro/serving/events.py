@@ -8,9 +8,10 @@ thread in arrival order and bumps the gallery version, so queries
 admitted before an event keep their pinned snapshot while later ones
 see the mutated gallery.
 
-:func:`merge_timeline` defines the *canonical* interleaving (events
-before queries at equal timestamps); both the pooled front end and the
-sequential reference replay (:func:`replay_sequential_mutating`) use
+:func:`canonical_order` defines the *canonical* interleaving (events
+before queries at equal timestamps; :func:`merge_timeline` is the same
+order without request indices); both the front end and the sequential
+reference replay (:func:`repro.qa.reference.replay_sequential`) walk
 it, so the ``serving.mutating_timeline`` oracle compares identical
 orderings.  :func:`generate_churn` builds a seeded random event stream
 against a known set of live gallery ids, tracking liveness while
@@ -23,11 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import QueryBudgetExceeded, RetrievalUnavailable
 from repro.hashindex.compaction import CompactionPolicy
 from repro.obs import counter
-from repro.serving.admission import AdmissionController
-from repro.serving.config import ServingConfig
 from repro.video.types import Video
 
 
@@ -93,21 +91,28 @@ def apply_gallery_event(engine, event: GalleryEvent,
             counter("serving.compacted_rows").inc(dropped)
 
 
-def merge_timeline(items: list) -> list:
-    """Canonical ordering of a mixed request/event timeline.
+def canonical_order(items: list) -> list[tuple[int | None, object]]:
+    """A mixed request/event timeline in canonical order.
 
-    Stable sort by arrival time with events ordered before requests at
-    equal timestamps (owner mutations win ties — the same convention a
-    primary-replica store applies to a write racing a read).
+    Each entry is ``(request index, item)``: the index is the item's
+    position among the timeline's requests, ``None`` for a gallery
+    event.  Stable by arrival time with events ordered before requests
+    at equal timestamps (owner mutations win ties — the same convention
+    a primary-replica store applies to a write racing a read).
     """
     events = [item for item in items if isinstance(item, GalleryEvent)]
     requests = [item for item in items if not isinstance(item, GalleryEvent)]
-    keyed = [(event.arrival_s, 0, order, event)
+    keyed = [(event.arrival_s, 0, order, None, event)
              for order, event in enumerate(events)]
-    keyed += [(request.arrival_s, 1, order, request)
+    keyed += [(request.arrival_s, 1, order, order, request)
               for order, request in enumerate(requests)]
     keyed.sort(key=lambda entry: entry[:3])
-    return [item for _, _, _, item in keyed]
+    return [(index, item) for _, _, _, index, item in keyed]
+
+
+def merge_timeline(items: list) -> list:
+    """The items of :func:`canonical_order`, without request indices."""
+    return [item for _, item in canonical_order(items)]
 
 
 def generate_churn(seed: int, gallery_ids: list[str], *,
@@ -156,82 +161,6 @@ def generate_churn(seed: int, gallery_ids: list[str], *,
     return events
 
 
-# ------------------------------------------------------------------ #
-# The sequential mutating reference
-# ------------------------------------------------------------------ #
-def replay_sequential_mutating(items: list, service,
-                               config: ServingConfig | None = None):
-    """Replay a mixed request/event timeline one item at a time.
-
-    The oracle reference for mutating timelines: events apply in the
-    canonical order of :func:`merge_timeline`, each query runs against
-    the gallery state current at its arrival, and accounting matches
-    :func:`~repro.serving.frontend.replay_sequential` exactly.
-    """
-    # Imported here: frontend imports this module for event handling.
-    from repro.serving.frontend import Request, Response, ServingReport
-
-    config = config if config is not None else ServingConfig()
-    policy = CompactionPolicy(config.compact_dead_fraction,
-                              config.compact_min_dead)
-    engine = service.engine
-    engine.enable_churn()
-    ordered = merge_timeline(items)
-    requests = [item for item in ordered if isinstance(item, Request)]
-    request_order = {id(request): position
-                     for position, request in enumerate(
-                         item for item in items
-                         if isinstance(item, Request))}
-    admission = AdmissionController(config)
-    responses: dict[int, Response] = {}
-    events_applied = 0
-    last_s = 0.0
-    for item in ordered:
-        last_s = max(last_s, item.arrival_s)
-        if isinstance(item, GalleryEvent):
-            apply_gallery_event(engine, item, policy)
-            events_applied += 1
-            continue
-        request = item
-        index = request_order[id(request)]
-        now = request.arrival_s
-        counter("serving.requests", tenant=request.tenant).inc()
-        rejection = admission.admit(request.tenant, now)
-        if rejection is not None:
-            responses[index] = Response(
-                request, "rejected", reason=rejection.reason,
-                retry_after_s=rejection.retry_after_s, completed_s=now)
-            continue
-        try:
-            result = service.query(request.video)
-        except QueryBudgetExceeded as exc:
-            admission.refund(request.tenant)
-            responses[index] = Response(request, "budget",
-                                        reason="global_budget", error=exc,
-                                        completed_s=now)
-            continue
-        except RetrievalUnavailable as exc:
-            admission.refund(request.tenant)
-            responses[index] = Response(request, "unavailable",
-                                        reason="retrieval_unavailable",
-                                        error=exc, completed_s=now)
-            continue
-        admission.mark_served(request.tenant)
-        responses[index] = Response(request, "ok", result=result,
-                                    completed_s=now, latency_s=0.0,
-                                    batch_size=1)
-    served = sum(1 for response in responses.values() if response.ok)
-    return ServingReport(
-        responses=[responses[index] for index in range(len(requests))],
-        served_by_tenant=admission.served_by_tenant(),
-        makespan_s=last_s,
-        batches=served,
-        dispatched=served,
-        workers=1,
-        gallery_events=events_applied,
-    )
-
-
 __all__ = ["GalleryEvent", "AddVideo", "DeleteVideo", "ReembedVideo",
-           "apply_gallery_event", "merge_timeline", "generate_churn",
-           "replay_sequential_mutating"]
+           "apply_gallery_event", "canonical_order", "merge_timeline",
+           "generate_churn"]

@@ -15,19 +15,27 @@ The scheduler's core contract — enforced by the
 a performance transform: retrieval lists, per-tenant served counts, and
 the service's query ledger are identical to the same timeline replayed
 one query at a time against the bare service
-(:func:`replay_sequential`).
+(:func:`repro.qa.reference.replay_sequential`).
+
+One event loop serves every configuration: a single worker is the
+inline :class:`~repro.serving.pool.WorkerPool`, more workers run batch
+compute on threads, and gallery events (live churn) interleave with
+requests on the loop thread.
 
 Failure semantics: a mid-batch :class:`~repro.errors.RetrievalUnavailable`
 delivers the served prefix, fails exactly the interrupted request, and
 *sheds* the rest of the batch and every queued request — with exact
 refunds on both the service ledger (see
 ``RetrievalService.query_batch``) and the per-tenant ledgers, so the
-qa budget-conservation invariant holds through an outage.
+qa budget-conservation invariant holds through an outage.  Shedding is
+causal: it happens when the failing batch completes on the virtual
+clock, so no shed response predates the ``unavailable`` one.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +52,11 @@ from repro.retrieval.service import RetrievalService
 from repro.serving.admission import AdmissionController
 from repro.serving.clock import VirtualClock
 from repro.serving.config import PRIORITIES, ServingConfig
-from repro.serving.events import GalleryEvent, apply_gallery_event
+from repro.serving.events import (
+    GalleryEvent,
+    apply_gallery_event,
+    canonical_order,
+)
 from repro.serving.pool import WorkerPool
 from repro.serving.queue import BoundedQueue
 from repro.video.types import Video
@@ -159,69 +171,111 @@ class ServingFrontend:
         """Replay a timeline through the scheduler.
 
         ``items`` may mix :class:`Request`s with
-        :class:`~repro.serving.events.GalleryEvent` mutations.  A pure
-        request timeline on a single-worker, churn-free config runs the
-        original single-server loop unchanged (bit-identical schedules);
-        anything else — ``config.workers > 1``, ``config.churn``, or any
-        gallery event in the timeline — routes to the pooled scheduler.
-        """
-        requests = [item for item in items
-                    if not isinstance(item, GalleryEvent)]
-        events = [item for item in items if isinstance(item, GalleryEvent)]
-        if not events and self.config.workers == 1 and not self.config.churn:
-            return self._run_legacy(requests)
-        return self._run_pooled(requests, events)
+        :class:`~repro.serving.events.GalleryEvent` mutations.  One event
+        loop serves every configuration; ``workers=1`` runs it on the
+        inline :class:`~repro.serving.pool.WorkerPool`.
 
-    def _run_legacy(self, requests: list[Request]) -> ServingReport:
-        """The original single-server scheduler (static galleries)."""
+        Determinism contract: admission, snapshot pinning, and gallery
+        mutation all happen on the loop thread at *arrival* virtual
+        times (the canonical
+        :func:`~repro.serving.events.merge_timeline` order); service
+        accounting happens at dispatch in dispatch order; workers run
+        only pure compute on pinned snapshots; completions settle in
+        virtual-time order.  Worker count therefore changes wall-clock
+        throughput and virtual latencies, never statuses, rankings, or
+        ledgers — enforced by the ``serving.pooled_vs_single`` and
+        ``serving.mutating_timeline`` oracles.
+        """
         config = self.config
+        engine = self.service.engine
+        arrivals = canonical_order(items)
+        events = [item for index, item in arrivals if index is None]
+        num_requests = len(arrivals) - len(events)
+        churn = bool(events) or config.churn
+        if churn:
+            engine.enable_churn()
+        policy = CompactionPolicy(config.compact_dead_fraction,
+                                  config.compact_min_dead)
+        pool = WorkerPool(self._effective_workers(events))
         clock = VirtualClock()
         queue = BoundedQueue(config.queue_capacity, config.shed_policy)
         admission = AdmissionController(config)
-        arrivals = sorted(enumerate(requests),
-                          key=lambda pair: pair[1].arrival_s)
-        responses: dict[int, Response] = {}
         state = _RunState(clock=clock, queue=queue, admission=admission,
-                          responses=responses)
+                          pool=pool, churn=churn)
+        inflight = state.inflight
+        applied = 0
 
-        with span("serving.run", requests=len(requests)):
-            cursor = 0
-            while cursor < len(arrivals) or len(queue):
-                if not len(queue):
-                    if cursor >= len(arrivals):
-                        break
-                    self._admit(state, *arrivals[cursor])
-                    cursor += 1
-                    continue
-                if len(queue) >= config.max_batch_size or \
-                        cursor >= len(arrivals):
-                    ready_s = clock.now_s
-                else:
-                    ready_s = queue.oldest_enqueued_s + config.max_wait_s
-                dispatch_s = max(ready_s, state.free_at_s, clock.now_s)
-                if cursor < len(arrivals) and \
-                        arrivals[cursor][1].arrival_s <= dispatch_s:
-                    self._admit(state, *arrivals[cursor])
-                    cursor += 1
-                    continue
-                clock.advance_to(dispatch_s)
-                self._dispatch(state)
+        # Pin the extractors in eval for the whole run: embed_videos
+        # flips train→eval→train per call, and with workers > 1 one
+        # thread's restore would put another thread's in-flight forward
+        # into training-mode batchnorm (batch-statistic normalization).
+        training = [member.extractor for member in _members(engine)
+                    if member.extractor.training] if pool.workers > 1 else []
+        for extractor in training:
+            extractor.eval()
+        try:
+            with span("serving.run", requests=num_requests,
+                      events=len(events)), pool:
+                cursor, pending = 0, len(arrivals)
+                while cursor < pending or len(queue) or inflight:
+                    now = clock.now_s
+                    # Earliest action wins; ties settle (0) < arrival (1)
+                    # < dispatch (2): a completion frees its worker before
+                    # new work lands.
+                    when, action = math.inf, 0
+                    if inflight:
+                        when = max(inflight[0][0], now)
+                    if cursor < pending:
+                        arrival_s = max(arrivals[cursor][1].arrival_s, now)
+                        if arrival_s < when:
+                            when, action = arrival_s, 1
+                    queued = len(queue)
+                    if queued:
+                        if queued >= config.max_batch_size or \
+                                cursor >= pending:
+                            ready_s = now
+                        else:
+                            ready_s = queue.oldest_enqueued_s + \
+                                config.max_wait_s
+                        dispatch_s = max(ready_s, pool.min_free_s, now)
+                        if dispatch_s < when:
+                            when, action = dispatch_s, 2
+                    clock.advance_to(when)
+                    if action == 0:
+                        done_s, _, flight = heapq.heappop(inflight)
+                        self._settle_flight(state, flight, done_s)
+                    elif action == 1:
+                        index, item = arrivals[cursor]
+                        cursor += 1
+                        if index is None:
+                            apply_gallery_event(engine, item, policy)
+                            applied += 1
+                        else:
+                            self._admit(state, index, item)
+                            if churn and index not in state.responses:
+                                state.snapshots[index] = \
+                                    engine.gallery.snapshot()
+                    else:
+                        self._dispatch(state)
+        finally:
+            for extractor in training:
+                extractor.train()
 
-        ordered = [responses[index] for index in range(len(requests))]
+        ordered = [state.responses[index] for index in range(num_requests)]
         makespan = max(
-            [clock.now_s, state.free_at_s]
-            + [r.completed_s for r in ordered if r.completed_s is not None])
+            [clock.now_s] + list(pool.free_at_s)
+            + [r.completed_s for r in ordered if r.completed_s is not None]
+            + [event.arrival_s for event in events])
         return ServingReport(
             responses=ordered,
             served_by_tenant=admission.served_by_tenant(),
             makespan_s=makespan,
             batches=state.batches,
             dispatched=state.dispatched,
+            workers=pool.workers,
+            gallery_events=applied,
         )
 
-    # -------------------------------------------------------------- #
-    # Pooled event loop (worker pool + live gallery churn)
-    # -------------------------------------------------------------- #
     def _effective_workers(self, events: list) -> int:
         """The worker count after safety fallbacks.
 
@@ -256,136 +310,17 @@ class ServingFrontend:
         counter("serving.pool_fallbacks", reason=reason).inc()
         return 1
 
-    def _run_pooled(self, requests: list[Request],
-                    events: list[GalleryEvent]) -> ServingReport:
-        """Scheduler with per-worker virtual clocks and gallery events.
-
-        Determinism contract: admission, snapshot pinning, and gallery
-        mutation all happen on the loop thread at *arrival* virtual
-        times (events before requests on ties — the canonical
-        :func:`~repro.serving.events.merge_timeline` order); service
-        accounting happens at dispatch in dispatch order; workers run
-        only pure compute on pinned snapshots; completions settle in
-        virtual-time order.  Worker count therefore changes wall-clock
-        throughput and virtual latencies, never statuses, rankings, or
-        ledgers — enforced by the ``serving.pooled_vs_single`` and
-        ``serving.mutating_timeline`` oracles.
-        """
-        config = self.config
-        service = self.service
-        engine = service.engine
-        churn = bool(events) or config.churn
-        workers = self._effective_workers(events)
-        if churn:
-            engine.enable_churn()
-        policy = CompactionPolicy(config.compact_dead_fraction,
-                                  config.compact_min_dead)
-
-        clock = VirtualClock()
-        queue = BoundedQueue(config.queue_capacity, config.shed_policy)
-        admission = AdmissionController(config)
-        responses: dict[int, Response] = {}
-        state = _RunState(clock=clock, queue=queue, admission=admission,
-                          responses=responses)
-        #: request index → pinned GallerySnapshot (churn mode only).
-        snapshots: dict[int, object] = {}
-
-        # Canonical merged arrival order: time, then events before
-        # requests, then original order (same key as merge_timeline).
-        arrivals = [(event.arrival_s, 0, order, None, event)
-                    for order, event in enumerate(events)]
-        arrivals += [(request.arrival_s, 1, order, order, request)
-                     for order, request in enumerate(requests)]
-        arrivals.sort(key=lambda entry: entry[:3])
-
-        inflight: list[tuple[float, int, _Flight]] = []
-        seq = 0
-        applied = 0
-
-        # Pin the extractors in eval for the whole run: embed_videos
-        # flips train→eval→train per call, and with workers > 1 one
-        # thread's restore would put another thread's in-flight forward
-        # into training-mode batchnorm (batch-statistic normalization).
-        training = [member.extractor for member in _members(engine)
-                    if member.extractor.training] if workers > 1 else []
-        for extractor in training:
-            extractor.eval()
-        try:
-            with span("serving.run", requests=len(requests),
-                      events=len(events)), WorkerPool(workers) as pool:
-                cursor = 0
-                while cursor < len(arrivals) or len(queue) or inflight:
-                    next_done = inflight[0][0] if inflight else None
-                    next_arrival = arrivals[cursor][0] \
-                        if cursor < len(arrivals) else None
-                    dispatch_s = None
-                    if len(queue):
-                        if len(queue) >= config.max_batch_size or \
-                                cursor >= len(arrivals):
-                            ready_s = clock.now_s
-                        else:
-                            ready_s = queue.oldest_enqueued_s + \
-                                config.max_wait_s
-                        dispatch_s = max(ready_s, pool.min_free_s,
-                                         clock.now_s)
-                    # Earliest action wins; ties settle < arrival <
-                    # dispatch (a completion frees its worker before new
-                    # work lands).
-                    candidates = []
-                    if next_done is not None:
-                        candidates.append((max(next_done, clock.now_s), 0))
-                    if next_arrival is not None:
-                        candidates.append((max(next_arrival, clock.now_s), 1))
-                    if dispatch_s is not None:
-                        candidates.append((dispatch_s, 2))
-                    when, action = min(candidates)
-                    clock.advance_to(when)
-                    if action == 0:
-                        done_s, _, flight = heapq.heappop(inflight)
-                        self._settle_flight(state, flight, done_s)
-                    elif action == 1:
-                        _, kind, _, index, item = arrivals[cursor]
-                        cursor += 1
-                        if kind == 0:
-                            apply_gallery_event(engine, item, policy)
-                            applied += 1
-                        else:
-                            self._admit(state, index, item)
-                            if churn and index not in responses:
-                                snapshots[index] = engine.gallery.snapshot()
-                    else:
-                        seq = self._dispatch_pooled(state, pool, inflight,
-                                                    seq, snapshots, churn)
-        finally:
-            for extractor in training:
-                extractor.train()
-
-        ordered = [responses[index] for index in range(len(requests))]
-        makespan = max(
-            [clock.now_s] + list(pool.free_at_s)
-            + [r.completed_s for r in ordered if r.completed_s is not None]
-            + [event.arrival_s for event in events])
-        return ServingReport(
-            responses=ordered,
-            served_by_tenant=admission.served_by_tenant(),
-            makespan_s=makespan,
-            batches=state.batches,
-            dispatched=state.dispatched,
-            workers=pool.workers,
-            gallery_events=applied,
-        )
-
-    def _dispatch_pooled(self, state: "_RunState", pool: WorkerPool,
-                         inflight: list, seq: int, snapshots: dict,
-                         churn: bool) -> int:
+    def _dispatch(self, state: "_RunState") -> None:
         """Pop a batch, account it on the loop thread, hand compute to a
         worker, and book the completion on the virtual timeline."""
-        config, clock = self.config, state.clock
+        config, clock, pool = self.config, state.clock, state.pool
         entries = state.queue.pop_batch(config.max_batch_size)
         gauge("serving.queue_depth").set(len(state.queue))
         batch = [item for item, _ in entries]
 
-        # Global-budget pre-split, identical to the legacy scheduler.
+        # Global-budget pre-split: a sequential loop would have each
+        # over-budget query raise QueryBudgetExceeded *before* issuing
+        # it, so those requests never reach the service at all.
         budget = self.service.query_budget
         room = len(batch) if budget is None else \
             max(0, budget - self.service.query_count)
@@ -399,12 +334,11 @@ class ServingFrontend:
                 completed_s=clock.now_s)
         batch = batch[:room]
         if not batch:
-            return seq
+            return
 
         cost_s = config.service_base_s + \
             config.service_per_item_s * len(batch)
-        worker = pool.pick_worker()
-        done_s = pool.occupy(worker, clock.now_s, cost_s)
+        done_s = pool.occupy(pool.pick_worker(), clock.now_s, cost_s)
         state.batches += 1
         state.dispatched += len(batch)
         counter("serving.pool_dispatches").inc()
@@ -419,15 +353,21 @@ class ServingFrontend:
             future = pool.submit(self.service.query_batch, videos)
             preaccounted = False
         else:
-            pinned = [snapshots.get(index) for index, _ in batch] \
-                if churn else None
+            pinned = [state.snapshots.get(index) for index, _ in batch] \
+                if state.churn else None
             prepared = self.service.begin_batch(videos)
             future = pool.submit(self.service.compute_batch, prepared,
                                  None, pinned)
             preaccounted = True
-        heapq.heappush(inflight,
-                       (done_s, seq, _Flight(batch, future, preaccounted)))
-        return seq + 1
+        # ``state.batches`` is unique per dispatch: it breaks completion
+        # ties in dispatch order.
+        heapq.heappush(state.inflight, (done_s, state.batches,
+                                        _Flight(batch, future, preaccounted)))
+
+    # The benchmark's per-layer clock wraps both ``_dispatch`` and
+    # ``_dispatch_pooled`` by name, so the second name must keep
+    # resolving to the one dispatch body.
+    _dispatch_pooled = _dispatch
 
     def _settle_flight(self, state: "_RunState", flight: "_Flight",
                        done_s: float) -> None:
@@ -470,7 +410,9 @@ class ServingFrontend:
             evicted = queue.push((index, request), priority, now)
         except OverflowError:
             admission.refund(tenant)
-            retry_after = max(state.free_at_s - now, 0.0) + self.config.max_wait_s
+            # Nothing leaves the queue before a worker frees up.
+            retry_after = max(state.pool.min_free_s - now, 0.0) + \
+                self.config.max_wait_s
             counter("serving.rejected", tenant=tenant,
                     reason="queue_full").inc()
             state.responses[index] = Response(
@@ -495,50 +437,6 @@ class ServingFrontend:
             error=ServiceOverloaded(f"request shed ({reason})",
                                     retry_after_s=retry_after),
             retry_after_s=retry_after, completed_s=state.clock.now_s)
-
-    # -------------------------------------------------------------- #
-    # Dispatch
-    # -------------------------------------------------------------- #
-    def _dispatch(self, state: "_RunState") -> None:
-        config, clock = self.config, state.clock
-        entries = state.queue.pop_batch(config.max_batch_size)
-        gauge("serving.queue_depth").set(len(state.queue))
-        batch = [item for item, _ in entries]
-
-        # Global-budget pre-split: a sequential loop would have each
-        # over-budget query raise QueryBudgetExceeded *before* issuing
-        # it, so those requests never reach the service at all.
-        budget = self.service.query_budget
-        room = len(batch) if budget is None else \
-            max(0, budget - self.service.query_count)
-        for index, request in batch[room:]:
-            state.admission.refund(request.tenant)
-            counter("serving.rejected", tenant=request.tenant,
-                    reason="global_budget").inc()
-            state.responses[index] = Response(
-                request, "budget", reason="global_budget",
-                error=QueryBudgetExceeded("service query budget exhausted"),
-                completed_s=clock.now_s)
-        batch = batch[:room]
-        if not batch:
-            return
-
-        cost_s = config.service_base_s + \
-            config.service_per_item_s * len(batch)
-        done_s = clock.now_s + cost_s
-        state.free_at_s = done_s
-        state.batches += 1
-        state.dispatched += len(batch)
-        histogram("serving.batch_size",
-                  buckets=(1, 2, 4, 8, 16, 32, 64)).observe(len(batch))
-        try:
-            results = self.service.query_batch(
-                [request.video for _, request in batch])
-        except RetrievalUnavailable as exc:
-            self._settle_outage(state, batch, exc, done_s)
-            return
-        for (index, request), result in zip(batch, results):
-            self._deliver(state, index, request, result, done_s, len(batch))
 
     def _deliver(self, state: "_RunState", index: int, request: Request,
                  result: RetrievalList, done_s: float,
@@ -601,70 +499,16 @@ class _RunState:
     clock: VirtualClock
     queue: BoundedQueue
     admission: AdmissionController
-    responses: dict[int, Response]
-    free_at_s: float = 0.0
+    pool: WorkerPool
+    churn: bool
+    responses: dict[int, Response] = field(default_factory=dict)
+    #: request index → pinned GallerySnapshot (churn mode only).
+    snapshots: dict[int, object] = field(default_factory=dict)
+    #: ``(done_s, dispatch order, _Flight)`` heap of batches in flight.
+    inflight: list = field(default_factory=list)
     batches: int = 0
     dispatched: int = 0
 
 
-# ------------------------------------------------------------------ #
-# The sequential reference
-# ------------------------------------------------------------------ #
-def replay_sequential(requests: list[Request], service: RetrievalService,
-                      config: ServingConfig | None = None) -> ServingReport:
-    """Replay a timeline one query at a time against a bare service.
-
-    This is the oracle reference for :class:`ServingFrontend`: the same
-    admission rules (token buckets and tenant budgets depend only on
-    arrival times, so their decisions are batching-invariant), but every
-    admitted request goes straight through ``service.query`` in arrival
-    order with no queueing or coalescing.  Under a no-shed load the
-    micro-batched front end must match it exactly — retrieval lists,
-    per-tenant served counts, and the service's query ledger.
-    """
-    config = config if config is not None else ServingConfig()
-    admission = AdmissionController(config)
-    arrivals = sorted(enumerate(requests), key=lambda pair: pair[1].arrival_s)
-    responses: dict[int, Response] = {}
-    served = 0
-    last_s = 0.0
-    for index, request in arrivals:
-        now = request.arrival_s
-        last_s = max(last_s, now)
-        counter("serving.requests", tenant=request.tenant).inc()
-        rejection = admission.admit(request.tenant, now)
-        if rejection is not None:
-            responses[index] = Response(
-                request, "rejected", reason=rejection.reason,
-                retry_after_s=rejection.retry_after_s, completed_s=now)
-            continue
-        try:
-            result = service.query(request.video)
-        except QueryBudgetExceeded as exc:
-            admission.refund(request.tenant)
-            responses[index] = Response(request, "budget",
-                                        reason="global_budget", error=exc,
-                                        completed_s=now)
-            continue
-        except RetrievalUnavailable as exc:
-            admission.refund(request.tenant)
-            responses[index] = Response(request, "unavailable",
-                                        reason="retrieval_unavailable",
-                                        error=exc, completed_s=now)
-            continue
-        admission.mark_served(request.tenant)
-        served += 1
-        responses[index] = Response(request, "ok", result=result,
-                                    completed_s=now, latency_s=0.0,
-                                    batch_size=1)
-    return ServingReport(
-        responses=[responses[index] for index in range(len(requests))],
-        served_by_tenant=admission.served_by_tenant(),
-        makespan_s=last_s,
-        batches=served,
-        dispatched=served,
-    )
-
-
 __all__ = ["Request", "Response", "ServingFrontend", "ServingReport",
-           "replay_sequential", "LATENCY_BUCKETS"]
+           "LATENCY_BUCKETS"]

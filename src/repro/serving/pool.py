@@ -14,8 +14,8 @@ the semantics.  The split is strict:
   deterministic.
 
 ``workers=1`` degenerates to an inline executor (no threads, eager
-evaluation), which keeps single-worker runs byte-identical to the
-legacy scheduler and cheap to construct.
+evaluation), so a single-worker run keeps everything on the loop thread
+and is cheap to construct.
 
 While a multi-worker pool is open, :func:`repro.obs.thread_safe_metrics`
 is active so counters incremented from worker threads cannot lose

@@ -22,15 +22,13 @@ from repro.retrieval.index import FeatureIndex as ExactIndex
 
 class TestRegistry:
     def test_known_tiers(self):
-        assert set(INDEX_TIERS) == {"exact", "ivf", "hamming", "ivfpq"}
+        assert set(INDEX_TIERS) == {"exact", "hamming", "ivfpq"}
 
     def test_factories_build_the_right_types(self):
-        from repro.retrieval.ann import IVFIndex
         from repro.retrieval.similarity import negative_l2
 
         assert isinstance(resolve_index_tier("exact")(negative_l2),
                           FeatureIndex)
-        assert isinstance(resolve_index_tier("ivf")(negative_l2), IVFIndex)
         assert isinstance(resolve_index_tier("hamming")(negative_l2),
                           BinaryHashIndex)
         assert isinstance(resolve_index_tier("ivfpq")(negative_l2),
@@ -47,14 +45,17 @@ class TestRegistry:
         assert default_index_tier() == "hamming"
 
     def test_env_flag_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv(INDEX_TIER_ENV, "faiss")
-        with pytest.raises(ValueError):
-            default_index_tier()
+        # "ivf" named a plain IVF-flat tier that no longer exists.
+        for value in ("faiss", "ivf"):
+            monkeypatch.setenv(INDEX_TIER_ENV, value)
+            with pytest.raises(ValueError, match=INDEX_TIER_ENV):
+                default_index_tier()
 
     def test_service_config_validates_tier(self):
         assert ServiceConfig(index_tier="ivfpq").index_tier == "ivfpq"
-        with pytest.raises(KeyError):
-            ServiceConfig(index_tier="annoy")
+        for value in ("annoy", "ivf"):
+            with pytest.raises(KeyError):
+                ServiceConfig(index_tier=value)
 
 
 def _filled_gallery(tier=None, num_nodes=2, rows=60, dim=12, seed=4):

@@ -17,12 +17,13 @@ REQUIRED = {
     "conv2d.einsum_vs_gemm",
     "conv3d.einsum_vs_gemm",
     "feature_index.search_vs_batch",
-    "ivf_index.search_vs_batch",
     "sharded_gallery.search_vs_batch",
     "engine.cached_vs_uncached",
     "gallery.replicated_vs_single",
     "sparse_query.sequential_vs_speculative",
     "serving.batched_vs_sequential",
+    "serving.pooled_vs_single",
+    "serving.mutating_timeline",
     "hashindex.compressed_vs_exact",
 }
 

@@ -11,7 +11,6 @@ from repro.retrieval import (
     DataNode,
     FeatureIndex,
     Index,
-    IVFIndex,
     RetrievalService,
     ServiceConfig,
     ShardedGallery,
@@ -92,8 +91,7 @@ class TestConstruction:
 class TestIndexProtocol:
     def test_all_implementations_conform(self):
         gallery = ShardedGallery(num_nodes=2)
-        for implementation in (FeatureIndex(), IVFIndex(),
-                               DataNode("node-0"), gallery):
+        for implementation in (FeatureIndex(), DataNode("node-0"), gallery):
             assert isinstance(implementation, Index), type(implementation)
 
     def test_signatures_agree(self):
@@ -101,8 +99,8 @@ class TestIndexProtocol:
         features = rng.random((6, 4))
         ids = [f"v{i}" for i in range(6)]
         labels = list(range(6))
-        implementations = [FeatureIndex(), IVFIndex(num_cells=2, rng=0),
-                           DataNode("node-0"), ShardedGallery(num_nodes=2)]
+        implementations = [FeatureIndex(), DataNode("node-0"),
+                           ShardedGallery(num_nodes=2)]
         for implementation in implementations:
             implementation.add_batch(ids, labels, features)
             assert len(implementation) == 6

@@ -1,7 +1,7 @@
 """Parametrized ``Index``-protocol conformance suite.
 
-Every searchable container — the exact index, the IVF-flat index, and
-both compressed tiers — must satisfy the same structural protocol and
+Every searchable container — the exact index and both compressed
+tiers — must satisfy the same structural protocol and
 the same edge-case semantics: empty-index searches, ``add_batch`` zip
 semantics, scalar/batched search parity, ``labels_of`` length, and
 ``k > n`` clamping.  New index implementations get coverage by adding
@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 from repro.hashindex import BinaryHashIndex, IVFPQIndex
-from repro.retrieval import FeatureIndex, IVFIndex
+from repro.retrieval import FeatureIndex
 from repro.retrieval.protocol import Index
 
 FACTORIES = {
     "feature": lambda: FeatureIndex(),
-    "ivf": lambda: IVFIndex(num_cells=4, nprobe=4, rng=3),
     "hamming": lambda: BinaryHashIndex(nbits=64, rerank=16, rng=3),
     "ivfpq": lambda: IVFPQIndex(num_cells=4, nprobe=4, num_subvectors=4,
                                 rerank=16, rng=3),

@@ -15,6 +15,7 @@ from repro.attacks.registry import build_attack
 from repro.attacks.config import AttackConfig
 from repro.obs import counter
 from repro.qa.invariants import check_budget_conservation
+from repro.qa.reference import replay_sequential
 from repro.qa.world import build_world
 from repro.serving import (
     AddVideo,
@@ -27,7 +28,6 @@ from repro.serving import (
     generate_churn,
     generate_timeline,
     merge_timeline,
-    replay_sequential_mutating,
 )
 from repro.serving.events import apply_gallery_event
 from repro.video.types import Video
@@ -126,8 +126,7 @@ class TestMutatingEquivalence:
             if pooled:
                 report = ServingFrontend(world.service, config).run(timeline)
             else:
-                report = replay_sequential_mutating(timeline, world.service,
-                                                    config)
+                report = replay_sequential(timeline, world.service, config)
             runs.append((report, world.service))
         reference, fast = runs[0][0], runs[1][0]
         assert reference.gallery_events == fast.gallery_events > 0

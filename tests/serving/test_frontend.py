@@ -9,6 +9,7 @@ from repro.errors import (
     ServiceOverloaded,
 )
 from repro.obs import counter
+from repro.qa.reference import replay_sequential
 from repro.qa.world import build_world
 from repro.resilience import FaultPlan
 from repro.serving import (
@@ -19,7 +20,6 @@ from repro.serving import (
     TenantSpec,
     closed_spaced_timeline,
     generate_timeline,
-    replay_sequential,
 )
 
 
@@ -140,6 +140,25 @@ class TestAdmissionPaths:
         assert isinstance(overflow.error, ServiceOverloaded)
         assert overflow.error.retry_after_s is not None
 
+    def test_queue_full_retry_after_counts_the_worker_backlog(
+            self, world, query_videos):
+        # Both workers are busy past 0.05 s when the queue overflows, so
+        # a retry is pointless before the first of them frees up.
+        config = ServingConfig(max_batch_size=1, queue_capacity=1,
+                               max_wait_s=0.01, service_base_s=0.05,
+                               service_per_item_s=0.001, workers=2)
+        requests = [Request("t", query_videos[i], 0.001 * i)
+                    for i in range(4)]
+        report = ServingFrontend(world.service, config).run(requests)
+        assert _statuses(report) == ["ok", "ok", "ok", "rejected"]
+        pool_free_s = min(r.completed_s for r in report.responses[:2])
+        rejected = report.responses[3]
+        assert rejected.reason == "queue_full"
+        now = rejected.completed_s
+        assert rejected.retry_after_s >= \
+            pool_free_s - now + config.max_wait_s - 1e-12
+        assert rejected.error.retry_after_s == rejected.retry_after_s
+
     def test_shed_bulk_eviction_refunds_the_victim(self, world,
                                                    query_videos):
         config = ServingConfig(
@@ -224,6 +243,27 @@ class TestOutage:
         # The front end recovers once the outage window has passed.
         recovery = frontend.run(requests[:2])
         assert _statuses(recovery) == ["ok", "ok"]
+
+    def test_outage_sheds_no_earlier_than_the_failure(self, query_videos):
+        # Shedding is causal: the queue is dropped when the failing batch
+        # completes on the virtual clock, never before.
+        world = build_world(21, num_nodes=1)
+        requests = closed_spaced_timeline(["a", "b"], query_videos, 4, 2e-4)
+        config = ServingConfig(max_batch_size=2, max_wait_s=0.001,
+                               service_base_s=0.01)
+        with FaultPlan().outage("node-0", 1, 9).install(
+                world.engine.gallery):
+            report = ServingFrontend(world.service, config).run(requests)
+        unavailable = [r for r in report.responses
+                       if r.status == "unavailable"]
+        shed = [r for r in report.responses
+                if r.status == "shed" and r.reason == "outage"]
+        assert unavailable and shed
+        failed_s = max(r.completed_s for r in unavailable)
+        assert all(r.completed_s >= failed_s for r in shed)
+        # Everything queued behind the failing batch was shed with it,
+        # so nothing else reached the service.
+        assert len(unavailable) == 1
 
     def test_prefix_results_match_sequential(self, query_videos):
         config = ServingConfig(max_batch_size=4, max_wait_s=0.001)
