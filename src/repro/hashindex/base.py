@@ -12,6 +12,13 @@ two-stage contract:
    testable against :class:`~repro.retrieval.index.FeatureIndex`
    (``hashindex.compressed_vs_exact`` oracle, recall@k floor).
 
+Both stages run inside :meth:`CompressedIndex.scan`, the array
+primitive of the :class:`~repro.retrieval.protocol.ScanIndex` protocol:
+it returns best-first ``(scores, rows)`` arrays, honours a snapshot
+reader's watermark and tombstone mask by over-fetching past the rows it
+must skip, and builds no entry objects.  ``search``/``search_batch``
+wrap it into :class:`~repro.retrieval.lists.RetrievalEntry` lists.
+
 This base class owns row buffering (zip semantics, identical to
 ``FeatureIndex.add_batch``), lazy builds, the exact-feature payload
 (optionally spilled to a :class:`~repro.hashindex.store.MemmapStore`),
@@ -27,6 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.obs import counter, histogram
+from repro.retrieval.index import (
+    as_query_matrix, empty_scan, scan_entries, top_k)
 from repro.retrieval.lists import RetrievalEntry
 from repro.retrieval.similarity import SimilarityFn, negative_l2
 from repro.hashindex.store import MemmapStore
@@ -152,53 +161,70 @@ class CompressedIndex:
         """Candidate depth used for a top-``k`` query."""
         return min(len(self), max(int(k), self.rerank))
 
-    def search(self, query: np.ndarray, k: int) -> list[RetrievalEntry]:
-        """Exact-reranked top-``k``; an empty index returns ``[]``.
+    def scan(self, queries: np.ndarray, k: int, rows: int | None = None,
+             hidden: np.ndarray | None = None
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """Best-first ``(scores, rows)``, each ``(B, k')``, per query.
 
-        Delegates to :meth:`search_batch` so the scalar and batched
-        paths are the same code — batch parity holds by construction.
+        Same contract as :meth:`FeatureIndex.scan
+        <repro.retrieval.index.FeatureIndex.scan>`: only the first
+        ``rows`` rows count, rows flagged in ``hidden`` never surface,
+        and ``k' = min(k, visible rows)``.  The compressed scan cannot
+        skip rows, so it over-fetches by every row this read must not
+        see and drops them before the exact rerank; queries left with
+        fewer than ``k'`` candidates are padded with ``-inf``/``-1``.
         """
+        queries = as_query_matrix(queries)
+        batch = queries.shape[0]
+        total = len(self._ids)
+        rows = total if rows is None else min(int(rows), total)
+        skipped = total - rows + (0 if hidden is None
+                                  else int(np.count_nonzero(hidden)))
+        width = min(int(k), total - skipped)
+        if width <= 0:
+            return empty_scan(batch)
+        self._ensure_built()
+        candidate_rows = self._candidates(
+            queries, self.effective_rerank(int(k) + skipped))
+        scanned = int(sum(candidates.size for candidates in candidate_rows))
+        counter("hashindex.candidates_scanned", tier=self.tier).inc(scanned)
+        depth_histogram = histogram("hashindex.rerank_depth",
+                                    buckets=RERANK_DEPTH_BUCKETS,
+                                    tier=self.tier)
+        scores = np.full((batch, width), -np.inf)
+        found = np.full((batch, width), -1, dtype=np.intp)
+        for position, (query, candidates) in enumerate(
+                zip(queries, candidate_rows)):
+            depth_histogram.observe(candidates.size)
+            if skipped:
+                candidates = candidates[candidates < rows]
+                if hidden is not None:
+                    candidates = candidates[~hidden[candidates]]
+            best, picked = self._rerank_one(query, candidates, width)
+            scores[position, :best.size] = best
+            found[position, :picked.size] = picked
+        counter("hashindex.searches", tier=self.tier).inc(batch)
+        return scores, found
+
+    def search(self, query: np.ndarray, k: int) -> list[RetrievalEntry]:
+        """Exact-reranked top-``k``; an empty index returns ``[]``."""
         query = np.asarray(query, dtype=np.float64).reshape(1, -1)
         return self.search_batch(query, k)[0]
 
     def search_batch(self, queries: np.ndarray, k: int
                      ) -> list[list[RetrievalEntry]]:
         """Top-``k`` for each row of a ``(B, d)`` query matrix."""
-        queries = np.asarray(queries, dtype=np.float64)
-        queries = queries.reshape(queries.shape[0], -1) if queries.ndim > 1 \
-            else queries.reshape(1, -1)
-        if not self._ids:
-            return [[] for _ in range(queries.shape[0])]
-        self._ensure_built()
-        depth = self.effective_rerank(k)
-        candidate_rows = self._candidates(queries, depth)
-        scanned = int(sum(rows.size for rows in candidate_rows))
-        counter("hashindex.candidates_scanned", tier=self.tier).inc(scanned)
-        depth_histogram = histogram("hashindex.rerank_depth",
-                                    buckets=RERANK_DEPTH_BUCKETS,
-                                    tier=self.tier)
-        results = []
-        for query, rows in zip(queries, candidate_rows):
-            depth_histogram.observe(rows.size)
-            results.append(self._rerank_one(query, rows, int(k)))
-        counter("hashindex.searches", tier=self.tier).inc(queries.shape[0])
-        return results
+        return scan_entries(self, *self.scan(queries, k))
 
     def _rerank_one(self, query: np.ndarray, rows: np.ndarray,
-                    k: int) -> list[RetrievalEntry]:
-        """Rescore candidate ``rows`` exactly and return the top ``k``."""
+                    k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rescore candidate ``rows`` exactly; the best ``k`` of them."""
         if rows.size == 0:
-            return []
+            return np.empty(0), rows
         gathered = np.asarray(self._exact[rows], dtype=np.float64)
         scores = self.similarity(query, gathered)
-        k = min(k, rows.size)
-        head = np.argpartition(-scores, k - 1)[:k]
-        order = head[np.argsort(-scores[head], kind="stable")]
-        return [
-            RetrievalEntry(self._ids[rows[i]], self._labels[rows[i]],
-                           float(scores[i]))
-            for i in order
-        ]
+        best, order = top_k(scores[None, :], min(k, rows.size))
+        return best[0], rows[order[0]]
 
     # ------------------------------------------------------------------ #
     # Memory accounting (BENCH_ann)

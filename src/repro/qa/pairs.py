@@ -9,6 +9,8 @@ with every reference/fast equivalence contract the library claims:
   :class:`ShardedGallery`;
 * cached vs uncached query embeddings (``REPRO_EMBED_CACHE``);
 * replicated (r = 2, 3) vs single-shard retrieval;
+* pinned snapshot reads under churn vs a numpy ranking of the rows
+  live at each pinned version;
 * sequential vs speculative/batched DUO query-stage steps;
 * scalar vs vectorized NDCG list similarity;
 * micro-batched serving front end vs sequential replay against the bare
@@ -52,6 +54,7 @@ from repro.qa.oracle import OraclePair, register
 from repro.qa.world import build_world, tiny_extractor
 from repro.resilience.config import ResilienceConfig
 from repro.retrieval.index import FeatureIndex
+from repro.retrieval.lists import RetrievalEntry
 from repro.retrieval.nodes import ShardedGallery
 from repro.serving import (
     ServingConfig,
@@ -357,6 +360,139 @@ register(OraclePair(
     compare=assert_retrieval_lists_equal,
     cases=5,
     description="replication r=2,3 keeps retrieval exact vs r=1",
+))
+
+
+# ---------------------------------------------------------------------- #
+# snapshot reads vs a brute-force ranking of the rows live at the version
+# ---------------------------------------------------------------------- #
+def _churn_script(seed: int, rows: int, dim: int, ops: int, batch: int,
+                  num_nodes: int, k: int):
+    """Initial rows, a mutation script with pin points, and queries.
+
+    The script opens by deleting ``k + 1`` rows placed on node 0, so
+    that node holds more tombstones than ``k``, then mixes adds,
+    deletes and re-embeds, pinning a snapshot after a random third of
+    the steps and always at the end.
+    """
+    rng = np.random.default_rng(seed)
+    ids, labels, features = draw_gallery(rng, rows, dim)
+    live = list(ids)
+    script: list[tuple] = []
+    for video_id in ids[::num_nodes][:k + 1]:
+        script.append(("delete", video_id))
+        live.remove(video_id)
+    script.append(("pin",))
+    for step in range(ops):
+        kind = str(rng.choice(("add", "delete", "delete", "reembed"))) \
+            if live else "add"
+        if kind == "add":
+            video_id = f"new{step}"
+            live.append(video_id)
+            script.append(("add", video_id, int(rng.integers(0, 3)),
+                           rng.normal(size=dim)))
+        else:
+            video_id = live[int(rng.integers(len(live)))]
+            if kind == "delete":
+                live.remove(video_id)
+                script.append(("delete", video_id))
+            else:
+                script.append(("reembed", video_id, int(rng.integers(0, 3)),
+                               rng.normal(size=dim)))
+        if rng.random() < 1 / 3:
+            script.append(("pin",))
+    script.append(("pin",))
+    queries = rng.normal(size=(batch, dim))
+    return (ids, labels, features), script, queries
+
+
+def _numpy_ranking(state: dict, queries: np.ndarray,
+                   k: int) -> list[list[RetrievalEntry]]:
+    """Top-``k`` of every query over ``state`` (id → (label, feature))."""
+    if not state:
+        return [[] for _ in queries]
+    video_ids = list(state)
+    matrix = np.stack([state[video_id][1] for video_id in video_ids])
+    results = []
+    for query in queries:
+        diffs = matrix - query[None, :]
+        scores = -np.sqrt((diffs * diffs).sum(axis=1))
+        results.append([
+            RetrievalEntry(video_ids[row], state[video_ids[row]][0],
+                           float(scores[row]))
+            for row in np.argsort(-scores, kind="stable")[:k]
+        ])
+    return results
+
+
+def _snapshot_bruteforce(seed, rows, dim, ops, batch, k, num_nodes,
+                         replication):
+    (ids, labels, features), script, queries = _churn_script(
+        seed, rows, dim, ops, batch, num_nodes, k)
+    state = {video_id: (label, feature)
+             for video_id, label, feature in zip(ids, labels, features)}
+    pinned = []
+    for step in script:
+        if step[0] == "pin":
+            pinned.append(_numpy_ranking(state, queries, k))
+        elif step[0] == "delete":
+            del state[step[1]]
+        else:
+            state[step[1]] = (step[2], step[3])
+    return pinned
+
+
+def _snapshot_gallery(seed, rows, dim, ops, batch, k, num_nodes,
+                      replication):
+    (ids, labels, features), script, queries = _churn_script(
+        seed, rows, dim, ops, batch, num_nodes, k)
+    gallery = ShardedGallery(
+        num_nodes=num_nodes,
+        resilience=None if replication == 1 else
+        ResilienceConfig(replication=replication))
+    gallery.enable_churn()
+    gallery.add_batch(ids, labels, features)
+    snapshots = []
+    for step in script:
+        if step[0] == "pin":
+            snapshots.append(gallery.snapshot())
+        elif step[0] == "add":
+            gallery.add(*step[1:])
+        elif step[0] == "delete":
+            gallery.delete(step[1])
+        else:
+            gallery.reembed(*step[1:])
+    # Every snapshot is read after all mutations, alternately through
+    # the batched and the scalar search.
+    return [
+        gallery.search_batch(queries, k, snapshot=snap) if number % 2 == 0
+        else [gallery.search(query, k, snapshot=snap) for query in queries]
+        for number, snap in enumerate(snapshots)
+    ]
+
+
+register(OraclePair(
+    name="gallery.snapshot_vs_bruteforce",
+    reference=_snapshot_bruteforce,
+    fast=_snapshot_gallery,
+    strategy=Strategy(
+        "snapshot",
+        lambda rng: {"seed": int(rng.integers(0, 2**31)),
+                     "rows": int(rng.integers(4, 40)),
+                     "dim": int(rng.integers(1, 8)),
+                     "ops": int(rng.integers(0, 30)),
+                     "batch": int(rng.integers(1, 5)),
+                     "k": int(rng.integers(1, 5)),
+                     "num_nodes": int(rng.integers(1, 5)),
+                     "replication": int(rng.choice((1, 2)))},
+        {"rows": shrink_int(1), "dim": shrink_int(1), "ops": shrink_int(0),
+         "batch": shrink_int(1), "k": shrink_int(1),
+         "num_nodes": shrink_int(1), "replication": shrink_int(1)},
+    ),
+    compare=assert_retrieval_lists_equal,
+    cases=6,
+    description="pinned snapshot reads after add/delete/re-embed churn "
+                "equal a numpy ranking over the rows live at that version",
 ))
 
 

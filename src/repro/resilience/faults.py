@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.errors import NodeDownError
 from repro.obs import counter
-from repro.retrieval.lists import RetrievalEntry
 
 #: Wildcard node id applying a fault spec to every node.
 ANY_NODE = "*"
@@ -178,22 +177,28 @@ class FaultPlan:
             counter("faults.injected_latency", node=node_id).inc()
         return latency
 
-    def transform(self, node_id: str,
-                  entries: list[RetrievalEntry]) -> list[RetrievalEntry]:
-        """Apply score corruption to one node's local result list."""
+    def transform(self, node_id: str, scores: np.ndarray) -> np.ndarray:
+        """Apply score corruption to one node's ``(B, k)`` score rows.
+
+        Each query's row draws one noise value per returned result (the
+        ``-inf`` padding after them is left alone), rows in order, so
+        the draw sizes and order match a per-query result list.
+        """
         sigma = 0.0
         for spec in self._specs_for(node_id):
             sigma += spec.corrupt_sigma
-        if sigma <= 0.0 or not entries:
-            return entries
-        noise = self._rng(node_id).normal(0.0, sigma, size=len(entries))
-        self.events.append(
-            FaultEvent(self._span[0], node_id, "corrupt", sigma))
-        counter("faults.corrupted_results", node=node_id).inc()
-        return [
-            RetrievalEntry(e.video_id, e.label, e.score + float(n))
-            for e, n in zip(entries, noise)
-        ]
+        if sigma <= 0.0 or not scores.size:
+            return scores
+        corrupted = scores.copy()
+        for row in corrupted:
+            count = int(np.count_nonzero(row != -np.inf))
+            if not count:
+                continue
+            row[:count] += self._rng(node_id).normal(0.0, sigma, size=count)
+            self.events.append(
+                FaultEvent(self._span[0], node_id, "corrupt", sigma))
+            counter("faults.corrupted_results", node=node_id).inc()
+        return corrupted
 
     def timeline(self) -> list[tuple[int, str, str]]:
         """Compact ``(query, node, kind)`` view of the recorded events."""

@@ -28,12 +28,12 @@ from repro.errors import (
     RetrievalUnavailable,
 )
 from repro.retrieval.lists import RetrievalEntry, RetrievalList
-from repro.retrieval.protocol import Index
+from repro.retrieval.protocol import Index, ScanIndex
 from repro.retrieval.index import FeatureIndex
 from repro.retrieval.config import Preprocessor, ServiceConfig
 from repro.retrieval.nodes import DataNode, ShardedGallery
 from repro.retrieval.placement import ConsistentHashRing, stable_hash
-from repro.retrieval.snapshot import GallerySnapshot, filter_entries
+from repro.retrieval.snapshot import GallerySnapshot
 from repro.retrieval.engine import RetrievalEngine
 from repro.retrieval.service import RetrievalService
 
@@ -50,13 +50,13 @@ __all__ = [
     "RetrievalEntry",
     "RetrievalList",
     "Index",
+    "ScanIndex",
     "FeatureIndex",
     "DataNode",
     "ShardedGallery",
     "ConsistentHashRing",
     "stable_hash",
     "GallerySnapshot",
-    "filter_entries",
     "NodeDownError",
     "DeadlineExceeded",
     "RetrievalError",

@@ -8,21 +8,59 @@ from repro.retrieval.lists import RetrievalEntry
 from repro.retrieval.similarity import SimilarityFn, batched_similarity, negative_l2
 
 
+def as_query_matrix(queries: np.ndarray) -> np.ndarray:
+    """``queries`` as a float64 ``(B, d)`` matrix (a 1-D query is B = 1)."""
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim > 1:
+        return queries.reshape(queries.shape[0], -1)
+    return queries.reshape(1, -1)
+
+
+def empty_scan(batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(scores, rows)`` of a scan that found nothing."""
+    return np.empty((batch, 0)), np.empty((batch, 0), dtype=np.intp)
+
+
+def top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best-first ``(scores, columns)`` of the ``k`` highest per row.
+
+    One ``argpartition`` for the whole ``(B, n)`` matrix, then a stable
+    sort of each ``k``-wide head, so ties keep the partition's order.
+    """
+    head = np.argpartition(-scores, k - 1, axis=1)[:, :k]
+    lines = np.arange(scores.shape[0])[:, None]
+    head_scores = scores[lines, head]
+    order = np.argsort(-head_scores, axis=1, kind="stable")
+    return head_scores[lines, order], head[lines, order]
+
+
+def scan_entries(index, scores: np.ndarray,
+                 rows: np.ndarray) -> list[list[RetrievalEntry]]:
+    """Turn one index's :meth:`scan` result into per-query entry lists."""
+    ids, labels = index._ids, index._labels
+    return [
+        [RetrievalEntry(ids[row], labels[row], score)
+         for score, row in zip(row_scores, row_ids) if row >= 0]
+        for row_scores, row_ids in zip(scores.tolist(), rows.tolist())
+    ]
+
+
 class FeatureIndex:
     """Flat index mapping features to (video_id, label) rows.
 
-    Rows are appended with :meth:`add`/:meth:`add_batch`; :meth:`search`
-    scores the query against every row with the configured similarity and
-    returns the ``k`` best entries.  :meth:`search_batch` does the same
-    for a ``(B, d)`` query matrix with one vectorized scoring pass and one
-    ``argpartition`` for the whole batch.
+    Rows are appended with :meth:`add`/:meth:`add_batch`.  :meth:`scan`
+    scores a ``(B, d)`` query matrix against the rows with one
+    vectorized similarity call and one ``argpartition`` for the whole
+    batch, and returns the best ``k`` per query as ``(scores, rows)``
+    arrays; :meth:`search` and :meth:`search_batch` wrap it into
+    :class:`RetrievalEntry` lists.
 
     The index is append-only and safe for concurrent readers: ids and
     labels are appended *before* their feature row, the matrix cache is
     grow-only (readers validate its length against the rows they need
-    and rebuild when stale), and :meth:`search_limited` /
-    :meth:`search_batch_limited` score only the first ``rows`` rows so a
-    snapshot reader never observes rows appended after its watermark.
+    and extend it when stale), and :meth:`scan` scores only the first
+    ``rows`` rows so a snapshot reader never observes rows appended
+    after its watermark.
     """
 
     def __init__(self, similarity: SimilarityFn = negative_l2) -> None:
@@ -73,9 +111,9 @@ class FeatureIndex:
         """The first ``rows`` gallery rows as an ``(rows, d)`` matrix.
 
         The cache is grow-only: a cached matrix shorter than ``rows`` is
-        rebuilt, a longer one (rows appended by a writer after the
-        caller fixed its watermark) is sliced.  Callers must guard
-        ``rows == 0``.
+        extended by the rows appended since it was built, a longer one
+        (rows appended by a writer after the caller fixed its
+        watermark) is sliced.  Callers must guard ``rows == 0``.
         """
         needed = len(self._features) if rows is None else int(rows)
         if needed <= 0:
@@ -83,74 +121,50 @@ class FeatureIndex:
             # it must short-circuit rather than score a bogus (0, 0) array.
             raise RuntimeError("feature matrix requested from an empty index")
         matrix = self._matrix
-        if matrix is None or matrix.shape[0] < needed:
-            matrix = np.stack(list(self._features))
-            self._matrix = matrix
+        if matrix is None:
+            matrix = self._matrix = np.stack(list(self._features))
+        elif matrix.shape[0] < needed:
+            matrix = self._matrix = np.concatenate(
+                [matrix, np.stack(self._features[matrix.shape[0]:])])
         if matrix.shape[0] == needed:
             return matrix
         return matrix[:needed]
 
-    def _top_k(self, scores: np.ndarray, k: int) -> list[RetrievalEntry]:
-        """Exact-sorted head of one score row (argpartition + short sort)."""
-        head = np.argpartition(-scores, k - 1)[:k]
-        order = head[np.argsort(-scores[head], kind="stable")]
-        return [
-            RetrievalEntry(self._ids[i], self._labels[i], float(scores[i]))
-            for i in order
-        ]
+    def scan(self, queries: np.ndarray, k: int, rows: int | None = None,
+             hidden: np.ndarray | None = None
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """Best-first ``(scores, rows)``, each ``(B, k')``, per query.
+
+        Only the first ``rows`` rows are scored (all by default), and
+        rows flagged in the boolean mask ``hidden`` (over those rows)
+        are never returned; ``k' = min(k, visible rows)``.
+        """
+        queries = as_query_matrix(queries)
+        rows = len(self._features) if rows is None \
+            else min(int(rows), len(self._features))
+        visible = rows if hidden is None \
+            else rows - int(np.count_nonzero(hidden))
+        k = min(int(k), visible)
+        if k <= 0:
+            return empty_scan(queries.shape[0])
+        scores = batched_similarity(self.similarity)(
+            queries, self._feature_matrix(rows))
+        if hidden is not None:
+            scores[:, hidden] = -np.inf
+        return top_k(scores, k)
 
     def search(self, query: np.ndarray, k: int) -> list[RetrievalEntry]:
         """Return the ``k`` most similar entries, best first.
 
         An empty index returns an empty list for any query shape.
         """
-        return self.search_limited(query, k, len(self._features))
-
-    def search_limited(self, query: np.ndarray, k: int,
-                       rows: int) -> list[RetrievalEntry]:
-        """:meth:`search` restricted to the first ``rows`` rows.
-
-        Snapshot readers pass their per-node watermark so rows appended
-        after the snapshot was taken are never scored.
-        """
-        rows = min(int(rows), len(self._features))
-        if rows <= 0:
-            return []
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
-        scores = self.similarity(query, self._feature_matrix(rows))
-        return self._top_k(scores, min(int(k), len(scores)))
+        query = np.asarray(query, dtype=np.float64).reshape(1, -1)
+        return self.search_batch(query, k)[0]
 
     def search_batch(self, queries: np.ndarray, k: int
                      ) -> list[list[RetrievalEntry]]:
-        """Top-k for each row of a ``(B, d)`` query matrix.
-
-        Scores all queries in one vectorized similarity call and one
-        ``argpartition`` over the batch; per-row results are identical to
-        B :meth:`search` calls (the l2 batch kernel is bit-exact).
-        """
-        return self.search_batch_limited(queries, k, len(self._features))
-
-    def search_batch_limited(self, queries: np.ndarray, k: int,
-                             rows: int) -> list[list[RetrievalEntry]]:
-        """:meth:`search_batch` restricted to the first ``rows`` rows."""
-        queries = np.asarray(queries, dtype=np.float64)
-        queries = queries.reshape(queries.shape[0], -1) if queries.ndim > 1 \
-            else queries.reshape(1, -1)
-        rows = min(int(rows), len(self._features))
-        if rows <= 0:
-            return [[] for _ in range(queries.shape[0])]
-        scores = batched_similarity(self.similarity)(
-            queries, self._feature_matrix(rows))
-        k = min(int(k), scores.shape[1])
-        heads = np.argpartition(-scores, k - 1, axis=1)[:, :k]
-        results = []
-        for row, head in zip(scores, heads):
-            order = head[np.argsort(-row[head], kind="stable")]
-            results.append([
-                RetrievalEntry(self._ids[i], self._labels[i], float(row[i]))
-                for i in order
-            ])
-        return results
+        """Top-k for each row of a ``(B, d)`` query matrix (via :meth:`scan`)."""
+        return scan_entries(self, *self.scan(queries, k))
 
     def labels_of(self) -> list[int]:
         """All stored labels (gallery statistics, metric computation)."""

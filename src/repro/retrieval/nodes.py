@@ -38,7 +38,6 @@ relocate only ``~1/n`` of the rows when the node count changes.
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 
@@ -50,11 +49,11 @@ from repro.obs import counter, histogram, span
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.config import ResilienceConfig
 from repro.resilience.retry import RetryExecutor
-from repro.retrieval.index import FeatureIndex
+from repro.retrieval.index import FeatureIndex, as_query_matrix, scan_entries
 from repro.retrieval.lists import RetrievalEntry
 from repro.retrieval.placement import ConsistentHashRing
 from repro.retrieval.similarity import SimilarityFn, negative_l2
-from repro.retrieval.snapshot import GallerySnapshot, filter_entries
+from repro.retrieval.snapshot import GallerySnapshot
 
 #: Per-node search latencies are sub-millisecond at test scale.
 NODE_LATENCY_BUCKETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0)
@@ -127,33 +126,38 @@ class DataNode:
         self.last_injected_latency_s = injected
         return injected
 
-    def search(self, query: np.ndarray, k: int,
-               index=None) -> list[RetrievalEntry]:
-        """Local top-k search; raises :class:`NodeDownError` when down.
+    def scan(self, queries: np.ndarray, k: int, rows: int | None = None,
+             hidden: np.ndarray | None = None, index=None
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """One scatter leg over ``(B, d)`` queries: ``(scores, rows)``.
 
-        ``index`` lets the coordinator pin the index object it resolved
-        at scatter start, so a concurrent tier swap cannot hand this
-        search a half-built replacement.
+        Raises :class:`NodeDownError` when down or when the fault
+        injector fails the attempt; otherwise scans the local index
+        (see :class:`~repro.retrieval.protocol.ScanIndex`) and lets the
+        injector corrupt the returned scores.  ``index`` lets the
+        coordinator pin the index object it resolved at scatter start,
+        so a concurrent tier swap cannot hand this leg a half-built
+        replacement.
         """
         self._pre_search()
-        self.search_count += 1
+        self.search_count += len(queries)
         target = self.index if index is None else index
-        entries = target.search(query, k)
+        scores, found = target.scan(queries, k, rows, hidden)
         if self.fault_injector is not None:
-            entries = self.fault_injector.transform(self.node_id, entries)
-        return entries
+            scores = self.fault_injector.transform(self.node_id, scores)
+        return scores, found
+
+    def search(self, query: np.ndarray, k: int,
+               index=None) -> list[RetrievalEntry]:
+        """Local top-k search; raises :class:`NodeDownError` when down."""
+        query = np.asarray(query, dtype=np.float64).reshape(1, -1)
+        return self.search_batch(query, k, index=index)[0]
 
     def search_batch(self, queries: np.ndarray, k: int,
                      index=None) -> list[list[RetrievalEntry]]:
         """Local top-k for ``(B, d)`` queries in one vectorized pass."""
-        self._pre_search()
-        self.search_count += len(queries)
         target = self.index if index is None else index
-        results = target.search_batch(queries, k)
-        if self.fault_injector is not None:
-            results = [self.fault_injector.transform(self.node_id, entries)
-                       for entries in results]
-        return results
+        return scan_entries(target, *self.scan(queries, k, index=target))
 
     def labels_of(self) -> list[int]:
         """All labels stored on this node."""
@@ -559,9 +563,7 @@ class ShardedGallery:
                 version=self._version,
                 indexes=indexes,
                 watermarks=tuple(len(index) for index in indexes),
-                node_dead=tuple(len(dead) for dead in self._node_dead),
                 dead_at=self._dead_at,
-                added_at=self._added_at,
                 alias=self._alias,
                 live_count=self._row_count - self._dead_count,
                 tier=self.index_tier,
@@ -727,113 +729,66 @@ class ShardedGallery:
                ) -> list[RetrievalEntry]:
         """Scatter/gather top-k across live nodes, best first.
 
-        With ``snapshot`` (or on any mutated gallery) the search is
-        evaluated against exactly one gallery version.
+        The ``B = 1`` case of :meth:`search_batch`.  With ``snapshot``
+        (or on any mutated gallery) the search is evaluated against
+        exactly one gallery version.
         """
-        snap = self._resolve_snapshot(snapshot)
-        if self.fault_plan is not None:
-            self.fault_plan.advance(1)
-        with span("gallery.search", k=int(k)):
-            scatter = self._scatter_plain if self.resilience is None \
-                else self._scatter_resilient
-            pinned = self._pinned if snap is None else None
-            partials = scatter(
-                lambda node: [self._node_search(node, query, k, snap,
-                                                pinned)])
-            merged = self._merge([lists[0] for lists in partials], k)
-            counter("gallery.searches").inc()
-            return merged
+        query = np.asarray(query, dtype=np.float64).reshape(1, -1)
+        return self.search_batch(query, k, snapshot)[0]
 
     def search_batch(self, queries: np.ndarray, k: int,
                      snapshot: GallerySnapshot | None = None
                      ) -> list[list[RetrievalEntry]]:
         """Scatter/gather top-k for a ``(B, d)`` query matrix.
 
-        Each live node scores the whole batch in one vectorized pass; the
-        coordinator then merges partial lists per query.  Results are
-        identical to B sequential :meth:`search` calls.
+        Each live node scans the whole batch in one vectorized pass
+        (:meth:`_snapshot_search_batch`) and answers with score/row
+        arrays; the coordinator merges them for every query at once
+        (:meth:`_merge`).  Results are identical to B sequential
+        :meth:`search` calls.
         """
-        queries = np.asarray(queries, dtype=np.float64)
+        queries = as_query_matrix(queries)
         batch = queries.shape[0]
         snap = self._resolve_snapshot(snapshot)
+        pinned = self._pinned
         if self.fault_plan is not None:
             self.fault_plan.advance(batch)
         with span("gallery.search_batch", k=int(k), batch=batch):
             scatter = self._scatter_plain if self.resilience is None \
                 else self._scatter_resilient
-            pinned = self._pinned if snap is None else None
-            node_results = scatter(
-                lambda node: self._node_search_batch(node, queries, k, snap,
-                                                     pinned),
+            partials = scatter(
+                lambda node: self._snapshot_search_batch(
+                    node, queries, k, snap, pinned),
                 weight=batch)
-            merged_lists = [
-                self._merge([results[query_idx] for results in node_results],
-                            k)
-                for query_idx in range(batch)
-            ]
+            merged = self._merge(partials, k, batch, snap)
             counter("gallery.searches").inc(batch)
-            return merged_lists
+            return merged
 
-    def _node_search(self, node: DataNode, query: np.ndarray, k: int,
-                     snap: GallerySnapshot | None,
-                     pinned) -> list[RetrievalEntry]:
+    def _snapshot_search_batch(self, node: DataNode, queries: np.ndarray,
+                               k: int, snap: GallerySnapshot | None,
+                               pinned: tuple) -> tuple:
+        """One node's scatter leg: ``(index, scores, rows)``.
+
+        A snapshot read scans the node's index pinned by ``snap`` up to
+        its watermark with its tombstone mask; an unpinned read scans
+        the whole index from ``pinned``, the tuple taken at scatter
+        start.
+        """
+        position = node.position
         if snap is None:
-            return node.search(query, k, index=pinned[node.position])
-        node._pre_search()
-        node.search_count += 1
-        entries = self._snapshot_search_one(snap, node.position, query, k)
-        if node.fault_injector is not None:
-            entries = node.fault_injector.transform(node.node_id, entries)
-        return entries
-
-    def _node_search_batch(self, node: DataNode, queries: np.ndarray, k: int,
-                           snap: GallerySnapshot | None,
-                           pinned) -> list[list[RetrievalEntry]]:
-        if snap is None:
-            return node.search_batch(queries, k, index=pinned[node.position])
-        node._pre_search()
-        node.search_count += len(queries)
-        results = self._snapshot_search_batch(snap, node.position, queries, k)
-        if node.fault_injector is not None:
-            results = [node.fault_injector.transform(node.node_id, entries)
-                       for entries in results]
-        return results
-
-    def _snapshot_search_one(self, snap: GallerySnapshot, position: int,
-                             query: np.ndarray, k: int
-                             ) -> list[RetrievalEntry]:
+            index = pinned[position]
+            return (index, *node.scan(queries, k, index=index))
         if position >= len(snap.indexes):
             # The gallery grew past the snapshot's node count (rebalance
             # while this query was in flight); new nodes hold no rows
             # visible at the snapshot's version.
-            return []
+            return (node.index, *node.scan(queries, k, rows=0))
         index = snap.indexes[position]
-        watermark = snap.watermarks[position]
-        fetch = int(k) + snap.node_dead[position]
-        if hasattr(index, "search_limited"):
-            raw = index.search_limited(query, fetch, watermark)
-        else:
-            # Compressed tiers cannot cap scored rows, so over-fetch by
-            # the rows appended past the watermark and filter instead.
-            fetch += max(0, len(index) - watermark)
-            raw = index.search(query, fetch)
-        return filter_entries(raw, snap, int(k), RetrievalEntry)
+        return (index, *node.scan(queries, k, snap.watermarks[position],
+                                  snap.hidden(position), index=index))
 
-    def _snapshot_search_batch(self, snap: GallerySnapshot, position: int,
-                               queries: np.ndarray, k: int
-                               ) -> list[list[RetrievalEntry]]:
-        if position >= len(snap.indexes):
-            return [[] for _ in range(len(queries))]
-        index = snap.indexes[position]
-        watermark = snap.watermarks[position]
-        fetch = int(k) + snap.node_dead[position]
-        if hasattr(index, "search_batch_limited"):
-            raw_lists = index.search_batch_limited(queries, fetch, watermark)
-        else:
-            fetch += max(0, len(index) - watermark)
-            raw_lists = index.search_batch(queries, fetch)
-        return [filter_entries(raw, snap, int(k), RetrievalEntry)
-                for raw in raw_lists]
+    #: Kept resolvable for callers that wrap the scalar leg by name.
+    _snapshot_search_one = _snapshot_search_batch
 
     # -------------------------------------------------------------- #
     # Scatter strategies
@@ -961,25 +916,62 @@ class ShardedGallery:
     # -------------------------------------------------------------- #
     # Merge
     # -------------------------------------------------------------- #
-    def _merge(self, partials: list[list[RetrievalEntry]],
-               k: int) -> list[RetrievalEntry]:
-        """Merge per-node top-k lists into the global top-k, best first.
+    def _merge(self, partials: list[tuple], k: int, batch: int,
+               snap: GallerySnapshot | None = None
+               ) -> list[list[RetrievalEntry]]:
+        """Merge per-node ``(index, scores, rows)`` scans into global top-k.
 
-        Without replication this is a plain ordered merge.  With
-        replication, the same row may arrive from several replicas; the
-        merge deduplicates by video id and resolves score disagreements
-        (a corrupt replica) by majority vote — the first-seen score wins
-        ties, and a disagreement increments
-        ``resilience.quorum_mismatches``.
+        One stable argsort per query over the node-order concatenation
+        of the returned scores ranks every candidate best first — the
+        order ``heapq.merge`` gives sorted per-node lists, and still
+        best first when a fault injector corrupted a node's scores.
+        Entries are built only for the survivors, with snapshot aliases
+        mapped back to public ids.
+
+        With replication the same row may arrive from several replicas;
+        the merge deduplicates by video id and resolves score
+        disagreements (a corrupt replica) by majority vote, and a
+        disagreement increments ``resilience.quorum_mismatches``.  A
+        tied vote takes the lowest score, so a corrupt copy can never
+        lift a row above the honest copy it ties with: a row of the
+        true top-k is returned by every live replica holding it, so at
+        r ≥ 3 with one corrupt node it always has an honest majority.
         """
-        merged = heapq.merge(*partials, key=lambda entry: -entry.score)
+        if not partials:
+            return [[] for _ in range(batch)]
+        owners = [index for index, scores, _ in partials
+                  for _ in range(scores.shape[1])]
+        scores = np.concatenate([part[1] for part in partials], axis=1)
+        found = np.concatenate([part[2] for part in partials], axis=1)
+        order = np.argsort(-scores, axis=1, kind="stable")
         if self.replication == 1:
-            return list(merged)[: int(k)]
+            order = order[:, :int(k)]
+        lines = np.arange(batch)[:, None]
+        alias = {} if snap is None else snap.alias
+        merged = []
+        for columns, row_scores, row_ids in zip(
+                order.tolist(), scores[lines, order].tolist(),
+                found[lines, order].tolist()):
+            entries = []
+            for column, score, row in zip(columns, row_scores, row_ids):
+                if row < 0:
+                    continue  # padding of a node with fewer results
+                index = owners[column]
+                rowid = index._ids[row]
+                entries.append(RetrievalEntry(alias.get(rowid, rowid),
+                                              index._labels[row], score))
+            merged.append(entries if self.replication == 1
+                          else self._quorum(entries, k))
+        return merged
+
+    @staticmethod
+    def _quorum(entries: list[RetrievalEntry],
+                k: int) -> list[RetrievalEntry]:
+        """Deduplicate best-first replica entries by majority score vote."""
         votes: dict[str, dict[float, int]] = {}
         first: dict[str, tuple[int, RetrievalEntry]] = {}
-        for position, entry in enumerate(merged):
-            votes.setdefault(entry.video_id, {})
-            scores = votes[entry.video_id]
+        for position, entry in enumerate(entries):
+            scores = votes.setdefault(entry.video_id, {})
             scores[entry.score] = scores.get(entry.score, 0) + 1
             if entry.video_id not in first:
                 first[entry.video_id] = (position, entry)
@@ -987,7 +979,8 @@ class ShardedGallery:
         for video_id, scores in votes.items():
             if len(scores) > 1:
                 counter("resilience.quorum_mismatches").inc()
-            score = max(scores.items(), key=lambda item: item[1])[0]
+            score = max(scores.items(),
+                        key=lambda item: (item[1], -item[0]))[0]
             position, entry = first[video_id]
             resolved.append((-score, position,
                              RetrievalEntry(video_id, entry.label, score)))

@@ -1,4 +1,4 @@
-"""The single ``Index`` protocol every searchable container implements.
+"""The ``Index`` protocol every searchable container implements.
 
 :class:`~repro.retrieval.index.FeatureIndex`, the compressed tiers
 (:class:`~repro.hashindex.binary.BinaryHashIndex`,
@@ -8,6 +8,12 @@
 structural protocol, so any of them can back a data node, a shard, or
 a standalone gallery interchangeably — and tests can assert
 conformance with ``isinstance(obj, Index)``.
+
+Everything but the gallery also implements :class:`ScanIndex`, the
+array primitive the scatter/gather path runs on: a node answers the
+coordinator with best-first ``(scores, rows)`` arrays, and entry
+objects are built only for the merged top-m.  The gallery has no
+``scan`` of its own, because its rows live on several nodes.
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ class Index(Protocol):
     * ``search`` returns at most ``k`` entries, best first; an empty
       index returns an empty list.
     * ``search_batch`` over a ``(B, d)`` query matrix returns exactly
-      the per-row results of ``B`` sequential ``search`` calls.
+      the per-row results of ``B`` sequential ``search`` calls; every
+      implementation runs ``search`` as the ``B = 1`` case of the
+      batched body, so this holds by construction.
     """
 
     def __len__(self) -> int: ...
@@ -48,4 +56,29 @@ class Index(Protocol):
     def labels_of(self) -> list[int]: ...
 
 
-__all__ = ["Index"]
+@runtime_checkable
+class ScanIndex(Index, Protocol):
+    """An :class:`Index` over one row store, with the array scan.
+
+    ``scan(queries, k, rows=None, hidden=None)`` returns ``(scores,
+    rows)``, both ``(B, k')``, sorted best first per query:
+
+    * only the first ``rows`` stored rows are scored (all by default),
+      so a snapshot reader never sees rows appended after its
+      watermark;
+    * rows flagged in the boolean mask ``hidden`` (over those rows)
+      are never returned — this is how tombstones stay out;
+    * ``k' = min(k, visible rows)``; a query with fewer results is
+      padded with ``-inf`` scores and ``-1`` rows at the end;
+    * ties keep one ``argpartition`` plus a stable sort of the head.
+
+    ``search``/``search_batch`` are thin wrappers that turn the arrays
+    into :class:`~repro.retrieval.lists.RetrievalEntry` lists.
+    """
+
+    def scan(self, queries: np.ndarray, k: int, rows: int | None = None,
+             hidden: np.ndarray | None = None
+             ) -> tuple[np.ndarray, np.ndarray]: ...
+
+
+__all__ = ["Index", "ScanIndex"]

@@ -7,19 +7,22 @@ that were live at that version: rows added later are hidden by the
 per-node ``watermarks`` (physical row counts captured at snapshot
 time), rows deleted later stay visible because their tombstone version
 in ``dead_at`` exceeds the snapshot's, and rows deleted at or before
-the snapshot are filtered out (the per-node ``node_dead`` counts size
-the over-fetch that guarantees ``k`` live results still surface).
+the snapshot are masked out of the scan itself: :meth:`hidden` builds
+one boolean mask per node on first use and caches it, and every index
+scan skips the masked rows, so no tombstone ever reaches the merge.
 
-The dictionaries are *shared* with the gallery, not copied: mutations
-only ever add keys with versions greater than any existing snapshot,
-so an old snapshot's filter decisions never change.  That makes
-snapshots O(nodes) to build and free to hold.
+The ``dead_at`` and ``alias`` dictionaries are *shared* with the
+gallery, not copied: mutations only ever add keys with versions greater
+than any existing snapshot, so an old snapshot's visibility decisions
+never change.  That makes snapshots O(nodes) to build and free to hold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -35,52 +38,41 @@ class GallerySnapshot:
     #: Physical rows per node at snapshot time; rows appended later sit
     #: beyond the watermark and are invisible to this snapshot.
     watermarks: tuple
-    #: Tombstoned rows still physically present per node (within the
-    #: watermark); used to over-fetch so filtering keeps ``k`` results.
-    node_dead: tuple
     #: rowid -> version at which the row was tombstoned (shared, grow-only).
     dead_at: Mapping
-    #: rowid -> version at which the row was added (shared, grow-only;
-    #: rows from before churn was enabled are absent and default to 0).
-    added_at: Mapping
     #: rowid -> public video id for re-embedded generations (shared).
     alias: Mapping
     #: Live (visible) row count at this version.
     live_count: int
     #: Index tier the pinned indexes were built with.
     tier: str
+    #: position -> cached :meth:`hidden` mask (filled on first use).
+    _masks: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def visible(self, rowid: str) -> bool:
-        """Is the physical row ``rowid`` live at this version?"""
-        dead = self.dead_at.get(rowid)
-        if dead is not None and dead <= self.version:
-            return False
-        return self.added_at.get(rowid, 0) <= self.version
+    def hidden(self, position: int) -> np.ndarray | None:
+        """Mask of node ``position``'s rows (below its watermark) that
+        are not live at this version; ``None`` when every row is.
 
-    def public_id(self, rowid: str) -> str:
-        """Map a physical rowid to its public video id."""
-        return self.alias.get(rowid, rowid)
-
-
-def filter_entries(entries: Sequence, snapshot: GallerySnapshot, k: int,
-                   entry_type) -> list:
-    """Keep the first ``k`` entries visible at ``snapshot``.
-
-    Re-embedded generations are mapped back to their public video id so
-    callers never observe internal rowids.
-    """
-    out: list = []
-    for entry in entries:
-        rowid = entry.video_id
-        if not snapshot.visible(rowid):
-            continue
-        public = snapshot.alias.get(rowid)
-        if public is not None:
-            entry = entry_type(public, entry.label, entry.score)
-        out.append(entry)
-        if len(out) >= k:
-            break
-    return out
+        Every row below a watermark was added at or before this version
+        (a row is appended in the same locked step that bumps the
+        version), so only rows tombstoned at or before it are masked.
+        Built once per (snapshot, node) and cached; a race between two
+        readers only builds the same mask twice.
+        """
+        try:
+            return self._masks[position]
+        except KeyError:
+            pass
+        ids = self.indexes[position]._ids[:self.watermarks[position]]
+        dead_at, version = self.dead_at, self.version
+        rows = [ids.index(rowid) for rowid in dead_at.keys() & set(ids)
+                if dead_at[rowid] <= version]
+        mask = None
+        if rows:
+            mask = np.zeros(len(ids), dtype=bool)
+            mask[rows] = True
+        self._masks[position] = mask
+        return mask
 
 
-__all__ = ["GallerySnapshot", "filter_entries"]
+__all__ = ["GallerySnapshot"]

@@ -20,6 +20,7 @@ REQUIRED = {
     "sharded_gallery.search_vs_batch",
     "engine.cached_vs_uncached",
     "gallery.replicated_vs_single",
+    "gallery.snapshot_vs_bruteforce",
     "sparse_query.sequential_vs_speculative",
     "serving.batched_vs_sequential",
     "serving.pooled_vs_single",

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import NodeDownError
 from repro.resilience import ANY_NODE, FaultPlan
 from repro.retrieval import ShardedGallery
-from repro.retrieval.lists import RetrievalEntry
 
 
 def drive(plan, queries=20, nodes=("node-0", "node-1")):
@@ -60,15 +59,31 @@ class TestDeterminism:
         assert solo_events == both_node1
 
     def test_corruption_deterministic(self):
-        entries = [RetrievalEntry(f"v{i}", i, float(-i)) for i in range(5)]
+        scores = -np.arange(5, dtype=float)[None, :]
         runs = []
         plan = FaultPlan(seed=11).corrupt("node-0", 0.5)
         for _ in range(2):
             plan.advance(1)
-            runs.append([e.score for e in plan.transform("node-0", entries)])
+            runs.append(plan.transform("node-0", scores).tolist())
             plan.reset()
         assert runs[0] == runs[1]
-        assert runs[0] != [e.score for e in entries]
+        assert runs[0] != scores.tolist()
+
+    def test_corruption_draws_match_per_query_lists(self):
+        """A padded batch draws what one call per result list would."""
+        block = np.array([[-1.0, -2.0, -3.0, -4.0],
+                          [-1.5, -2.5, -np.inf, -np.inf]])
+        batched = FaultPlan(seed=5).corrupt("node-0", 0.5)
+        batched.advance(2)
+        together = batched.transform("node-0", block)
+        single = FaultPlan(seed=5).corrupt("node-0", 0.5)
+        single.advance(2)
+        apart = [single.transform("node-0", block[:1, :4]),
+                 single.transform("node-0", block[1:, :2])]
+        assert together[0].tolist() == apart[0][0].tolist()
+        assert together[1, :2].tolist() == apart[1][0].tolist()
+        assert np.all(together[1, 2:] == -np.inf)
+        assert batched.timeline() == single.timeline()
 
 
 class TestOutage:

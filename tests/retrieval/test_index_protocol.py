@@ -13,7 +13,7 @@ import pytest
 
 from repro.hashindex import BinaryHashIndex, IVFPQIndex
 from repro.retrieval import FeatureIndex
-from repro.retrieval.protocol import Index
+from repro.retrieval.protocol import Index, ScanIndex
 
 FACTORIES = {
     "feature": lambda: FeatureIndex(),
@@ -37,6 +37,7 @@ def _rows(count: int, dim: int = 6, seed: int = 0):
 
 def test_satisfies_protocol(index):
     assert isinstance(index, Index)
+    assert isinstance(index, ScanIndex)
 
 
 def test_empty_index_searches(index):
@@ -98,3 +99,38 @@ def test_search_does_not_mutate_labels(index):
     index.search(features[0], k=3)
     index.search_batch(features[:4], k=3)
     assert index.labels_of() == before
+
+
+def test_scan_is_best_first_and_matches_search(index):
+    ids, labels, features = _rows(20)
+    index.add_batch(ids, labels, features)
+    queries = features[[2, 11]]
+    scores, rows = index.scan(queries, k=6)
+    assert scores.shape == rows.shape == (2, 6)
+    assert np.all(np.diff(scores, axis=1) <= 0)
+    assert rows[:, 0].tolist() == [2, 11]
+    assert [[ids[row] for row in per_query] for per_query in rows] == \
+        [[entry.video_id for entry in result]
+         for result in index.search_batch(queries, k=6)]
+
+
+def test_scan_honours_watermark_and_hidden_mask(index):
+    ids, labels, features = _rows(20)
+    index.add_batch(ids, labels, features)
+    hidden = np.zeros(15, dtype=bool)
+    hidden[[3, 4, 5]] = True
+    scores, rows = index.scan(features[[3, 17]], k=20, rows=15,
+                              hidden=hidden)
+    assert scores.shape == (2, 12)  # k clamps to the 12 visible rows
+    for per_query in rows:
+        returned = [row for row in per_query if row >= 0]
+        assert all(row < 15 and not hidden[row] for row in returned)
+    # A fully hidden store scans to nothing.
+    empty_scores, empty_rows = index.scan(features[:2], k=3, rows=4,
+                                          hidden=np.ones(4, dtype=bool))
+    assert empty_scores.shape == empty_rows.shape == (2, 0)
+
+
+def test_scan_of_empty_index(index):
+    scores, rows = index.scan(np.zeros((3, 6)), k=4)
+    assert scores.shape == rows.shape == (3, 0)

@@ -71,15 +71,16 @@ class TestTierSwapDuringScatter:
         baseline = gallery.search_batch(queries, k=8)
         old_pinned = gallery._pinned
 
-        from repro.retrieval.nodes import DataNode
         seen_indexes = []
-        original = DataNode.search_batch
+        original = ShardedGallery._snapshot_search_batch
 
-        def recording(self, batch, k, index=None):
-            seen_indexes.append(index)
-            return original(self, batch, k, index=index)
+        def recording(self, node, batch, k, snap, pinned):
+            leg = original(self, node, batch, k, snap, pinned)
+            seen_indexes.append(leg[0])  # the index this leg scanned
+            return leg
 
-        monkeypatch.setattr(DataNode, "search_batch", recording)
+        monkeypatch.setattr(ShardedGallery, "_snapshot_search_batch",
+                            recording)
         injector = MidScatterSwap(gallery, "hamming")
         install(gallery, injector)
         raced = gallery.search_batch(queries, k=8)
