@@ -20,8 +20,10 @@ from typing import Callable
 
 import numpy as np
 
+from repro.attacks.config import AttackConfig
 from repro.attacks.duo.sparse_transfer import SparseTransfer
 from repro.attacks.objective import RetrievalObjective
+from repro.attacks.registry import build_attack
 from repro.attacks.search import nes_search, simba_search
 from repro.metrics.perturbation import perturbed_frames, sparsity
 from repro.qa.comparators import array_digest
@@ -150,6 +152,24 @@ def scenario_nes() -> dict:
     }
 
 
+def _composed_scenario(strategy: str, targeted: bool = True) -> dict:
+    """One registry composition on the golden world, via ``run``."""
+    world = build_world(WORLD_SEED, cache_size=0)
+    config = AttackConfig(strategy=strategy, k=256, n=8, tau=128.0,
+                          iterations=16)
+    attack = build_attack(config, service=world.service,
+                          rng=ATTACK_SEED + 7)
+    report = attack.run(world.original, world.target if targeted else None)
+    trace = report.trace
+    return {
+        "perturbation_digest": array_digest(report.adversarial.pixels),
+        "trace": [float(v) for v in trace],
+        "final_objective": float(min(trace)),
+        "objective_queries": int(report.queries),
+        "service_query_count": int(world.service.query_count),
+    }
+
+
 def scenario_run_all_fig5() -> dict:
     """End-to-end: the quick-scale fig5 experiment through the CLI."""
     from repro.experiments.run_all import main
@@ -181,6 +201,9 @@ SCENARIOS: dict[str, Callable[[], dict]] = {
     "sparse_transfer": scenario_sparse_transfer,
     "simba": scenario_simba,
     "nes": scenario_nes,
+    "qair": lambda: _composed_scenario("qair"),
+    "lowrank": lambda: _composed_scenario("lowrank"),
+    "simba_untargeted": lambda: _composed_scenario("vanilla", targeted=False),
     "run_all_fig5": scenario_run_all_fig5,
 }
 
