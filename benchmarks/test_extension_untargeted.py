@@ -7,8 +7,7 @@ analogue of AP@m.
 
 import numpy as np
 
-from repro.attacks import AttackConfig, UntargetedRetrievalObjective, \
-    build_attack
+from repro.attacks import AttackConfig, RetrievalObjective, build_attack
 from repro.experiments import fixtures
 from repro.experiments.protocol import attack_pairs
 from repro.experiments.report import TableResult
@@ -38,8 +37,7 @@ def _run() -> TableResult:
                              "theta_steps": scale.theta_steps}),
                 service=victim.service, surrogate=surrogate)
             result = attack.run(original, None)
-            objective = UntargetedRetrievalObjective(victim.service,
-                                                     original)
+            objective = RetrievalObjective(victim.service, original)
             escapes.append(objective.escape_rate(result.adversarial))
             spas.append(result.stats.spa)
             queries.append(result.queries)

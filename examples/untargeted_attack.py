@@ -8,8 +8,7 @@ perturbed query to stop containing the videos it correctly returns for
 the clean query (e.g. to hide a video from similarity search entirely).
 """
 
-from repro.attacks import AttackConfig, UntargetedRetrievalObjective, \
-    build_attack
+from repro.attacks import AttackConfig, RetrievalObjective, build_attack
 from repro.surrogate import steal_training_set, train_surrogate
 from repro.training import build_victim_system
 from repro.video import load_dataset
@@ -41,7 +40,7 @@ def main() -> None:
         service=victim.service, surrogate=surrogate)
     # No target video: DUO minimizes the untargeted objective instead.
     result = attack.run(original, None)
-    escape_rate = UntargetedRetrievalObjective(
+    escape_rate = RetrievalObjective(
         victim.service, original).escape_rate(result.adversarial)
 
     adv_list = victim.service.query(result.adversarial)

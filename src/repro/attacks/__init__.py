@@ -23,7 +23,7 @@ built with :func:`build_attack` and run by one driver,
 
 from repro.attacks.base import Attack, project_linf, project_l2
 from repro.attacks.config import AttackConfig
-from repro.attacks.objective import RetrievalObjective, UntargetedRetrievalObjective
+from repro.attacks.objective import RetrievalObjective
 from repro.attacks.report import AttackReport
 from repro.attacks.timi import timi_transfer
 from repro.attacks.heu import motion_saliency
@@ -57,7 +57,6 @@ __all__ = [
     "project_l2",
     "resolve_strategy",
     "RetrievalObjective",
-    "UntargetedRetrievalObjective",
     "timi_transfer",
     "motion_saliency",
     "SparseTransfer",

@@ -20,40 +20,49 @@ trace, so the observable attack state is identical to sequential
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Callable, Sequence
 
-from repro.metrics.similarity import ndcg_similarity, ndcg_similarity_many
+from repro.metrics.similarity import ndcg_similarity_many
 from repro.retrieval.service import RetrievalService
 from repro.video.types import Video
 
+#: ``similarity(lists, reference)`` → one score per list.
+ListSimilarity = Callable[[Sequence[Sequence[str]], Sequence[str]],
+                          list[float]]
+
 
 class RetrievalObjective:
-    """Stateful evaluator of ``T`` against a black-box service."""
+    """Stateful evaluator of ``T`` against a black-box service.
+
+    Without a ``target`` the target term is 0 — the untargeted variant
+    of Eq. 2 (paper §I: "can be easily extended"),
+    ``T_unt = H(R^m(v_adv), R^m(v)) + η``, which pushes the adversarial
+    list away from the original's.  ``similarity`` swaps ``H`` for
+    another list score (QAIR's rank-weighted overlap); it must return
+    0 against an empty reference list.
+    """
 
     def __init__(self, service: RetrievalService, original: Video,
-                 target: Video, eta: float = 1.0) -> None:
+                 target: Video | None = None, eta: float = 1.0,
+                 similarity: ListSimilarity = ndcg_similarity_many) -> None:
         self.service = service
         self.eta = float(eta)
-        # Reference lists cost two queries, paid once up front.
+        self.similarity = similarity
+        # Reference lists cost one query each, paid once up front.
         self.original_ids = service.query(original).ids
-        self.target_ids = service.query(target).ids
-        self.queries = 2
+        self.target_ids = [] if target is None else service.query(target).ids
+        self.queries = 1 if target is None else 2
         self.trace: list[float] = []
 
     def _values_of(self, id_lists: list[list[str]]) -> list[float]:
-        h_orig = ndcg_similarity_many(id_lists, self.original_ids)
-        h_target = ndcg_similarity_many(id_lists, self.target_ids)
+        h_orig = self.similarity(id_lists, self.original_ids)
+        h_target = self.similarity(id_lists, self.target_ids)
         return [ho - ht + self.eta for ho, ht in zip(h_orig, h_target)]
 
     def value(self, candidate: Video) -> float:
         """Evaluate ``T(candidate, v, v_t)``; costs one query."""
-        result_ids = self.service.query(candidate).ids
+        value = self._values_of([self.service.query(candidate).ids])[0]
         self.queries += 1
-        value = (
-            ndcg_similarity(result_ids, self.original_ids)
-            - ndcg_similarity(result_ids, self.target_ids)
-            + self.eta
-        )
         self.trace.append(value)
         return value
 
@@ -81,75 +90,6 @@ class RetrievalObjective:
         Pair with :meth:`commit` for every value actually consumed by the
         attack loop.
         """
-        results = self.service.speculate(candidates)
-        return self._values_of([result.ids for result in results])
-
-    def commit(self, value: float) -> float:
-        """Consume one speculated value: count the query and trace it."""
-        self.service.commit_speculated(1)
-        self.queries += 1
-        self.trace.append(value)
-        return value
-
-    def success_ap(self, candidate: Video) -> float:
-        """AP@m of the candidate's list against the target's (evaluation only).
-
-        Not part of the attack loop; used by the harness after an attack
-        finishes, so it does not count toward attack queries.
-        """
-        from repro.metrics.ranking import ap_at_m
-
-        result_ids = self.service.query(candidate).ids
-        return ap_at_m(result_ids, self.target_ids)
-
-
-class UntargetedRetrievalObjective:
-    """Untargeted variant of Eq. 2 (paper §I: "can be easily extended").
-
-    Drops the target term: ``T_unt = H(R^m(v_adv), R^m(v)) + η``.
-    Minimizing it pushes the adversarial list away from the original's —
-    retrieval returns "arbitrary videos except for the correct ones".
-    Duck-type compatible with :class:`RetrievalObjective`, so every query
-    attack accepts it unchanged.
-    """
-
-    def __init__(self, service: RetrievalService, original: Video,
-                 target: Video | None = None, eta: float = 1.0) -> None:
-        self.service = service
-        self.eta = float(eta)
-        self.original_ids = service.query(original).ids
-        # target is accepted (and ignored) for interface compatibility.
-        self.target_ids: list[str] = []
-        self.queries = 1
-        self.trace: list[float] = []
-
-    def _values_of(self, id_lists: list[list[str]]) -> list[float]:
-        h_orig = ndcg_similarity_many(id_lists, self.original_ids)
-        return [ho + self.eta for ho in h_orig]
-
-    def value(self, candidate: Video) -> float:
-        """Evaluate ``T_unt(candidate, v)``; costs one query."""
-        result_ids = self.service.query(candidate).ids
-        self.queries += 1
-        value = ndcg_similarity(result_ids, self.original_ids) + self.eta
-        self.trace.append(value)
-        return value
-
-    def values(self, candidates: list[Video]) -> list[float]:
-        """Batched :meth:`value`; counts and traces every candidate."""
-        results = self.service.query_batch(candidates)
-        self.queries += len(candidates)
-        values = self._values_of([result.ids for result in results])
-        self.trace.extend(values)
-        return values
-
-    @property
-    def speculation_safe(self) -> bool:
-        """Whether :meth:`speculate` is allowed against this service."""
-        return self.service.speculation_safe
-
-    def speculate(self, candidates: list[Video]) -> list[float]:
-        """Compute ``T_unt`` for candidates without counting or tracing."""
         results = self.service.speculate(candidates)
         return self._values_of([result.ids for result in results])
 

@@ -1,7 +1,15 @@
-"""Black-box search primitives shared by the baseline attacks.
+"""Black-box search primitives shared by every query attack.
 
-* :func:`simba_search` — SimBA [53]: Cartesian-basis ±ε coordinate
-  descent on the retrieval objective, restricted to a support mask.
+* :func:`simba_search` — SimBA [53]: greedy ±ε direction descent on the
+  retrieval objective, restricted to a support mask.  It is the one ±ε
+  loop in the package; two seams cover its variants:
+
+  - *search space* — pixel coordinates (the loop stores the projected
+    candidate) or, with ``decode``, basis coefficients (the loop stores
+    raw coefficients and decodes, projects and clips them before each
+    query; the TenAd-style low-rank basis);
+  - *step policy* — a fixed ε or an :class:`AdaptiveStep` (QAIR's
+    grow/shrink/patience with a ``stop_at`` early exit).
 * :func:`nes_search` — NES-style gradient estimation with antithetic
   Gaussian probes restricted to a support mask, followed by signed
   descent steps (the optimizer inside HEU-Nes [16]).
@@ -11,10 +19,15 @@ Both return an :class:`~repro.attacks.report.AttackReport`.
 ``metric_prefix`` / ``checkpoint_algo`` let a caller rebrand the obs
 counters, spans, and checkpoint tag — DUO's query stage (the ``"duo"``
 and ``"duo-query"`` registry compositions) runs here under the
-``attack.duo.query`` names and the ``sparse_query`` checkpoint tag.
+``attack.duo.query`` names and the ``sparse_query`` checkpoint tag, the
+low-rank basis under ``attack.search.coeff`` / ``coeff`` and QAIR under
+``attack.search.qair`` / ``qair``.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -38,6 +51,33 @@ def default_block_size(support_size: int) -> int:
     return max(1, int(round(np.sqrt(max(support_size, 1)))))
 
 
+@dataclass(frozen=True)
+class AdaptiveStep:
+    """QAIR's step policy: adapt ε between ±ε pairs, exit early.
+
+    An iteration with an accepted move grows ``ε`` by ``grow`` (capped
+    at τ); ``patience`` consecutive fully-rejected iterations shrink it
+    by ``shrink`` (floored at τ/16).  With ``stop_at`` set the loop
+    exits as soon as the best objective value reaches it — the attack
+    stops paying for queries the moment the retrieval list has flipped.
+    """
+
+    grow: float = 1.5
+    shrink: float = 0.5
+    patience: int = 2
+    stop_at: float | None = None
+
+    def update(self, epsilon: float, misses: int, accepted: bool,
+               tau: float) -> tuple[float, int]:
+        """The next ``(ε, misses)`` after one ±ε pair."""
+        if accepted:
+            return min(tau, epsilon * self.grow), 0
+        misses += 1
+        if misses >= self.patience:
+            return max(tau / 16.0, epsilon * self.shrink), 0
+        return epsilon, misses
+
+
 def simba_search(original: Video, objective: RetrievalObjective,
                  support: np.ndarray, tau: float, iterations: int,
                  epsilon: float | None = None, rng=None,
@@ -46,7 +86,9 @@ def simba_search(original: Video, objective: RetrievalObjective,
                  checkpoint_path=None, *,
                  metric_prefix: str = "attack.search.simba",
                  checkpoint_algo: str = "simba",
-                 project_initial: bool = True) -> AttackReport:
+                 project_initial: bool = True,
+                 decode: Callable[[np.ndarray], np.ndarray] | None = None,
+                 step: AdaptiveStep | None = None) -> AttackReport:
     """Greedy ±ε direction descent on ``T`` over the ``support``.
 
     Directions are signed indicator blocks: each iteration consumes
@@ -58,12 +100,14 @@ def simba_search(original: Video, objective: RetrievalObjective,
     Parameters
     ----------
     support:
-        Boolean array shaped like the video pixels; only these
-        coordinates may be perturbed.
+        Boolean mask over the search variable; only these coordinates
+        move.  Shaped like the video pixels, or like the coefficient
+        vector when ``decode`` is given.
     tau:
         ℓ∞ budget on the *final* perturbation, in [0, 1] units.
     epsilon:
-        Step magnitude (defaults to ``tau``).
+        Step magnitude (defaults to ``tau``); the initial step under an
+        adaptive ``step`` policy.
     tie_rule:
         ``"move"`` accepts non-worsening steps (Eq. 3 behaviour, keeps
         exploring on plateaus of the list objective); ``"stay"`` accepts
@@ -78,7 +122,7 @@ def simba_search(original: Video, objective: RetrievalObjective,
         commit only consumed results (``None`` auto-enables when the
         objective supports speculation and the service is stateless).
         Query counts, the trace, and accepted steps are identical to the
-        sequential loop.
+        sequential loop; an adaptive step changes only *between* pairs.
     checkpoint_path:
         With a path set, a :class:`~repro.errors.RetrievalUnavailable`
         raised mid-run persists loop state before propagating; calling
@@ -91,18 +135,38 @@ def simba_search(original: Video, objective: RetrievalObjective,
         searching.  DUO's query stage passes ``False``: under the ℓ2
         transfer constraint (Table IX) the priors may legitimately
         exceed ``τ`` per coordinate, and only *steps* are projected.
+    decode:
+        Search basis coefficients instead of pixels: the loop keeps raw
+        coefficients, starting from zeros (``initial`` is a pixel
+        warm start and does not apply), and queries
+        ``clip(project(decode(c)))``; the report's metadata carries the
+        final ``coefficients``.
+    step:
+        An :class:`AdaptiveStep` policy; ``None`` keeps ε fixed.
 
     Returns an :class:`AttackReport`.
     """
     rng = seeded_rng(rng)
     base = original.pixels
     epsilon = tau if epsilon is None else float(epsilon)
-    perturbation = np.zeros_like(base) if initial is None else initial.copy()
-    if project_initial:
-        perturbation = project_linf(perturbation, tau)
-    perturbation = clip_video_range(base, perturbation)
+    support = np.asarray(support)
 
-    coords = np.flatnonzero(np.asarray(support).reshape(-1))
+    def to_pixels(point: np.ndarray) -> np.ndarray:
+        raw = point if decode is None else decode(point)
+        return clip_video_range(base, project_linf(raw, tau))
+
+    if decode is None:  # pixels: the point is the projected perturbation
+        point = np.zeros_like(base) if initial is None else initial.copy()
+        if project_initial:
+            point = project_linf(point, tau)
+        point = perturbation = clip_video_range(base, point)
+        point_key, size_key = "perturbation", "support"
+    else:  # coefficients: raw point, decoded before every query
+        point = np.zeros(support.shape)
+        perturbation = to_pixels(point)
+        point_key, size_key = "coefficients", "dim"
+
+    coords = np.flatnonzero(support.reshape(-1))
     if coords.size == 0:
         current = original.perturbed(perturbation)
         trace = [objective.value(current)]
@@ -118,6 +182,7 @@ def simba_search(original: Video, objective: RetrievalObjective,
     session = CheckpointSession(checkpoint_path, checkpoint_algo, objective,
                                 rng)
     resumed = session.resume()
+    misses = 0
     if resumed is None:
         current = original.perturbed(perturbation)
         best = objective.value(current)
@@ -126,7 +191,8 @@ def simba_search(original: Video, objective: RetrievalObjective,
         cursor = 0
         start_iteration = 0
     else:
-        perturbation = resumed["perturbation"]
+        point = resumed[point_key]
+        perturbation = point if decode is None else to_pixels(point)
         best = resumed["best"]
         trace = resumed["trace"]
         order = resumed["order"]
@@ -135,13 +201,22 @@ def simba_search(original: Video, objective: RetrievalObjective,
         # run* and checkpointed: resuming with a grown/shrunk support
         # must not silently change the block width mid-search.
         block = int(resumed.get("block", block))
+        if step is not None:
+            epsilon, misses = resumed["epsilon"], resumed["misses"]
         start_iteration = resumed["iteration"]
         current = original.perturbed(perturbation)
 
-    with span(metric_prefix, support=int(coords.size), block=block):
+    with span(metric_prefix, **{size_key: int(coords.size)}, block=block):
         for iteration in range(start_iteration, int(iterations)):
-            session.mark(iteration, perturbation=perturbation, best=best,
-                         trace=trace, order=order, cursor=cursor, block=block)
+            if step is not None and step.stop_at is not None and \
+                    best <= step.stop_at:
+                counter(f"{metric_prefix}.early_exits").inc()
+                break
+            adaptive = {} if step is None else \
+                {"epsilon": epsilon, "misses": misses}
+            session.mark(iteration, **{point_key: point}, best=best,
+                         trace=trace, order=order, cursor=cursor,
+                         **adaptive, block=block)
             try:
                 with span(f"{metric_prefix}.iter"):
                     if cursor + block > order.size:
@@ -152,47 +227,51 @@ def simba_search(original: Video, objective: RetrievalObjective,
                     signs = rng.choice((-1.0, 1.0), size=chosen.size)
                     # Build both ±ε candidates up front (no rng consumed),
                     # speculate the pair in one batch, commit sequentially.
-                    pair = []
+                    live = []
                     for flip in (+1.0, -1.0):
-                        candidate = perturbation.copy()
+                        candidate = point.copy()
                         candidate.reshape(-1)[chosen] += flip * signs * epsilon
-                        candidate = clip_video_range(
-                            base, project_linf(candidate, tau))
-                        if np.array_equal(candidate, perturbation):
-                            pair.append(None)  # projection undid the step
-                        else:
-                            pair.append(
-                                (candidate, original.perturbed(candidate)))
-                    live = [entry for entry in pair if entry is not None]
+                        pixels = to_pixels(candidate)
+                        if decode is None:
+                            candidate = pixels
+                        # A step the projection undid costs no query.
+                        if not np.array_equal(pixels, perturbation):
+                            live.append((candidate, pixels,
+                                         original.perturbed(pixels)))
                     speculated = objective.speculate(
-                        [adversarial for _, adversarial in live]
+                        [adversarial for *_, adversarial in live]
                     ) if batched and len(live) > 1 else None
-                    spec_index = 0
-                    for entry in pair:
-                        if entry is None:
-                            continue  # skipped candidates cost no query
-                        candidate, adversarial = entry
+                    accepted = False
+                    for spec_index, (candidate, pixels, adversarial) in \
+                            enumerate(live):
                         if speculated is None:
                             value = objective.value(adversarial)
                         else:
                             value = objective.commit(speculated[spec_index])
-                        spec_index += 1
                         trace.append(value)
                         counter(f"{metric_prefix}.evaluations").inc()
                         if value < best or \
                                 (tie_rule == "move" and value <= best):
                             counter(f"{metric_prefix}.accepted").inc()
                             best = value
-                            perturbation = candidate
+                            point, perturbation = candidate, pixels
                             current = adversarial
+                            accepted = True
                             break
+                    if step is not None:
+                        epsilon, misses = step.update(epsilon, misses,
+                                                      accepted, tau)
             except RetrievalUnavailable:
                 session.persist()
                 raise
         gauge(f"{metric_prefix}.objective").set(best)
+        if step is not None:
+            gauge(f"{metric_prefix}.step").set(epsilon)
     session.complete()
     return AttackReport(adversarial=current, perturbation=perturbation,
-                        queries=len(trace), trace=trace)
+                        queries=len(trace), trace=trace,
+                        metadata=None if decode is None else
+                        {"coefficients": point})
 
 
 def nes_search(original: Video, objective: RetrievalObjective,
@@ -206,7 +285,7 @@ def nes_search(original: Video, objective: RetrievalObjective,
 
     Each iteration draws ``samples`` antithetic Gaussian probes (costing
     ``2·samples`` queries), estimates the gradient of ``T``, and takes a
-    signed step of size ``lr`` (default ``tau / 10``).
+    signed step of size ``lr`` (default ``tau / 5``).
 
     With ``batched`` (auto-enabled when the objective exposes ``values``)
     all ``2·samples`` probe evaluations of an iteration share one forward

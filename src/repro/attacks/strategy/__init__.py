@@ -11,11 +11,8 @@ from repro.attacks.strategy.composed import ComposedAttack
 from repro.attacks.strategy.feedback import (
     NesFeedback,
     QairFeedback,
-    RelevanceFeedbackObjective,
     SimbaFeedback,
     TransferFeedback,
-    coefficient_search,
-    qair_search,
 )
 from repro.attacks.strategy.protocols import (
     AttackContext,
@@ -48,13 +45,10 @@ __all__ = [
     "QairFeedback",
     "RLFrameSampler",
     "RandomSampler",
-    "RelevanceFeedbackObjective",
     "SaliencySampler",
     "SimbaFeedback",
     "SupportPlan",
     "SupportSampler",
     "TransferFeedback",
     "TransferSampler",
-    "coefficient_search",
-    "qair_search",
 ]

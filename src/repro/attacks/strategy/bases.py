@@ -48,9 +48,9 @@ class LowRankBasis:
     slice of the whole video, so SimBA converges in far fewer queries.
 
     Decoded perturbations are ℓ∞-projected and range-clipped by the
-    coefficient search *after* decoding; ``epsilon_hint`` sizes the
-    per-coefficient step so a fresh probe lands near the τ boundary
-    (three factors of magnitude ε produce entries ≈ ε³).
+    search *after* decoding; ``epsilon_hint`` is the default
+    per-coefficient step, sized so a fresh probe lands near the τ
+    boundary (three factors of magnitude ε produce entries ≈ ε³).
     """
 
     name = "lowrank"

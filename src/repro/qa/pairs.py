@@ -29,8 +29,7 @@ from repro.attacks.base import clip_video_range
 from repro.attacks.config import AttackConfig
 from repro.attacks.duo import SparseTransfer, TransferPriors
 from repro.attacks.heu import saliency_support
-from repro.attacks.objective import RetrievalObjective, \
-    UntargetedRetrievalObjective
+from repro.attacks.objective import RetrievalObjective
 from repro.attacks.registry import build_attack
 from repro.attacks.search import nes_search, simba_search
 from repro.attacks.timi import timi_transfer
@@ -805,9 +804,7 @@ def _duo_reference(world, seed: int, iters: int, targeted: bool) -> dict:
     """DUO's loop: SparseTransfer then SimBA over its support, twice."""
     rng = np.random.default_rng(seed + 17)
     target = world.target if targeted else None
-    objective = RetrievalObjective(world.service, world.original, target) \
-        if targeted else UntargetedRetrievalObjective(world.service,
-                                                      world.original)
+    objective = RetrievalObjective(world.service, world.original, target)
     transfer = SparseTransfer(tiny_extractor(seed + 23), k=48, n=2, tau=30.0,
                               outer_iters=1, theta_steps=3,
                               targeted=targeted, rng=rng)

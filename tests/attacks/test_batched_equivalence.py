@@ -1,7 +1,8 @@
 """Batched candidate evaluation must be indistinguishable from sequential.
 
 The fast paths (``RetrievalObjective.values``, speculative ±ε pairs in
-DUO's query stage/SimBA, probe batching in NES) promise *exact* sequential
+DUO's query stage/SimBA and the QAIR and low-rank compositions that share
+its loop, probe batching in NES) promise *exact* sequential
 semantics: same rng consumption, same query counts, same traces, same
 accepted perturbations.  These tests run each attack twice — batching
 forced off, then on — against the same victim and assert the observable
@@ -11,11 +12,10 @@ state is identical.
 import numpy as np
 import pytest
 
+from repro.attacks.config import AttackConfig
 from repro.attacks.duo import TransferPriors
-from repro.attacks.objective import (
-    RetrievalObjective,
-    UntargetedRetrievalObjective,
-)
+from repro.attacks.objective import RetrievalObjective
+from repro.attacks.registry import build_attack
 from repro.attacks.search import nes_search, simba_search
 from repro.qa.pairs import duo_query_attack
 from repro.retrieval import RetrievalEngine, RetrievalService
@@ -129,6 +129,34 @@ class TestSimbaEquivalence:
         assert bat[1:] == seq[1:]
 
 
+class TestComposedEquivalence:
+    @pytest.mark.parametrize("name", ["qair", "lowrank"])
+    def test_trace_and_ledger_identical(self, cacheless_engine, attack_pair,
+                                        name):
+        original, target = attack_pair
+        runs = {}
+        for batched in (False, True):
+            service = fresh_service(cacheless_engine)
+            speculated = []
+            speculate = service.speculate
+            service.speculate = lambda videos, m=None: (
+                speculated.append(len(videos)) or speculate(videos, m))
+            attack = build_attack(
+                AttackConfig(strategy=name, k=400, n=8, tau=255.0,
+                             iterations=8, batched=batched),
+                service=service, rng=np.random.default_rng(3))
+            report = attack.run(original, target)
+            runs[batched] = (report.perturbation, report.trace,
+                             report.queries, service.query_count,
+                             service.queries_issued,
+                             service.queries_refunded)
+            assert bool(speculated) == batched
+        seq, bat = runs[False], runs[True]
+        assert len(set(seq[1])) > 1, "the list never moved"
+        np.testing.assert_array_equal(bat[0], seq[0])
+        assert bat[1:] == seq[1:]
+
+
 class TestNesEquivalence:
     def test_trace_identical(self, cacheless_engine, attack_pair):
         original, target = attack_pair
@@ -181,15 +209,15 @@ class TestObjectiveValues:
             for _ in range(3)
         ]
         service_a = fresh_service(cacheless_engine)
-        sequential = UntargetedRetrievalObjective(service_a, original)
+        sequential = RetrievalObjective(service_a, original)
         expected = [sequential.value(c) for c in candidates]
 
         service_b = fresh_service(cacheless_engine)
-        batched = UntargetedRetrievalObjective(service_b, original)
+        batched = RetrievalObjective(service_b, original)
         assert batched.values(candidates) == expected
 
         service_c = fresh_service(cacheless_engine)
-        speculating = UntargetedRetrievalObjective(service_c, original)
+        speculating = RetrievalObjective(service_c, original)
         speculated = speculating.speculate(candidates)
         assert speculated == expected
         assert speculating.queries == 1  # nothing committed yet

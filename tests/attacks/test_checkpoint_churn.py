@@ -29,7 +29,7 @@ from tests.resilience.conftest import build_service, make_videos
 
 #: Composed strategies that both query the service and checkpoint.
 CHURN_STRATEGIES = [name for name in QUERYING
-                    if name in ("rl-sparse", "qair", "heu-rand")] or QUERYING
+                    if name in ("rl-sparse", "qair", "lowrank")] or QUERYING
 
 
 def fresh_video(seed: int, video_id: str, label: int = 4) -> Video:

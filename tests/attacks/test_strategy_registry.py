@@ -173,6 +173,23 @@ class TestConformance:
         assert digests[0] == digests[1]
 
 
+class TestEpsilonScale:
+    @pytest.mark.parametrize("name", ["vanilla", "lowrank"])
+    def test_scales_the_basis_default_step(self, name):
+        """τ on pixels, ``epsilon_hint`` on coefficients, both honoured."""
+        def trace(**feedback):
+            world = build_world(73)
+            attack = build_attack(
+                AttackConfig(strategy=name, k=256, n=8, tau=128.0,
+                             iterations=8, feedback=feedback),
+                service=world.service, rng=np.random.default_rng(5))
+            return attack.run(world.original, world.target).trace
+
+        default = trace()
+        assert trace(epsilon_scale=1.0) == default
+        assert trace(epsilon_scale=0.25) != default
+
+
 class TestCheckpointResume:
     @pytest.mark.parametrize("name", QUERYING)
     def test_bit_identical_after_outage(self, name, tmp_path):

@@ -3,29 +3,28 @@
 import numpy as np
 import pytest
 
-from repro.attacks import AttackConfig, UntargetedRetrievalObjective, \
-    build_attack
+from repro.attacks import AttackConfig, RetrievalObjective, build_attack
 from repro.attacks.duo import SparseTransfer
 
 
 class TestUntargetedObjective:
     def test_value_range(self, tiny_victim, attack_pair):
         original, _ = attack_pair
-        objective = UntargetedRetrievalObjective(tiny_victim.service,
-                                                 original, eta=1.0)
+        objective = RetrievalObjective(tiny_victim.service, original,
+                                       eta=1.0)
         value = objective.value(original)
         assert value == pytest.approx(2.0)  # identical list: H = 1, + eta
 
     def test_reference_costs_one_query(self, tiny_victim, attack_pair):
         original, _ = attack_pair
         before = tiny_victim.service.query_count
-        objective = UntargetedRetrievalObjective(tiny_victim.service, original)
+        objective = RetrievalObjective(tiny_victim.service, original)
         assert tiny_victim.service.query_count == before + 1
         assert objective.queries == 1
 
     def test_escape_rate_bounds(self, tiny_victim, attack_pair):
         original, _ = attack_pair
-        objective = UntargetedRetrievalObjective(tiny_victim.service, original)
+        objective = RetrievalObjective(tiny_victim.service, original)
         assert objective.escape_rate(original) == 0.0
 
 
@@ -66,8 +65,7 @@ class TestUntargetedDUO:
         # for a target.
         assert result.queries == len(result.trace) + 1
         assert tiny_victim.service.query_count - before == result.queries
-        objective = UntargetedRetrievalObjective(tiny_victim.service,
-                                                 original)
+        objective = RetrievalObjective(tiny_victim.service, original)
         assert 0.0 <= objective.escape_rate(result.adversarial) <= 1.0
         assert result.queries > 0
         assert result.stats.frames <= original.num_frames
