@@ -19,9 +19,9 @@ reader's watermark and tombstone mask by over-fetching past the rows it
 must skip, and builds no entry objects.  ``search``/``search_batch``
 wrap it into :class:`~repro.retrieval.lists.RetrievalEntry` lists.
 
-This base class owns row buffering (zip semantics, identical to
-``FeatureIndex.add_batch``), lazy builds, the exact-feature payload
-(optionally spilled to a :class:`~repro.hashindex.store.MemmapStore`),
+This base class shares the :class:`~repro.retrieval.index.RowBuffer`
+row store with ``FeatureIndex`` and owns lazy builds, the exact-feature
+payload (optionally spilled to a :class:`~repro.hashindex.store.MemmapStore`),
 the rerank stage, and the obs counters every compressed search reports:
 ``hashindex.candidates_scanned``, ``hashindex.rerank_depth``, and the
 store's ``hashindex.bytes_mapped``.
@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.obs import counter, histogram
 from repro.retrieval.index import (
-    as_query_matrix, empty_scan, scan_entries, top_k)
+    RowBuffer, as_query_matrix, empty_scan, scan_entries, top_k)
 from repro.retrieval.lists import RetrievalEntry
 from repro.retrieval.similarity import SimilarityFn, negative_l2
 from repro.hashindex.store import MemmapStore
@@ -44,7 +44,7 @@ from repro.hashindex.store import MemmapStore
 RERANK_DEPTH_BUCKETS = (1, 4, 16, 64, 256, 1024, 4096)
 
 
-class CompressedIndex:
+class CompressedIndex(RowBuffer):
     """Base class: buffered rows + compressed scan + exact rerank.
 
     Parameters
@@ -74,50 +74,16 @@ class CompressedIndex:
         self.rerank = int(rerank)
         self.store = store if store is not None else (
             MemmapStore() if memmap else None)
-        self._features: list[np.ndarray] = []
-        self._ids: list[str] = []
-        self._labels: list[int] = []
+        super().__init__()
         self._exact: np.ndarray | None = None
-        self._dirty = True
-
-    # ------------------------------------------------------------------ #
-    # Ingest (zip semantics, mirroring FeatureIndex)
-    # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def add(self, video_id: str, label: int, feature: np.ndarray) -> None:
-        """Buffer one row; the compressed payload rebuilds lazily."""
-        feature = np.asarray(feature, dtype=np.float64).reshape(-1)
-        if self._features and feature.shape != self._features[0].shape:
-            raise ValueError(
-                f"feature dim mismatch: {feature.shape} vs "
-                f"{self._features[0].shape}")
-        self._features.append(feature)
-        self._ids.append(str(video_id))
-        self._labels.append(int(label))
         self._dirty = True
 
     def add_batch(self, ids: Sequence[str], labels: Sequence[int],
                   features: np.ndarray) -> None:
-        """Buffer many rows (row count is the min of the three lengths)."""
-        count = min(len(ids), len(labels), len(features))
-        if count == 0:
-            return
-        features = np.asarray(features[:count], dtype=np.float64)
-        features = features.reshape(count, -1)
-        if self._features and features.shape[1:] != self._features[0].shape:
-            raise ValueError(
-                f"feature dim mismatch: {features.shape[1:]} vs "
-                f"{self._features[0].shape}")
-        self._features.extend(features)
-        self._ids.extend(str(video_id) for video_id in ids[:count])
-        self._labels.extend(int(label) for label in labels[:count])
-        self._dirty = True
-
-    def labels_of(self) -> list[int]:
-        """All stored labels."""
-        return list(self._labels)
+        """Buffer many rows; the compressed payload rebuilds lazily."""
+        before = len(self)
+        super().add_batch(ids, labels, features)
+        self._dirty = self._dirty or len(self) != before
 
     # ------------------------------------------------------------------ #
     # Build

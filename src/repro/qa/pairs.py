@@ -449,7 +449,6 @@ def _snapshot_gallery(seed, rows, dim, ops, batch, k, num_nodes,
         num_nodes=num_nodes,
         resilience=None if replication == 1 else
         ResilienceConfig(replication=replication))
-    gallery.enable_churn()
     gallery.add_batch(ids, labels, features)
     snapshots = []
     for step in script:
@@ -911,16 +910,15 @@ register(OraclePair(
 # ---------------------------------------------------------------------- #
 # scale-out serving: worker pool + live gallery churn
 # ---------------------------------------------------------------------- #
-def _pooled_world(seed: int):
-    """A deterministic multi-shard, replication-1 world for churn runs.
+def _pooled_world(seed: int, replication: int = 1):
+    """A deterministic three-shard world for pooled and churn runs.
 
-    Replication is pinned at 1 because :meth:`ShardedGallery.enable_churn`
-    requires single-replica placement on a populated gallery; the
-    replicated read path has its own oracle
-    (``retrieval.replicated_vs_single``).
+    Every gallery accepts live mutation, so the mutating timeline draws
+    ``replication`` too; replicated reads without churn have their own
+    oracle (``gallery.replicated_vs_single``).
     """
     return build_world(seed % 997, num_videos=12, num_nodes=3,
-                       replication=1)
+                       replication=replication)
 
 
 def _pooled_config(batch: int, workers: int) -> ServingConfig:
@@ -978,11 +976,12 @@ register(OraclePair(
 
 
 def _mutating_timeline(seed: int, tenants: int, per_tenant: int,
-                       adds: int, deletes: int, reembeds: int):
+                       adds: int, deletes: int, reembeds: int,
+                       replication: int):
     """One (requests ⊎ events) timeline and its world, deterministically."""
     from repro.serving import generate_churn
 
-    world = _pooled_world(seed)
+    world = _pooled_world(seed, replication)
     specs = [TenantSpec(f"tenant-{i}", 150.0 + 50.0 * i, per_tenant)
              for i in range(tenants)]
     requests = generate_timeline(seed + 11, specs, world.gallery_videos)
@@ -994,7 +993,8 @@ def _mutating_timeline(seed: int, tenants: int, per_tenant: int,
 
 
 def _mutating_run(pooled: bool, seed: int, tenants: int, per_tenant: int,
-                  adds: int, deletes: int, reembeds: int, batch: int):
+                  adds: int, deletes: int, reembeds: int, batch: int,
+                  replication: int):
     """Replay a mutating timeline pooled (W=3) or sequentially.
 
     The contract: a query admitted at time t sees exactly the gallery
@@ -1004,7 +1004,8 @@ def _mutating_run(pooled: bool, seed: int, tenants: int, per_tenant: int,
     order, with bit-identical ledgers.
     """
     world, timeline = _mutating_timeline(seed, tenants, per_tenant,
-                                         adds, deletes, reembeds)
+                                         adds, deletes, reembeds,
+                                         replication)
     config = _pooled_config(batch, 3)
     if pooled:
         report = ServingFrontend(world.service, config).run(timeline)
@@ -1041,15 +1042,17 @@ register(OraclePair(
                      "adds": int(rng.integers(0, 4)),
                      "deletes": int(rng.integers(0, 5)),
                      "reembeds": int(rng.integers(0, 4)),
-                     "batch": int(rng.integers(2, 7))},
+                     "batch": int(rng.integers(2, 7)),
+                     "replication": int(rng.integers(1, 3))},
         {"tenants": shrink_int(1), "per_tenant": shrink_int(1),
          "adds": shrink_int(0), "deletes": shrink_int(0),
-         "reembeds": shrink_int(0), "batch": shrink_int(1)},
+         "reembeds": shrink_int(0), "batch": shrink_int(1),
+         "replication": shrink_int(1)},
     ),
     compare=_mutating_compare,
     cases=3,
     description="interleaved query/add/delete/re-embed replayed "
                 "sequentially matches the pooled front end: statuses, "
                 "rankings, ledgers, and applied-event counts",
-    guards=("REPRO_SERVING_WORKERS", "REPRO_GALLERY_CHURN"),
+    guards=("REPRO_SERVING_WORKERS",),
 ))

@@ -147,16 +147,13 @@ def replay_sequential(items: list, service,
     admitted request goes straight through ``service.query`` in the
     canonical arrival order with no queueing or coalescing.  Gallery
     events in ``items`` apply at their place in that order, so each
-    query sees the gallery current at its arrival.  Churn is enabled
-    exactly when the front end enables it (any event, or
-    ``config.churn``).  Under a no-shed load the front end must match
-    it exactly — retrieval lists, per-tenant served counts, applied
-    events, and the service's query ledger.
+    query sees the gallery current at its arrival.  Under a no-shed
+    load the front end must match it exactly — retrieval lists,
+    per-tenant served counts, applied events, and the service's query
+    ledger.
     """
     config = config if config is not None else ServingConfig()
     arrivals = canonical_order(items)
-    if config.churn or any(index is None for index, _ in arrivals):
-        service.engine.enable_churn()
     policy = CompactionPolicy(config.compact_dead_fraction,
                               config.compact_min_dead)
     admission = AdmissionController(config)

@@ -111,13 +111,8 @@ class RetrievalEngine:
     # -------------------------------------------------------------- #
     # Online gallery mutation (churn)
     # -------------------------------------------------------------- #
-    def enable_churn(self) -> None:
-        """Allow live add/delete/re-embed on the gallery (idempotent)."""
-        self.gallery.enable_churn()
-
     def add_video(self, video: Video) -> None:
-        """Embed and insert one new video into a live gallery."""
-        self.gallery.enable_churn()
+        """Embed and insert one new video into the live gallery."""
         feature = self.embed_queries([video])[0]
         self.gallery.add(video.video_id, video.label, feature)
 

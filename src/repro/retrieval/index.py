@@ -45,54 +45,32 @@ def scan_entries(index, scores: np.ndarray,
     ]
 
 
-class FeatureIndex:
-    """Flat index mapping features to (video_id, label) rows.
+class RowBuffer:
+    """Append-only ``(id, label, feature)`` rows, shared by every index.
 
-    Rows are appended with :meth:`add`/:meth:`add_batch`.  :meth:`scan`
-    scores a ``(B, d)`` query matrix against the rows with one
-    vectorized similarity call and one ``argpartition`` for the whole
-    batch, and returns the best ``k`` per query as ``(scores, rows)``
-    arrays; :meth:`search` and :meth:`search_batch` wrap it into
-    :class:`RetrievalEntry` lists.
-
-    The index is append-only and safe for concurrent readers: ids and
-    labels are appended *before* their feature row, the matrix cache is
-    grow-only (readers validate its length against the rows they need
-    and extend it when stale), and :meth:`scan` scores only the first
-    ``rows`` rows so a snapshot reader never observes rows appended
-    after its watermark.
+    ``add_batch`` mirrors ``zip()``: the row count is the min of the
+    three lengths and extra entries are ignored; ``add`` is the one-row
+    batch.  Ids and labels are appended *before* their feature row and
+    the row count is the feature count, so a concurrent reader never
+    sees a feature row without its metadata.
     """
 
-    def __init__(self, similarity: SimilarityFn = negative_l2) -> None:
-        self.similarity = similarity
-        self._features: list[np.ndarray] = []
+    def __init__(self) -> None:
         self._ids: list[str] = []
         self._labels: list[int] = []
-        self._matrix: np.ndarray | None = None
+        self._features: list[np.ndarray] = []
 
     def __len__(self) -> int:
         return len(self._features)
 
     def add(self, video_id: str, label: int, feature: np.ndarray) -> None:
-        """Append one gallery row."""
-        feature = np.asarray(feature, dtype=np.float64).reshape(-1)
-        if self._features and feature.shape != self._features[0].shape:
-            raise ValueError(
-                f"feature dim mismatch: {feature.shape} vs {self._features[0].shape}"
-            )
-        # ids/labels first so any visible feature row always has metadata.
-        self._ids.append(str(video_id))
-        self._labels.append(int(label))
-        self._features.append(feature)
+        """Append one row."""
+        self.add_batch([video_id], [label], [feature])
 
     def add_batch(self, ids: list[str], labels: list[int],
                   features: np.ndarray) -> None:
-        """Append many rows in one pass (``features`` is ``(n, d)``).
-
-        Validates the feature dimension once instead of per-row.
-        """
-        # Mirror the zip() semantics of per-row insertion: extra entries in
-        # any argument are ignored.
+        """Append many rows in one pass (``features`` is ``(n, d)``),
+        checking the feature dimension once."""
         count = min(len(ids), len(labels), len(features))
         if count == 0:
             return
@@ -106,6 +84,43 @@ class FeatureIndex:
         self._ids.extend(str(video_id) for video_id in ids[:count])
         self._labels.extend(int(label) for label in labels[:count])
         self._features.extend(features)
+
+    def rows(self, skip=frozenset()) -> tuple[list, list, list]:
+        """``(ids, labels, features)`` of the stored rows whose id is not
+        in ``skip``, in storage order (ready for :meth:`add_batch`)."""
+        keep = [row for row, video_id in enumerate(self._ids[:len(self)])
+                if video_id not in skip]
+        return ([self._ids[row] for row in keep],
+                [self._labels[row] for row in keep],
+                [self._features[row] for row in keep])
+
+    def labels_of(self) -> list[int]:
+        """All stored labels (gallery statistics, metric computation)."""
+        return list(self._labels)
+
+
+class FeatureIndex(RowBuffer):
+    """Flat index mapping features to (video_id, label) rows.
+
+    Rows are appended through the :class:`RowBuffer`.  :meth:`scan`
+    scores a ``(B, d)`` query matrix against the rows with one
+    vectorized similarity call and one ``argpartition`` for the whole
+    batch, and returns the best ``k`` per query as ``(scores, rows)``
+    arrays; :meth:`search` and :meth:`search_batch` wrap it into
+    :class:`RetrievalEntry` lists.
+
+    The index is append-only and safe for concurrent readers: the
+    buffer publishes a row only with its metadata, the matrix cache is
+    grow-only (readers validate its length against the rows they need
+    and extend it when stale), and :meth:`scan` scores only the first
+    ``rows`` rows so a snapshot reader never observes rows appended
+    after its watermark.
+    """
+
+    def __init__(self, similarity: SimilarityFn = negative_l2) -> None:
+        super().__init__()
+        self.similarity = similarity
+        self._matrix: np.ndarray | None = None
 
     def _feature_matrix(self, rows: int | None = None) -> np.ndarray:
         """The first ``rows`` gallery rows as an ``(rows, d)`` matrix.
@@ -165,7 +180,3 @@ class FeatureIndex:
                      ) -> list[list[RetrievalEntry]]:
         """Top-k for each row of a ``(B, d)`` query matrix (via :meth:`scan`)."""
         return scan_entries(self, *self.scan(queries, k))
-
-    def labels_of(self) -> list[int]:
-        """All stored labels (gallery statistics, metric computation)."""
-        return list(self._labels)

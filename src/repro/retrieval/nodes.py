@@ -23,15 +23,16 @@ into a self-healing retrieval plane:
   behaviour) or raises :class:`~repro.errors.RetrievalUnavailable` so
   attack loops can checkpoint and resume.
 
-Online galleries (:meth:`ShardedGallery.enable_churn`) add live
-mutation under traffic: :meth:`~ShardedGallery.delete` and
-:meth:`~ShardedGallery.reembed` tombstone rows logically (physical rows
-stay until :meth:`~ShardedGallery.compact`), every mutation bumps a
-version counter, and readers pin an immutable
-:class:`~repro.retrieval.snapshot.GallerySnapshot` so each query sees
-exactly one gallery version even while writers race.  Placement is
-round-robin by default or a deterministic
-:class:`~repro.retrieval.placement.ConsistentHashRing`
+Every gallery is live and versioned from its first insert: an ingest
+call (:meth:`~ShardedGallery.add_batch`, or :meth:`~ShardedGallery.add`
+for one row), a :meth:`~ShardedGallery.delete` and a
+:meth:`~ShardedGallery.reembed` each bump a version counter once.
+Deletes and re-embeds tombstone rows logically (physical rows stay until
+:meth:`~ShardedGallery.compact`), and every search reads one immutable
+:class:`~repro.retrieval.snapshot.GallerySnapshot` — the caller's, or
+the current version's — so each query sees exactly one gallery version
+even while writers race.  Placement is round-robin by default or a
+deterministic :class:`~repro.retrieval.placement.ConsistentHashRing`
 (``placement="hash"``), which makes :meth:`~ShardedGallery.rebalance`
 relocate only ``~1/n`` of the rows when the node count changes.
 """
@@ -84,24 +85,6 @@ class DataNode:
         self.search_count = 0
         self.fault_injector = None
         self.last_injected_latency_s = 0.0
-
-    def reindex(self, index_factory) -> None:
-        """Rebuild the local index under a new factory, keeping all rows.
-
-        Every in-repo index buffers its rows (``_ids``/``_labels``/
-        ``_features``), so a tier switch re-ingests them into the new
-        index in one ``add_batch`` — compressed payloads then rebuild
-        lazily on the next search.  Galleries no longer call this on
-        their own nodes (they swap whole index sets atomically in
-        :meth:`ShardedGallery.set_index_tier`); it remains for direct
-        node-level use.
-        """
-        old = self.index
-        new = index_factory(self.similarity)
-        if len(old):
-            new.add_batch(list(old._ids), list(old._labels),
-                          np.stack(old._features))
-        self.index = new
 
     def __len__(self) -> int:
         return len(self.index)
@@ -202,29 +185,25 @@ class ShardedGallery:
         self.placement = placement
         self._ring = ConsistentHashRing(num_nodes) if placement == "hash" \
             else None
-        # --- mutation state (inert until enable_churn()) ----------- #
-        self._mutable = False
         self._version = 0
         self._lock = threading.RLock()
         self._snapshot_cache: GallerySnapshot | None = None
         self._dead_at: dict[str, int] = {}    # rowid -> tombstone version
         self._added_at: dict[str, int] = {}   # rowid -> version added
-        self._alias: dict[str, str] = {}      # rowid -> public id
-        self._gen: dict[str, int] = {}        # public id -> generation
-        self._live_rowid: dict[str, str] = {}  # public id -> live rowid
+        self._alias: dict[str, str] = {}      # rowid -> public id, if unequal
+        self._rowids: dict[str, list[str]] = {}  # public id -> its rowids
         self._primary_of: dict[str, int] = {}  # rowid -> primary shard
         self._order: list[str] = []           # rowids in insertion order
+        self._labels: list[int] = []          # their labels, same order
         self._node_dead: list[set[str]] = [set() for _ in range(num_nodes)]
         self._dead_count = 0
+        self._next_shard = 0
+        self._shard_rows = [0] * num_nodes
         # Index objects currently installed, pinned as a tuple so
         # readers resolve one coherent set even mid tier-swap.
         self._pinned: tuple = tuple(node.index for node in self.nodes)
         self.index_tier = "exact"
         self.set_index_tier(index_tier)
-        self._next_shard = 0
-        self._row_count = 0
-        self._labels: list[int] = []
-        self._shard_rows = [0] * num_nodes
         self.fault_plan = None
         self.replication = 1
         self.resilience: ResilienceConfig | None = None
@@ -232,10 +211,6 @@ class ShardedGallery:
         self._retries: dict[str, RetryExecutor] = {}
         self.set_resilience(resilience)
         self._rebuild_topology()
-        if placement == "hash":
-            # Hash placement exists for live rebalancing, which needs
-            # the per-row bookkeeping churn mode maintains.
-            self.enable_churn()
 
     def _rebuild_topology(self) -> None:
         topology = nx.star_graph(len(self.nodes))
@@ -255,12 +230,12 @@ class ShardedGallery:
         on the nodes are re-ingested into the new indexes (tombstoned
         rows are dropped, doubling as a compaction); compressed payloads
         rebuild lazily on the next search.  Switching to the tier
-        already in place is a no-op.
+        already in place is a no-op; a switch is one version step.
 
         The swap is atomic with respect to readers: every new index is
         fully built *before* any node's reference is replaced, and
-        in-flight searches keep the complete old index set they pinned
-        at scatter start, so no query ever observes a half-built index
+        in-flight searches keep the complete old index set their
+        snapshot pinned, so no query ever observes a half-built index
         or a mixed-tier scatter.
         """
         # Imported lazily: repro.hashindex depends on retrieval
@@ -274,34 +249,31 @@ class ShardedGallery:
             return
         factory = resolve_index_tier(resolved)
         with self._lock:
-            new_indexes = []
-            for position, node in enumerate(self.nodes):
-                old = node.index
-                new = factory(self.similarity)
-                dead = self._node_dead[position] if self._mutable else ()
-                if len(old):
-                    if dead:
-                        keep = [row for row, rowid in enumerate(old._ids)
-                                if rowid not in dead]
-                        if keep:
-                            new.add_batch(
-                                [old._ids[row] for row in keep],
-                                [old._labels[row] for row in keep],
-                                np.stack([old._features[row]
-                                          for row in keep]))
-                    else:
-                        new.add_batch(list(old._ids), list(old._labels),
-                                      np.stack(old._features))
-                new_indexes.append(new)
-            for node, new in zip(self.nodes, new_indexes):
-                node.index = new
-            if self._mutable:
-                self._node_dead = [set() for _ in self.nodes]
-            self._pinned = tuple(new_indexes)
+            self._install([self._reingest(position, factory)
+                           for position in range(len(self.nodes))])
             self.index_tier = resolved
-            if self._mutable:
-                self._bump()
+            self._bump()
         counter("gallery.index_tier_switches", tier=resolved).inc()
+
+    def _reingest(self, position: int, factory):
+        """A fresh ``factory`` index holding node ``position``'s
+        untombstoned rows, in storage order.  Caller holds the lock."""
+        index = factory(self.similarity)
+        index.add_batch(
+            *self.nodes[position].index.rows(self._node_dead[position]))
+        return index
+
+    def _install(self, indexes: list) -> None:
+        """Publish fully built per-node ``indexes`` as the pinned set.
+
+        A node whose index is replaced drops its tombstones with it (the
+        rebuild left them out).  Caller holds the lock.
+        """
+        for position, (node, index) in enumerate(zip(self.nodes, indexes)):
+            if node.index is not index:
+                node.index = index
+                self._node_dead[position] = set()
+        self._pinned = tuple(indexes)
 
     # -------------------------------------------------------------- #
     # Resilience configuration
@@ -314,7 +286,7 @@ class ShardedGallery:
         """
         replication = 1 if config is None else min(int(config.replication),
                                                    len(self.nodes))
-        if self._row_count and replication != self.replication:
+        if self._order and replication != self.replication:
             raise ValueError(
                 "cannot change replication on a populated gallery "
                 f"(current r={self.replication}, requested r={replication})")
@@ -345,7 +317,7 @@ class ShardedGallery:
 
     def __len__(self) -> int:
         """Live logical gallery size (replicas and tombstones excluded)."""
-        return self._row_count - self._dead_count
+        return len(self._order) - self._dead_count
 
     @property
     def physical_rows(self) -> int:
@@ -362,7 +334,8 @@ class ShardedGallery:
 
     @property
     def version(self) -> int:
-        """Monotonic mutation counter (0 until the first mutation)."""
+        """Monotonic counter, bumped once per ingest call, delete,
+        re-embed, tier switch, compaction or rebalance."""
         return self._version
 
     def _replica_nodes(self, primary: int) -> list[int]:
@@ -370,144 +343,113 @@ class ShardedGallery:
         count = len(self.nodes)
         return [(primary + t) % count for t in range(self.replication)]
 
-    # -------------------------------------------------------------- #
-    # Ingest
-    # -------------------------------------------------------------- #
-    def add(self, video_id: str, label: int, feature: np.ndarray) -> None:
-        """Insert one row on the next shard and its replicas."""
-        if self._mutable:
-            self._add_mutable(str(video_id), int(label), feature)
-            return
-        primary = self._next_shard
-        for node_index in self._replica_nodes(primary):
-            self.nodes[node_index].add(video_id, label, feature)
-        self._shard_rows[primary] += 1
-        self._labels.append(int(label))
-        self._row_count += 1
-        self._next_shard = (primary + 1) % len(self.nodes)
-
-    def add_batch(self, ids: list[str], labels: list[int],
-                  features: np.ndarray) -> None:
-        """Insert many rows, spread across shards (and their replicas).
-
-        Rows land on exactly the shards sequential :meth:`add` calls
-        would pick (round-robin from the current cursor), but each shard
-        ingests its slice in one :meth:`FeatureIndex.add_batch` call.
-        Mutable galleries fall back to per-row inserts to keep the
-        version/bookkeeping invariants simple.
-        """
-        count = min(len(ids), len(labels), len(features))
-        if count == 0:
-            return
-        if self._mutable:
-            for row in range(count):
-                self._add_mutable(str(ids[row]), int(labels[row]),
-                                  features[row])
-            return
-        features = np.asarray(features[:count], dtype=np.float64)
-        num_nodes = len(self.nodes)
-        start = self._next_shard
-        for replica in range(self.replication):
-            shifted = (start + replica) % num_nodes
-            for node_offset in range(min(num_nodes, count)):
-                node = self.nodes[(shifted + node_offset) % num_nodes]
-                rows = range(node_offset, count, num_nodes)
-                node.index.add_batch(
-                    [ids[row] for row in rows],
-                    [labels[row] for row in rows],
-                    features[node_offset::num_nodes],
-                )
-        for row in range(count):
-            self._shard_rows[(start + row) % num_nodes] += 1
-        self._labels.extend(int(label) for label in labels[:count])
-        self._row_count += count
-        self._next_shard = (start + count) % num_nodes
-
-    # -------------------------------------------------------------- #
-    # Online mutation (churn)
-    # -------------------------------------------------------------- #
-    def enable_churn(self) -> None:
-        """Turn on live mutation: versioned snapshots, delete/reembed.
-
-        A gallery populated round-robin with ``replication == 1`` can be
-        switched on in place (placement is recoverable from the cursor
-        arithmetic); replicated galleries must enable churn before
-        ingesting rows.  Idempotent.
-        """
-        if self._mutable:
-            return
-        with self._lock:
-            if self._mutable:
-                return
-            if self._row_count:
-                if self.replication != 1:
-                    raise ValueError(
-                        "enable_churn() on a populated gallery requires "
-                        "replication=1; enable churn before ingesting")
-                num_nodes = len(self.nodes)
-                for seq in range(self._row_count):
-                    node_index = seq % num_nodes
-                    rowid = self.nodes[node_index].index._ids[seq // num_nodes]
-                    self._live_rowid[rowid] = rowid
-                    self._gen[rowid] = 0
-                    self._primary_of[rowid] = node_index
-                    self._order.append(rowid)
-            self._mutable = True
-            self._snapshot_cache = None
-
-    @property
-    def mutable(self) -> bool:
-        return self._mutable
-
-    def _require_mutable(self, operation: str) -> None:
-        if not self._mutable:
-            raise RuntimeError(
-                f"{operation}() requires enable_churn() on this gallery")
-
     def _bump(self) -> None:
         self._version += 1
         self._snapshot_cache = None
 
-    def _place(self, public_id: str) -> int:
-        if self._ring is not None:
-            return self._ring.assign(public_id)
-        return self._next_shard
+    # -------------------------------------------------------------- #
+    # Ingest and mutation
+    # -------------------------------------------------------------- #
+    def add(self, video_id: str, label: int, feature: np.ndarray) -> None:
+        """Insert one row: :meth:`add_batch` of one."""
+        self.add_batch([video_id], [label], [feature])
 
-    def _new_rowid(self, public_id: str) -> str:
-        generation = self._gen.get(public_id, -1) + 1
-        self._gen[public_id] = generation
-        if generation == 0:
-            return public_id
-        rowid = f"{public_id}@g{generation}"
-        self._alias[rowid] = public_id
-        return rowid
+    def add_batch(self, ids: list[str], labels: list[int],
+                  features: np.ndarray) -> None:
+        """Insert many rows (and their replicas) in one version step.
 
-    def _insert_row(self, public_id: str, label: int,
-                    feature: np.ndarray) -> None:
-        """Shared mutable-insert path; caller holds the lock."""
-        rowid = self._new_rowid(public_id)
-        primary = self._place(public_id)
-        for node_index in self._replica_nodes(primary):
-            self.nodes[node_index].add(rowid, label, feature)
-        self._shard_rows[primary] += 1
-        self._labels.append(int(label))
-        self._order.append(rowid)
-        self._row_count += 1
-        if self._ring is None:
-            self._next_shard = (primary + 1) % len(self.nodes)
-        self._live_rowid[public_id] = rowid
-        self._primary_of[rowid] = primary
-        self._added_at[rowid] = self._version + 1
-
-    def _add_mutable(self, public_id: str, label: int,
-                     feature: np.ndarray) -> None:
+        Rows land on exactly the shards sequential :meth:`add` calls
+        would pick (round-robin from the current cursor, or the hash
+        ring), but each shard ingests its slice in one ``add_batch``.
+        Like ``zip()``, extra entries in any argument are ignored.  An
+        id that is already live, or that appears twice in the call,
+        raises :class:`ValueError` before any row is written.
+        """
+        count = min(len(ids), len(labels), len(features))
+        if count == 0:
+            return
         with self._lock:
-            if public_id in self._live_rowid:
+            self._ingest([str(video_id) for video_id in ids[:count]],
+                         [int(label) for label in labels[:count]],
+                         features[:count])
+            counter("gallery.adds").inc(count)
+            self._bump()
+
+    def _ingest(self, public_ids: list[str], labels: list[int],
+                features) -> None:
+        """Place, write and record new rows; caller holds the lock and
+        bumps the version once afterwards."""
+        seen: set[str] = set()
+        for public_id in public_ids:
+            if public_id in seen:
+                raise ValueError(
+                    f"video {public_id!r} appears twice in one ingest")
+            generations = self._rowids.get(public_id)
+            if generations and generations[-1] not in self._dead_at:
                 raise ValueError(
                     f"video {public_id!r} is already live; use reembed()")
-            self._insert_row(public_id, label, feature)
-            counter("gallery.adds").inc()
-            self._bump()
+            seen.add(public_id)
+        version = self._version + 1
+        rowids = []
+        for public_id in public_ids:
+            rowid = self._mint(public_id)
+            self._added_at[rowid] = version
+            rowids.append(rowid)
+        start = self._next_shard
+        if self._ring is None:
+            primaries = [(start + row) % len(self.nodes)
+                         for row in range(len(rowids))]
+            self._next_shard = (start + len(rowids)) % len(self.nodes)
+        else:
+            primaries = [self._ring.assign(public_id)
+                         for public_id in public_ids]
+        self._write(self.nodes, rowids, labels, features, primaries)
+        for public_id, rowid, primary in zip(public_ids, rowids, primaries):
+            self._rowids.setdefault(public_id, []).append(rowid)
+            if rowid != public_id:
+                self._alias[rowid] = public_id
+            self._primary_of[rowid] = primary
+            self._shard_rows[primary] += 1
+        self._order.extend(rowids)
+        self._labels.extend(labels)
+
+    def _mint(self, public_id: str) -> str:
+        """A fresh rowid for ``public_id``'s next generation.
+
+        The first generation is the public id itself, later ones
+        ``{id}@g{n}``.  A candidate some other row already holds (a
+        different video named ``clip@g1``, say) is skipped, so every
+        rowid names exactly one row and maps back to one public id.
+        """
+        generation = len(self._rowids.get(public_id, ()))
+        rowid = public_id if generation == 0 \
+            else f"{public_id}@g{generation}"
+        while rowid in self._added_at:
+            generation += 1
+            rowid = f"{public_id}@g{generation}"
+        return rowid
+
+    def _write(self, nodes: list[DataNode], rowids: list[str],
+               labels: list[int], features, primaries: list[int]) -> None:
+        """Append rows to their primary shard and its replicas on
+        ``nodes``: one ``add_batch`` per node, rows in call order."""
+        features = np.asarray(features, dtype=np.float64)
+        replicas = min(self.replication, len(nodes))
+        per_node: list[list[int]] = [[] for _ in nodes]
+        for row, primary in enumerate(primaries):
+            for tail in range(replicas):
+                per_node[(primary + tail) % len(nodes)].append(row)
+        for node, rows in zip(nodes, per_node):
+            if rows:
+                node.add_batch([rowids[row] for row in rows],
+                               [labels[row] for row in rows], features[rows])
+
+    def _live_row(self, public_id: str) -> str:
+        """``public_id``'s live rowid; :class:`KeyError` if it has none."""
+        rowids = self._rowids.get(public_id)
+        if not rowids or rowids[-1] in self._dead_at:
+            raise KeyError(f"video {public_id!r} is not live")
+        return rowids[-1]
 
     def _tombstone(self, rowid: str) -> None:
         primary = self._primary_of[rowid]
@@ -519,13 +461,8 @@ class ShardedGallery:
 
     def delete(self, video_id: str) -> None:
         """Tombstone a live video; physical rows remain until compaction."""
-        self._require_mutable("delete")
         with self._lock:
-            public_id = str(video_id)
-            rowid = self._live_rowid.pop(public_id, None)
-            if rowid is None:
-                raise KeyError(f"video {public_id!r} is not live")
-            self._tombstone(rowid)
+            self._tombstone(self._live_row(str(video_id)))
             counter("gallery.deletes").inc()
             self._bump()
 
@@ -537,20 +474,15 @@ class ShardedGallery:
         snapshots taken before the call keep seeing the old feature,
         snapshots taken after see only the new one.
         """
-        self._require_mutable("reembed")
         with self._lock:
             public_id = str(video_id)
-            old_rowid = self._live_rowid.get(public_id)
-            if old_rowid is None:
-                raise KeyError(f"video {public_id!r} is not live")
-            self._tombstone(old_rowid)
-            self._insert_row(public_id, int(label), feature)
+            self._tombstone(self._live_row(public_id))
+            self._ingest([public_id], [int(label)], [feature])
             counter("gallery.reembeds").inc()
             self._bump()
 
     def snapshot(self) -> GallerySnapshot:
         """An immutable view of the current gallery version."""
-        self._require_mutable("snapshot")
         snap = self._snapshot_cache
         if snap is not None and snap.version == self._version:
             return snap
@@ -565,7 +497,7 @@ class ShardedGallery:
                 watermarks=tuple(len(index) for index in indexes),
                 dead_at=self._dead_at,
                 alias=self._alias,
-                live_count=self._row_count - self._dead_count,
+                live_count=len(self),
                 tier=self.index_tier,
             )
             self._snapshot_cache = snap
@@ -573,13 +505,8 @@ class ShardedGallery:
 
     def is_visible(self, video_id: str, version: int) -> bool:
         """Whether ``video_id`` had a live generation at ``version``."""
-        public_id = str(video_id)
-        generation = self._gen.get(public_id)
-        if generation is None:
-            return False
-        for gen in range(generation + 1):
-            rowid = public_id if gen == 0 else f"{public_id}@g{gen}"
-            if self._added_at.get(rowid, 0) > version:
+        for rowid in self._rowids.get(str(video_id), ()):
+            if self._added_at[rowid] > version:
                 continue
             dead = self._dead_at.get(rowid)
             if dead is None or dead > version:
@@ -588,10 +515,9 @@ class ShardedGallery:
 
     def live_ids(self) -> list[str]:
         """Public ids of all live videos, in insertion order."""
-        self._require_mutable("live_ids")
         with self._lock:
             return [self._alias.get(rowid, rowid) for rowid in self._order
-                    if self._dead_at.get(rowid) is None]
+                    if rowid not in self._dead_at]
 
     # -------------------------------------------------------------- #
     # Compaction & rebalancing
@@ -604,7 +530,6 @@ class ShardedGallery:
         readers holding older snapshots keep searching the uncompacted
         indexes they pinned.
         """
-        self._require_mutable("compact")
         from repro.hashindex.tiers import resolve_index_tier
 
         with self._lock:
@@ -614,23 +539,12 @@ class ShardedGallery:
             if not targets:
                 return 0
             factory = resolve_index_tier(self.index_tier)
-            dropped = 0
+            indexes = [node.index for node in self.nodes]
             for position in targets:
-                node = self.nodes[position]
-                old = node.index
-                dead = self._node_dead[position]
-                keep = [row for row, rowid in enumerate(old._ids)
-                        if rowid not in dead]
-                new = factory(self.similarity)
-                if keep:
-                    new.add_batch(
-                        [old._ids[row] for row in keep],
-                        [old._labels[row] for row in keep],
-                        np.stack([old._features[row] for row in keep]))
-                node.index = new
-                dropped += len(old) - len(keep)
-                self._node_dead[position] = set()
-            self._pinned = tuple(node.index for node in self.nodes)
+                indexes[position] = self._reingest(position, factory)
+            dropped = sum(len(self.nodes[position]) - len(indexes[position])
+                          for position in targets)
+            self._install(indexes)
             counter("gallery.compactions").inc(len(targets))
             counter("gallery.compacted_rows").inc(dropped)
             self._bump()
@@ -638,7 +552,7 @@ class ShardedGallery:
 
     def maybe_compact(self, policy) -> int:
         """Compact shards the :class:`CompactionPolicy` flags; rows dropped."""
-        if policy is None or not self._mutable:
+        if policy is None:
             return 0
         targets = [position for position, node in enumerate(self.nodes)
                    if policy.should_compact(len(node.index),
@@ -655,7 +569,6 @@ class ShardedGallery:
         relocates.  Outstanding snapshots keep their old index set and
         remain exact as long as the node count did not shrink.
         """
-        self._require_mutable("rebalance")
         if self._ring is None:
             raise RuntimeError("rebalance() requires placement='hash'")
         if num_nodes < 1:
@@ -664,48 +577,36 @@ class ShardedGallery:
 
         with self._lock:
             new_ring = self._ring.with_nodes(num_nodes)
-            rows: dict[str, tuple[int, np.ndarray]] = {}
-            for node in self.nodes:
-                index = node.index
-                for rowid, label, feature in zip(index._ids, index._labels,
-                                                 index._features):
-                    rows.setdefault(rowid, (label, feature))
-            factory = resolve_index_tier(self.index_tier)
-            exact = self.index_tier == "exact"
-            nodes = [DataNode(f"node-{i}", self.similarity, position=i,
-                              index_factory=None if exact else factory)
-                     for i in range(num_nodes)]
+            features: dict[str, np.ndarray] = {}
+            for position, node in enumerate(self.nodes):
+                ids, _, rows = node.index.rows(self._node_dead[position])
+                for rowid, feature in zip(ids, rows):
+                    features.setdefault(rowid, feature)
             live = [rowid for rowid in self._order
-                    if self._dead_at.get(rowid) is None]
-            live_labels = [label for rowid, label
-                           in zip(self._order, self._labels)
-                           if self._dead_at.get(rowid) is None]
-            shard_rows = [0] * num_nodes
-            primary_of: dict[str, int] = {}
-            moved = 0
-            replication = min(self.replication, num_nodes)
-            for rowid, label in zip(live, live_labels):
-                public_id = self._alias.get(rowid, rowid)
-                primary = new_ring.assign(public_id)
-                if primary != self._primary_of.get(rowid):
-                    moved += 1
-                feature = rows[rowid][1]
-                for tail in range(replication):
-                    nodes[(primary + tail) % num_nodes].add(
-                        rowid, label, feature)
-                shard_rows[primary] += 1
-                primary_of[rowid] = primary
+                    if rowid not in self._dead_at]
+            labels = [label for rowid, label
+                      in zip(self._order, self._labels)
+                      if rowid not in self._dead_at]
+            primaries = [new_ring.assign(self._alias.get(rowid, rowid))
+                         for rowid in live]
+            moved = sum(primary != self._primary_of[rowid]
+                        for rowid, primary in zip(live, primaries))
+            factory = resolve_index_tier(self.index_tier)
+            nodes = [DataNode(f"node-{i}", self.similarity, factory,
+                              position=i) for i in range(num_nodes)]
+            self._write(nodes, live, labels,
+                        [features[rowid] for rowid in live], primaries)
             self.nodes = nodes
             self._ring = new_ring
-            self._shard_rows = shard_rows
-            self._primary_of = primary_of
+            self._shard_rows = [primaries.count(primary)
+                                for primary in range(num_nodes)]
+            self._primary_of = dict(zip(live, primaries))
             self._node_dead = [set() for _ in range(num_nodes)]
-            self._row_count = len(live)
             self._dead_count = 0
             self._order = live
-            self._labels = live_labels
-            self._pinned = tuple(node.index for node in self.nodes)
-            self.replication = replication
+            self._labels = labels
+            self._pinned = tuple(node.index for node in nodes)
+            self.replication = min(self.replication, num_nodes)
             self.set_resilience(self.resilience)
             self._rebuild_topology()
             counter("gallery.rebalances").inc()
@@ -716,22 +617,12 @@ class ShardedGallery:
     # -------------------------------------------------------------- #
     # Scatter/gather search
     # -------------------------------------------------------------- #
-    def _resolve_snapshot(self, snapshot: GallerySnapshot | None
-                          ) -> GallerySnapshot | None:
-        if snapshot is not None:
-            return snapshot
-        if self._mutable and self._version > 0:
-            return self.snapshot()
-        return None
-
     def search(self, query: np.ndarray, k: int,
                snapshot: GallerySnapshot | None = None
                ) -> list[RetrievalEntry]:
         """Scatter/gather top-k across live nodes, best first.
 
-        The ``B = 1`` case of :meth:`search_batch`.  With ``snapshot``
-        (or on any mutated gallery) the search is evaluated against
-        exactly one gallery version.
+        The ``B = 1`` case of :meth:`search_batch`.
         """
         query = np.asarray(query, dtype=np.float64).reshape(1, -1)
         return self.search_batch(query, k, snapshot)[0]
@@ -741,16 +632,17 @@ class ShardedGallery:
                      ) -> list[list[RetrievalEntry]]:
         """Scatter/gather top-k for a ``(B, d)`` query matrix.
 
-        Each live node scans the whole batch in one vectorized pass
-        (:meth:`_snapshot_search_batch`) and answers with score/row
-        arrays; the coordinator merges them for every query at once
-        (:meth:`_merge`).  Results are identical to B sequential
-        :meth:`search` calls.
+        Every read is a snapshot read: the batch is evaluated against
+        exactly the gallery version ``snapshot`` pins (the current one
+        by default).  Each live node scans the whole batch in one
+        vectorized pass (:meth:`_snapshot_search_batch`) and answers
+        with score/row arrays; the coordinator merges them for every
+        query at once (:meth:`_merge`).  Results are identical to B
+        sequential :meth:`search` calls.
         """
         queries = as_query_matrix(queries)
         batch = queries.shape[0]
-        snap = self._resolve_snapshot(snapshot)
-        pinned = self._pinned
+        snap = snapshot or self.snapshot()
         if self.fault_plan is not None:
             self.fault_plan.advance(batch)
         with span("gallery.search_batch", k=int(k), batch=batch):
@@ -758,26 +650,20 @@ class ShardedGallery:
                 else self._scatter_resilient
             partials = scatter(
                 lambda node: self._snapshot_search_batch(
-                    node, queries, k, snap, pinned),
+                    node, queries, k, snap),
                 weight=batch)
             merged = self._merge(partials, k, batch, snap)
             counter("gallery.searches").inc(batch)
             return merged
 
     def _snapshot_search_batch(self, node: DataNode, queries: np.ndarray,
-                               k: int, snap: GallerySnapshot | None,
-                               pinned: tuple) -> tuple:
+                               k: int, snap: GallerySnapshot) -> tuple:
         """One node's scatter leg: ``(index, scores, rows)``.
 
-        A snapshot read scans the node's index pinned by ``snap`` up to
-        its watermark with its tombstone mask; an unpinned read scans
-        the whole index from ``pinned``, the tuple taken at scatter
-        start.
+        Scans the node's index pinned by ``snap`` up to its watermark,
+        with its tombstone mask.
         """
         position = node.position
-        if snap is None:
-            index = pinned[position]
-            return (index, *node.scan(queries, k, index=index))
         if position >= len(snap.indexes):
             # The gallery grew past the snapshot's node count (rebalance
             # while this query was in flight); new nodes hold no rows
@@ -814,7 +700,7 @@ class ShardedGallery:
                       buckets=NODE_LATENCY_BUCKETS,
                       node=node.node_id).observe(
                           time.perf_counter() - start)
-        if not partials and self._row_count:
+        if not partials and self._order:
             # Zero live nodes is not a degraded answer — it is no answer.
             # Mirror the resilient scatter's coverage-loss behaviour
             # instead of silently returning an empty retrieval list (an
@@ -822,7 +708,7 @@ class ShardedGallery:
             counter("resilience.uncovered_queries").inc(weight)
             raise RetrievalUnavailable(
                 "no live node answered the scatter "
-                f"({self._row_count} rows unreachable)")
+                f"({len(self._order)} rows unreachable)")
         if len(partials) < len(self.nodes):
             counter("gallery.degraded_searches").inc(weight)
         return partials
@@ -917,8 +803,7 @@ class ShardedGallery:
     # Merge
     # -------------------------------------------------------------- #
     def _merge(self, partials: list[tuple], k: int, batch: int,
-               snap: GallerySnapshot | None = None
-               ) -> list[list[RetrievalEntry]]:
+               snap: GallerySnapshot) -> list[list[RetrievalEntry]]:
         """Merge per-node ``(index, scores, rows)`` scans into global top-k.
 
         One stable argsort per query over the node-order concatenation
@@ -947,7 +832,7 @@ class ShardedGallery:
         if self.replication == 1:
             order = order[:, :int(k)]
         lines = np.arange(batch)[:, None]
-        alias = {} if snap is None else snap.alias
+        alias = snap.alias
         merged = []
         for columns, row_scores, row_ids in zip(
                 order.tolist(), scores[lines, order].tolist(),
@@ -989,7 +874,7 @@ class ShardedGallery:
 
     def labels_of(self) -> list[int]:
         """All live logical labels, in insertion order (replicas deduped)."""
-        if not self._mutable or not self._dead_count:
+        if not self._dead_count:
             return list(self._labels)
         return [label for rowid, label in zip(self._order, self._labels)
-                if self._dead_at.get(rowid) is None]
+                if rowid not in self._dead_at]

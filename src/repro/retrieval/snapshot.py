@@ -1,15 +1,16 @@
 """Immutable gallery snapshots for snapshot-consistent reads.
 
-A mutable :class:`~repro.retrieval.nodes.ShardedGallery` hands every
-reader a :class:`GallerySnapshot` — a frozen view of *one* gallery
-version.  A query evaluated against a snapshot sees exactly the rows
-that were live at that version: rows added later are hidden by the
-per-node ``watermarks`` (physical row counts captured at snapshot
-time), rows deleted later stay visible because their tombstone version
-in ``dead_at`` exceeds the snapshot's, and rows deleted at or before
-the snapshot are masked out of the scan itself: :meth:`hidden` builds
-one boolean mask per node on first use and caches it, and every index
-scan skips the masked rows, so no tombstone ever reaches the merge.
+Every :class:`~repro.retrieval.nodes.ShardedGallery` read runs against
+a :class:`GallerySnapshot` — a frozen view of *one* gallery version,
+pinned by the caller or taken (and cached) at the current version.  A
+query evaluated against a snapshot sees exactly the rows that were live
+at that version: rows added later are hidden by the per-node
+``watermarks`` (physical row counts captured at snapshot time), rows
+deleted later stay visible because their tombstone version in
+``dead_at`` exceeds the snapshot's, and rows deleted at or before the
+snapshot are masked out of the scan itself: :meth:`hidden` builds one
+boolean mask per node on first use and caches it, and every index scan
+skips the masked rows, so no tombstone ever reaches the merge.
 
 The ``dead_at`` and ``alias`` dictionaries are *shared* with the
 gallery, not copied: mutations only ever add keys with versions greater
@@ -29,7 +30,7 @@ import numpy as np
 class GallerySnapshot:
     """One immutable version of a sharded gallery."""
 
-    #: Monotonic version counter; bumped once per mutation.
+    #: Monotonic version counter; bumped once per gallery write.
     version: int
     #: The per-node index objects pinned by this snapshot.  Tier swaps
     #: and compactions install *new* index objects, so a reader holding
@@ -40,7 +41,7 @@ class GallerySnapshot:
     watermarks: tuple
     #: rowid -> version at which the row was tombstoned (shared, grow-only).
     dead_at: Mapping
-    #: rowid -> public video id for re-embedded generations (shared).
+    #: rowid -> public video id where the two differ (shared).
     alias: Mapping
     #: Live (visible) row count at this version.
     live_count: int

@@ -27,7 +27,6 @@ from repro.serving.config import (
     ServingConfig,
     TenantPolicy,
     default_batch_size,
-    default_churn,
     default_workers,
 )
 from repro.serving.events import (
@@ -74,7 +73,6 @@ __all__ = [
     "WorkerPool",
     "closed_spaced_timeline",
     "default_batch_size",
-    "default_churn",
     "default_workers",
     "generate_churn",
     "generate_timeline",

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping
 
-from repro.utils.envflags import env_bool, env_int
+from repro.utils.envflags import env_int
 
 #: Priority classes, best first.  Interactive requests are dispatched
 #: before bulk ones queued at the same time, and bulk is shed first.
@@ -30,9 +30,6 @@ _ENV_BATCH = -1
 
 #: Sentinel meaning "take the env/default worker count".
 _ENV_WORKERS = -1
-
-#: Sentinel meaning "take the env/default churn switch".
-_ENV_CHURN = -1
 
 
 def default_batch_size() -> int:
@@ -50,16 +47,6 @@ def default_workers() -> int:
     silently mean 1).
     """
     return env_int("REPRO_SERVING_WORKERS", 1, minimum=1)
-
-
-def default_churn() -> bool:
-    """``REPRO_GALLERY_CHURN`` truthiness (default off).
-
-    When on, the front end pins a gallery snapshot per admitted request
-    even for pure-query timelines — useful when something outside the
-    event loop mutates the gallery mid-run.  Non-boolean values raise.
-    """
-    return env_bool("REPRO_GALLERY_CHURN", False)
 
 
 @dataclass(frozen=True)
@@ -134,9 +121,9 @@ class ServingConfig:
         ``REPRO_SERVING_WORKERS`` (else 1).  Semantics-invisible — see
         the ``serving.pooled_vs_single`` oracle.
     churn:
-        Force gallery-snapshot pinning per admitted request even for
-        pure-query timelines (mutating timelines enable it on their
-        own).  Defaults to ``REPRO_GALLERY_CHURN`` (else off).
+        Pin a gallery snapshot per admitted request even for pure-query
+        timelines (mutating timelines pin on their own), for galleries
+        mutated outside the event loop mid-run.  Off by default.
     compact_dead_fraction / compact_min_dead:
         Background compaction policy for mutating timelines: a shard is
         rebuilt once its tombstones pass both thresholds.
@@ -153,7 +140,7 @@ class ServingConfig:
     service_base_s: float = 0.004
     service_per_item_s: float = 0.001
     workers: int = _ENV_WORKERS
-    churn: bool | int = _ENV_CHURN
+    churn: bool = False
     compact_dead_fraction: float = 0.25
     compact_min_dead: int = 4
     tenants: Mapping[str, TenantPolicy] = field(default_factory=dict)
@@ -164,8 +151,6 @@ class ServingConfig:
             object.__setattr__(self, "max_batch_size", default_batch_size())
         if self.workers == _ENV_WORKERS:
             object.__setattr__(self, "workers", default_workers())
-        if self.churn == _ENV_CHURN:
-            object.__setattr__(self, "churn", default_churn())
         object.__setattr__(self, "churn", bool(self.churn))
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
@@ -197,4 +182,4 @@ class ServingConfig:
 
 
 __all__ = ["ServingConfig", "TenantPolicy", "PRIORITIES",
-           "default_batch_size", "default_workers", "default_churn"]
+           "default_batch_size", "default_workers"]

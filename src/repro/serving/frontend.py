@@ -192,8 +192,6 @@ class ServingFrontend:
         events = [item for index, item in arrivals if index is None]
         num_requests = len(arrivals) - len(events)
         churn = bool(events) or config.churn
-        if churn:
-            engine.enable_churn()
         policy = CompactionPolicy(config.compact_dead_fraction,
                                   config.compact_min_dead)
         pool = WorkerPool(self._effective_workers(events))

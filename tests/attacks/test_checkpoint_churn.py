@@ -66,7 +66,6 @@ def test_resume_across_gallery_mutation(name, tmp_path):
                 if not mutated:
                     # Mutate the gallery while the attack sits parked
                     # on its checkpoint, as live traffic would.
-                    engine.enable_churn()
                     live = engine.gallery.live_ids()
                     deleted_id = live[0]
                     engine.remove_video(deleted_id)
@@ -109,7 +108,6 @@ def test_resume_budget_is_exact_across_mutation(tmp_path):
                     original, target, checkpoint_path=str(path))
                 break
             except RetrievalUnavailable:
-                service.engine.enable_churn()
                 live = service.engine.gallery.live_ids()
                 service.engine.remove_video(live[-1])
     assert 0 < report.queries <= budget

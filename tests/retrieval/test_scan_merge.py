@@ -1,8 +1,9 @@
 """The gallery's array scatter/gather: one leg, one merge, best first.
 
-Every gallery read — scalar or batched, pinned to a snapshot or not —
-runs each node through ``ShardedGallery._snapshot_search_batch`` and the
-partial score arrays through ``ShardedGallery._merge``.  Per-layer
+Every gallery read — scalar or batched, on a snapshot the caller pinned
+or on the current one — runs each node through
+``ShardedGallery._snapshot_search_batch`` and the partial score arrays
+through ``ShardedGallery._merge``.  Per-layer
 timing wraps exactly those two names, so a read that bypassed them
 would silently report zero scan or merge time.
 """
@@ -49,7 +50,6 @@ class TestOnePath:
 
     def test_pinned_batch(self, calls):
         gallery, queries = build_gallery()
-        gallery.enable_churn()
         gallery.delete("v1")
         snap = gallery.snapshot()
         gallery.search_batch(queries[:3], k=5, snapshot=snap)

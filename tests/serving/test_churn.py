@@ -92,7 +92,6 @@ class TestApplyEvent:
         from repro.hashindex import CompactionPolicy
         world = build_world(71, num_videos=10, num_nodes=2, replication=1)
         engine = world.service.engine
-        engine.enable_churn()
         live = [video.video_id for video in world.gallery_videos]
         eager = CompactionPolicy(min_dead_fraction=0.01, min_dead_rows=1)
         before = counter("serving.gallery_events", kind="DeleteVideo").value
@@ -147,7 +146,6 @@ class TestAttackUnderChurn:
     def test_attack_stays_within_budget_across_mutations(self):
         world = build_world(73, num_videos=8, query_budget=60)
         service, engine = world.service, world.service.engine
-        engine.enable_churn()
         config = AttackConfig(strategy="rl-sparse", k=40, n=2, tau=30.0,
                               iterations=4, budget=25)
         attack = build_attack(config, service=service)

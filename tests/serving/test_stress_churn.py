@@ -37,7 +37,7 @@ class ChurnWorld:
         self.gallery = ShardedGallery(num_nodes=nodes)
         for video_id, label, feature in zip(ids, labels, features):
             self.gallery.add(video_id, label, feature)
-        self.gallery.enable_churn()
+        self.ingested = self.gallery.version
         self.queries = features[:6]
         self.initial = rows
         # Owned by the single writer thread; readers never touch them.
@@ -81,7 +81,7 @@ class ChurnWorld:
         gallery = self.gallery
         assert len(gallery) == self.initial + self.adds - self.deletes
         mutations = self.adds + self.deletes + self.reembeds
-        assert gallery.version == mutations
+        assert gallery.version == self.ingested + mutations
         assert gallery.physical_rows >= len(gallery)
         live = gallery.live_ids()
         assert len(live) == len(set(live)) == len(gallery)

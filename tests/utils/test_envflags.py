@@ -98,11 +98,6 @@ def _serving_workers():
     return default_workers()
 
 
-def _gallery_churn():
-    from repro.serving.config import default_churn
-    return default_churn()
-
-
 def _plan_cache_cap():
     from repro.perf.gemm_conv import plan_cache_cap
     return plan_cache_cap()
@@ -122,7 +117,6 @@ FLAGS = [
     ("REPRO_EMBED_CACHE", _embed_cache, 256, "7", 7, "many"),
     ("REPRO_SERVING_BATCH", _serving_batch, 8, "4", 4, "0"),
     ("REPRO_SERVING_WORKERS", _serving_workers, 1, "3", 3, "0"),
-    ("REPRO_GALLERY_CHURN", _gallery_churn, False, "YES", True, "maybe"),
     ("REPRO_PLAN_CACHE_CAP", _plan_cache_cap, 64, "16", 16, "0"),
     ("REPRO_INDEX_TIER", _index_tier, "exact", "HAMMING", "hamming",
      "fancy"),
