@@ -1,12 +1,9 @@
 """Attack-strategy registry: name → {sampler × basis × feedback}.
 
 Same pattern as :mod:`repro.losses.registry` and
-:mod:`repro.hashindex.tiers`: a flat dict of named factories plus an
-environment default, so every layer — experiments, benchmarks, the qa
-oracles — selects an adversary with one string:
-
-* programmatically, via ``build_attack(AttackConfig(strategy=...))``;
-* globally, via the ``REPRO_ATTACK`` environment variable.
+:mod:`repro.hashindex.tiers`: a flat dict of named factories, so every
+layer — experiments, benchmarks, the qa oracles — selects an adversary
+with one string, ``build_attack(AttackConfig(strategy=...))``.
 
 The paper's attack and its baselines:
 
@@ -50,10 +47,7 @@ from repro.attacks.strategy.feedback import NesFeedback, QairFeedback, \
 from repro.attacks.strategy.samplers import DenseSampler, PriorSampler, \
     RandomSampler, RLFrameSampler, SaliencySampler, TransferSampler
 
-#: Name of the environment variable selecting the default strategy.
-ATTACK_ENV = "REPRO_ATTACK"
-
-#: The strategy used when nothing selects one.
+#: The strategy ``AttackConfig`` selects by default.
 DEFAULT_STRATEGY = "duo"
 
 #: DUO's historical observable surface for the SimBA stage.
@@ -122,20 +116,9 @@ register_strategy(StrategyEntry(
     "QAIR-style top-k relevance feedback, adaptive step + early exit"))
 
 
-def default_strategy() -> str:
-    """The strategy selected by ``REPRO_ATTACK`` (or the built-in).
-
-    Unknown names raise from :func:`resolve_strategy`; empty/unset means
-    the built-in default.
-    """
-    from repro.utils.envflags import env_str
-
-    return env_str(ATTACK_ENV, DEFAULT_STRATEGY).lower()
-
-
-def resolve_strategy(name: str | None = None) -> StrategyEntry:
-    """The entry registered under ``name`` (``None`` → env default)."""
-    key = default_strategy() if name is None else str(name).strip().lower()
+def resolve_strategy(name: str) -> StrategyEntry:
+    """The entry registered under ``name`` (case-insensitive)."""
+    key = str(name).strip().lower()
     if key not in ATTACK_STRATEGIES:
         raise KeyError(f"unknown attack strategy {key!r}; available: "
                        f"{sorted(ATTACK_STRATEGIES)}")
@@ -178,25 +161,22 @@ def main(argv: list[str] | None = None) -> int:
     options = parser.parse_args(argv)
     if options.list:
         width = max(len(name) for name in ATTACK_STRATEGIES)
-        default = default_strategy()
         for name in sorted(ATTACK_STRATEGIES):
             entry = ATTACK_STRATEGIES[name]
-            marker = "*" if name == default else " "
+            marker = "*" if name == DEFAULT_STRATEGY else " "
             print(f"{marker} {name:<{width}}  {entry.composition()}")
             print(f"  {'':<{width}}  {entry.description}")
-        print(f"\n(* = default; override with {ATTACK_ENV})")
+        print("\n(* = default)")
         return 0
     parser.print_help()
     return 0
 
 
 __all__ = [
-    "ATTACK_ENV",
     "ATTACK_STRATEGIES",
     "DEFAULT_STRATEGY",
     "StrategyEntry",
     "build_attack",
-    "default_strategy",
     "main",
     "register_strategy",
     "resolve_strategy",

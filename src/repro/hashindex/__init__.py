@@ -11,7 +11,7 @@ candidate set exactly.  This package provides that tier:
   asymmetric-distance tables + exact rerank;
 * :class:`MemmapStore` — ``np.memmap`` payload spill so a data node
   holds 10^6 rows without resident RAM;
-* :mod:`repro.hashindex.tiers` — the ``REPRO_INDEX_TIER`` registry that
+* :mod:`repro.hashindex.tiers` — the index-tier registry that
   drops any tier into ``DataNode`` / ``ShardedGallery`` /
   ``RetrievalService``.
 
@@ -40,10 +40,7 @@ from repro.hashindex.ivfpq import IVFPQIndex, ProductQuantizer
 from repro.hashindex.compaction import DEFAULT_COMPACTION, CompactionPolicy
 from repro.hashindex.store import MemmapStore, total_mapped_bytes
 from repro.hashindex.tiers import (
-    DEFAULT_TIER,
-    INDEX_TIER_ENV,
     INDEX_TIERS,
-    default_index_tier,
     resolve_index_tier,
 )
 
@@ -67,8 +64,5 @@ __all__ = [
     "hamming_distances",
     "hamming_topk",
     "INDEX_TIERS",
-    "INDEX_TIER_ENV",
-    "DEFAULT_TIER",
-    "default_index_tier",
     "resolve_index_tier",
 ]

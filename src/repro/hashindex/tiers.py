@@ -1,20 +1,17 @@
-"""Index-tier registry: name → index factory, plus the env default.
+"""Index-tier registry: name → index factory.
 
 Every :class:`~repro.retrieval.nodes.DataNode` builds its local index
 through this registry, so the whole retrieval plane — nodes, the
 sharded gallery, the engine, the attacker-facing service — switches
-tiers with one knob:
-
-* programmatically, via ``ServiceConfig(index_tier=...)`` /
-  ``RetrievalEngine(..., index_tier=...)``;
-* globally, via the ``REPRO_INDEX_TIER`` environment variable
-  (``exact`` | ``hamming`` | ``ivfpq``).
+tiers with one knob: ``ServiceConfig(index_tier=...)`` /
+``RetrievalEngine(..., index_tier=...)`` (``exact`` | ``hamming`` |
+``ivfpq``).
 
 Tiers:
 
 ``exact``
-    Brute-force :class:`~repro.retrieval.index.FeatureIndex` (seed
-    behaviour, the differential reference).
+    Brute-force :class:`~repro.retrieval.index.FeatureIndex` (the
+    default, and the differential reference).
 ``hamming``
     :class:`~repro.hashindex.binary.BinaryHashIndex` — packed binary
     codes, popcount top-k, exact rerank.
@@ -31,13 +28,6 @@ from repro.hashindex.binary import BinaryHashIndex
 from repro.hashindex.ivfpq import IVFPQIndex
 from repro.retrieval.index import FeatureIndex
 from repro.retrieval.similarity import SimilarityFn
-from repro.utils.envflags import env_choice
-
-#: Name of the environment variable selecting the default tier.
-INDEX_TIER_ENV = "REPRO_INDEX_TIER"
-
-#: The tier used when nothing selects one (seed behaviour).
-DEFAULT_TIER = "exact"
 
 
 def _exact(similarity: SimilarityFn) -> FeatureIndex:
@@ -70,15 +60,7 @@ def resolve_index_tier(name: str) -> Callable[[SimilarityFn], object]:
     return INDEX_TIERS[key]
 
 
-def default_index_tier() -> str:
-    """``REPRO_INDEX_TIER`` when set (and valid), else ``"exact"``."""
-    return env_choice(INDEX_TIER_ENV, tuple(INDEX_TIERS), DEFAULT_TIER)
-
-
 __all__ = [
-    "INDEX_TIER_ENV",
-    "DEFAULT_TIER",
     "INDEX_TIERS",
     "resolve_index_tier",
-    "default_index_tier",
 ]

@@ -16,7 +16,7 @@ Programs are cached per ``(thread, signature)``: each thread replays its
 own arena, so worker threads may call one module concurrently.  A lock
 covers only the cache bookkeeping, and the recorder slot is per thread,
 so threads trace concurrently too.  The cache is LRU-bounded by
-``REPRO_PLAN_CACHE_CAP`` (shared with the GEMM conv plan cache) and
+``gemm_conv.MAX_PLANS`` (shared with the GEMM conv plan cache) and
 evictions tick ``nn.jit.trace_cache.evictions``; fallbacks tick
 reason-labelled ``nn.jit.fallbacks`` counters so obs dashboards can see
 why replay was declined.
@@ -173,13 +173,12 @@ class CompiledModule:
         return Tensor(program.output_data.copy())
 
     def _store(self, key, program) -> None:
-        from repro.perf.gemm_conv import plan_cache_cap
+        from repro.perf import gemm_conv
 
-        cap = plan_cache_cap()
         with self._lock:
             self._traces[key] = program
             self._traces.move_to_end(key)
-            while len(self._traces) > cap:
+            while len(self._traces) > gemm_conv.MAX_PLANS:
                 self._traces.popitem(last=False)
                 counter("nn.jit.trace_cache.evictions").inc()
 

@@ -18,13 +18,11 @@ Three independent optimisations, all behaviour-preserving:
 from repro.perf.cache import EmbeddingCache
 from repro.perf.gemm_conv import (
     clear_plan_cache,
-    plan_cache_cap,
     plan_cache_info,
 )
 
 __all__ = [
     "EmbeddingCache",
     "clear_plan_cache",
-    "plan_cache_cap",
     "plan_cache_info",
 ]

@@ -26,15 +26,9 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.obs import counter, gauge
-from repro.utils.envflags import env_int
 
-#: Default capacity; override per-engine or via ``REPRO_EMBED_CACHE``.
+#: Default capacity; override per engine (``cache_size=``).
 DEFAULT_CAPACITY = 256
-
-
-def default_capacity() -> int:
-    """Capacity from ``REPRO_EMBED_CACHE`` (``0`` disables caching)."""
-    return env_int("REPRO_EMBED_CACHE", DEFAULT_CAPACITY, minimum=0)
 
 
 def content_key(pixels: np.ndarray) -> bytes:
@@ -56,9 +50,9 @@ class EmbeddingCache:
     is stored), which keeps call sites branch-free.
     """
 
-    def __init__(self, capacity: int | None = None,
+    def __init__(self, capacity: int = DEFAULT_CAPACITY,
                  metric_prefix: str = "retrieval.embed_cache") -> None:
-        self.capacity = default_capacity() if capacity is None else int(capacity)
+        self.capacity = int(capacity)
         if self.capacity < 0:
             raise ValueError(f"cache capacity must be >= 0, got {self.capacity}")
         self.metric_prefix = metric_prefix

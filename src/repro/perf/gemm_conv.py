@@ -39,7 +39,6 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.obs import counter
-from repro.utils.envflags import env_int
 
 
 def _kernel_offsets(kernel: tuple[int, ...]):
@@ -129,16 +128,10 @@ class ConvPlan:
         return scratch
 
 
-#: Default LRU bound shared by this plan cache and the jit trace cache;
-#: override with ``REPRO_PLAN_CACHE_CAP`` for shape-diverse workloads.
-_MAX_PLANS = 64
+#: LRU bound shared by this plan cache and the jit trace cache.
+MAX_PLANS = 64
 _plans: OrderedDict[tuple, ConvPlan] = OrderedDict()
 _plan_misses = 0
-
-
-def plan_cache_cap() -> int:
-    """The LRU bound for per-shape caches (plans and jit traces)."""
-    return env_int("REPRO_PLAN_CACHE_CAP", _MAX_PLANS, minimum=1)
 
 
 def get_plan(x_shape, w_shape, stride, padding) -> ConvPlan:
@@ -150,8 +143,7 @@ def get_plan(x_shape, w_shape, stride, padding) -> ConvPlan:
         plan = ConvPlan(x_shape, w_shape, stride, padding)
         _plans[key] = plan
         _plan_misses += 1
-        cap = plan_cache_cap()
-        while len(_plans) > cap:
+        while len(_plans) > MAX_PLANS:
             _plans.popitem(last=False)
             counter("perf.plan_cache.evictions").inc()
     else:
@@ -164,7 +156,7 @@ def plan_cache_info() -> dict:
     """Plan-cache statistics (size, cap, hits, misses, scratch bytes)."""
     return {
         "size": len(_plans),
-        "cap": plan_cache_cap(),
+        "cap": MAX_PLANS,
         "hits": sum(plan.hits for plan in _plans.values()),
         "misses": _plan_misses,
         "scratch_bytes": sum(plan.scratch_bytes for plan in _plans.values()),

@@ -13,7 +13,7 @@ new equivalence contract needs one ``register()`` call and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -61,7 +61,6 @@ class OraclePair:
     cases: int = 4
     seed: int = 20240
     description: str = ""
-    guards: tuple[str, ...] = field(default_factory=tuple)
 
     def check_case(self, case: dict) -> None:
         """Run both sides on one case and compare (raises on mismatch)."""

@@ -7,7 +7,7 @@ with every reference/fast equivalence contract the library claims:
   convs vs the production im2col GEMM (forward and both gradients);
 * ``search`` vs ``search_batch`` on :class:`FeatureIndex` and
   :class:`ShardedGallery`;
-* cached vs uncached query embeddings (``REPRO_EMBED_CACHE``);
+* cached vs uncached query embeddings (``cache_size``);
 * replicated (r = 2, 3) vs single-shard retrieval;
 * pinned snapshot reads under churn vs a numpy ranking of the rows
   live at each pinned version;
@@ -329,7 +329,6 @@ register(OraclePair(
     cases=6,
     description="compressed tiers (+ exact rerank) hold recall@k ≥ "
                 f"{COMPRESSED_RECALL_FLOOR} vs the exact FeatureIndex",
-    guards=("REPRO_INDEX_TIER",),
 ))
 
 
@@ -526,7 +525,6 @@ register(OraclePair(
     compare=_embed_compare,
     cases=2,
     description="EmbeddingCache hits are bit-identical to fresh forwards",
-    guards=("REPRO_EMBED_CACHE",),
 ))
 
 
@@ -687,7 +685,6 @@ register(OraclePair(
     compare=_serving_compare,
     cases=3,
     description="micro-batched serving front end matches sequential replay",
-    guards=("REPRO_SERVING_BATCH",),
 ))
 
 
@@ -971,7 +968,6 @@ register(OraclePair(
     cases=3,
     description="worker-pool execution is semantics-invisible: statuses, "
                 "rankings, and ledgers match the single-worker scheduler",
-    guards=("REPRO_SERVING_WORKERS",),
 ))
 
 
@@ -1054,5 +1050,4 @@ register(OraclePair(
     description="interleaved query/add/delete/re-embed replayed "
                 "sequentially matches the pooled front end: statuses, "
                 "rankings, ledgers, and applied-event counts",
-    guards=("REPRO_SERVING_WORKERS",),
 ))

@@ -38,8 +38,7 @@ class ServiceConfig:
     index_tier:
         Gallery index implementation (``"exact"`` | ``"hamming"`` |
         ``"ivfpq"``, see :mod:`repro.hashindex.tiers`).
-        ``None`` keeps the engine's current tier (which itself defaults
-        from ``REPRO_INDEX_TIER``).
+        ``None`` keeps the engine's current tier.
     """
 
     m: int = 10

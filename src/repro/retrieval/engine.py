@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.errors import RetrievalUnavailable
 from repro.models.feature_extractor import FeatureExtractor
-from repro.perf.cache import EmbeddingCache, content_key
+from repro.perf.cache import DEFAULT_CAPACITY, EmbeddingCache, content_key
 from repro.resilience.config import ResilienceConfig
 from repro.retrieval.lists import RetrievalList
 from repro.retrieval.nodes import ShardedGallery
@@ -26,14 +26,14 @@ class RetrievalEngine:
     The cache assumes the extractor's weights are frozen for the engine's
     lifetime (true for every victim service here); call
     :meth:`clear_embedding_cache` after mutating them.  ``cache_size=0``
-    (or ``REPRO_EMBED_CACHE=0``) disables caching.
+    disables caching.
     """
 
     def __init__(self, extractor: FeatureExtractor,
                  similarity: SimilarityFn | str = negative_l2,
-                 num_nodes: int = 4, cache_size: int | None = None,
+                 num_nodes: int = 4, cache_size: int = DEFAULT_CAPACITY,
                  resilience: ResilienceConfig | None = None,
-                 index_tier: str | None = None,
+                 index_tier: str = "exact",
                  placement: str = "round-robin") -> None:
         if isinstance(similarity, str):
             similarity = create_similarity(similarity)
@@ -54,7 +54,7 @@ class RetrievalEngine:
         """
         self.gallery.set_resilience(resilience)
 
-    def configure_index_tier(self, tier: str | None) -> None:
+    def configure_index_tier(self, tier: str) -> None:
         """Switch the gallery's per-node index tier (see
         :mod:`repro.hashindex.tiers`); stored rows are re-ingested."""
         self.gallery.set_index_tier(tier)
@@ -138,79 +138,44 @@ class RetrievalEngine:
                        ) -> list[RetrievalList]:
         """``R^m`` for every video, embedded in one forward batch.
 
-        Identical results to per-video :meth:`retrieve` calls; the model
-        forward, gallery scoring, and top-k all run batched.
+        Identical results to per-video :meth:`retrieve` calls made at the
+        gallery versions the queries were admitted under.  ``snapshots``
+        pins each query to its
+        :class:`~repro.retrieval.snapshot.GallerySnapshot` (one per
+        video; ``None`` reads the current version).  Consecutive queries
+        sharing a version are scored in one ``search_batch`` call; with
+        a :class:`~repro.resilience.FaultPlan` installed every query gets
+        its own call, so the fault clock, rng draws and the index at
+        which an outage interrupts the batch match a sequential loop.
 
-        ``snapshots`` pins each query to the
-        :class:`~repro.retrieval.snapshot.GallerySnapshot` it was
-        admitted under (one per video): queries sharing a snapshot are
-        still scored in one vectorized pass per group, and per-query
-        results match sequential :meth:`retrieve` calls made at the
-        corresponding gallery versions.
-
-        With a :class:`~repro.resilience.FaultPlan` installed the gallery
-        legs run per query instead: the fault clock, rng draws, and the
-        index at which an outage interrupts the batch are then all
-        bit-identical to a sequential loop.  A propagating
-        :class:`~repro.errors.RetrievalUnavailable` is annotated with the
-        already-served prefix (``served``, ``served_count``) so callers
-        can settle per-video serve-or-refund accounting.
+        A propagating :class:`~repro.errors.RetrievalUnavailable` is
+        annotated with the already-served prefix (``served``,
+        ``served_count``) so callers can settle per-video serve-or-refund
+        accounting.
         """
         if not videos:
             return []
-        features = self.embed_queries(videos)
-        if snapshots is not None:
-            return self._retrieve_batch_pinned(features, m, snapshots)
-        if getattr(self.gallery, "fault_plan", None) is None:
-            try:
-                return [
-                    RetrievalList(entries)
-                    for entries in self.gallery.search_batch(features, m)
-                ]
-            except RetrievalUnavailable as exc:
-                # Unavailability without a fault plan is node *state*
-                # (downed nodes), constant across the batch: a
-                # sequential loop would have failed on its very first
-                # query.
-                exc.served = []
-                exc.served_count = 0
-                raise
-        results = []
-        for feature in features:
-            try:
-                results.append(RetrievalList(self.gallery.search(feature, m)))
-            except RetrievalUnavailable as exc:
-                exc.served = results
-                exc.served_count = len(results)
-                raise
-        return results
-
-    def _retrieve_batch_pinned(self, features: np.ndarray, m: int,
-                               snapshots: list) -> list[RetrievalList]:
-        """Batched search with one pinned snapshot per query.
-
-        Consecutive runs of queries sharing a snapshot version score in
-        one :meth:`ShardedGallery.search_batch` call; an interrupting
-        :class:`RetrievalUnavailable` is annotated with the served
-        prefix like the fault-plan path.
-        """
-        if len(snapshots) != len(features):
+        if snapshots is None:
+            snapshots = [None] * len(videos)
+        elif len(snapshots) != len(videos):
             raise ValueError(
-                f"got {len(snapshots)} snapshots for {len(features)} queries")
+                f"got {len(snapshots)} snapshots for {len(videos)} queries")
+        features = self.embed_queries(videos)
+        versions = [None if snap is None else snap.version
+                    for snap in snapshots]
+        per_query = getattr(self.gallery, "fault_plan", None) is not None
         results: list[RetrievalList] = []
         row = 0
         try:
             while row < len(features):
-                snap = snapshots[row]
                 end = row + 1
-                while end < len(features) and (
-                        snapshots[end] is snap
-                        or (snap is not None and snapshots[end] is not None
-                            and snapshots[end].version == snap.version)):
+                while (not per_query and end < len(features)
+                       and versions[end] == versions[row]):
                     end += 1
-                for entries in self.gallery.search_batch(
-                        features[row:end], m, snapshot=snap):
-                    results.append(RetrievalList(entries))
+                results.extend(RetrievalList(entries) for entries in
+                               self.gallery.search_batch(
+                                   features[row:end], m,
+                                   snapshot=snapshots[row]))
                 row = end
         except RetrievalUnavailable as exc:
             exc.served = results

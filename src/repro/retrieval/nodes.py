@@ -60,6 +60,11 @@ from repro.retrieval.snapshot import GallerySnapshot
 NODE_LATENCY_BUCKETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0)
 
 
+def _replication(config: ResilienceConfig | None, num_nodes: int) -> int:
+    """Copies per row that ``config`` asks for, capped at the node count."""
+    return 1 if config is None else min(int(config.replication), num_nodes)
+
+
 class DataNode:
     """One storage shard holding a local :class:`~repro.retrieval.protocol.Index`.
 
@@ -173,7 +178,7 @@ class ShardedGallery:
     def __init__(self, num_nodes: int = 4,
                  similarity: SimilarityFn = negative_l2,
                  resilience: ResilienceConfig | None = None,
-                 index_tier: str | None = None,
+                 index_tier: str = "exact",
                  placement: str = "round-robin") -> None:
         if num_nodes < 1:
             raise ValueError("gallery needs at least one node")
@@ -222,15 +227,14 @@ class ShardedGallery:
     # -------------------------------------------------------------- #
     # Index-tier configuration
     # -------------------------------------------------------------- #
-    def set_index_tier(self, tier: str | None) -> None:
+    def set_index_tier(self, tier: str) -> None:
         """Switch every node's local index to ``tier``.
 
-        ``None`` resolves the ``REPRO_INDEX_TIER`` environment default
-        (``"exact"`` when unset — seed behaviour).  Rows already stored
-        on the nodes are re-ingested into the new indexes (tombstoned
-        rows are dropped, doubling as a compaction); compressed payloads
-        rebuild lazily on the next search.  Switching to the tier
-        already in place is a no-op; a switch is one version step.
+        Rows already stored on the nodes are re-ingested into the new
+        indexes (tombstoned rows are dropped, doubling as a compaction);
+        compressed payloads rebuild lazily on the next search.  Switching
+        to the tier already in place is a no-op; a switch is one version
+        step.
 
         The swap is atomic with respect to readers: every new index is
         fully built *before* any node's reference is replaced, and
@@ -241,10 +245,9 @@ class ShardedGallery:
         # Imported lazily: repro.hashindex depends on retrieval
         # submodules, so a module-level import would be circular during
         # package initialization.
-        from repro.hashindex.tiers import default_index_tier, resolve_index_tier
+        from repro.hashindex.tiers import resolve_index_tier
 
-        resolved = default_index_tier() if tier is None \
-            else str(tier).strip().lower()
+        resolved = str(tier).strip().lower()
         if resolved == self.index_tier:
             return
         factory = resolve_index_tier(resolved)
@@ -284,8 +287,7 @@ class ShardedGallery:
         Replication is a *placement* property: it can only change while
         the gallery is still empty.
         """
-        replication = 1 if config is None else min(int(config.replication),
-                                                   len(self.nodes))
+        replication = _replication(config, len(self.nodes))
         if self._order and replication != self.replication:
             raise ValueError(
                 "cannot change replication on a populated gallery "
@@ -403,7 +405,8 @@ class ShardedGallery:
         else:
             primaries = [self._ring.assign(public_id)
                          for public_id in public_ids]
-        self._write(self.nodes, rowids, labels, features, primaries)
+        self._write(self.nodes, rowids, labels, features, primaries,
+                    self.replication)
         for public_id, rowid, primary in zip(public_ids, rowids, primaries):
             self._rowids.setdefault(public_id, []).append(rowid)
             if rowid != public_id:
@@ -430,14 +433,15 @@ class ShardedGallery:
         return rowid
 
     def _write(self, nodes: list[DataNode], rowids: list[str],
-               labels: list[int], features, primaries: list[int]) -> None:
-        """Append rows to their primary shard and its replicas on
-        ``nodes``: one ``add_batch`` per node, rows in call order."""
+               labels: list[int], features, primaries: list[int],
+               replication: int) -> None:
+        """Append rows to their primary shard and its ``replication - 1``
+        successors on ``nodes``: one ``add_batch`` per node, rows in
+        call order."""
         features = np.asarray(features, dtype=np.float64)
-        replicas = min(self.replication, len(nodes))
         per_node: list[list[int]] = [[] for _ in nodes]
         for row, primary in enumerate(primaries):
-            for tail in range(replicas):
+            for tail in range(replication):
                 per_node[(primary + tail) % len(nodes)].append(row)
         for node, rows in zip(nodes, per_node):
             if rows:
@@ -566,7 +570,9 @@ class ShardedGallery:
 
         Requires ``placement="hash"``: the new ring agrees with the old
         one on all but ``~1/num_nodes`` of the keys, so only that slice
-        relocates.  Outstanding snapshots keep their old index set and
+        relocates.  Rows are written at the replication the config asks
+        for on ``num_nodes`` nodes, so the result equals a gallery built
+        fresh there.  Outstanding snapshots keep their old index set and
         remain exact as long as the node count did not shrink.
         """
         if self._ring is None:
@@ -575,6 +581,7 @@ class ShardedGallery:
             raise ValueError("gallery needs at least one node")
         from repro.hashindex.tiers import resolve_index_tier
 
+        replication = _replication(self.resilience, num_nodes)
         with self._lock:
             new_ring = self._ring.with_nodes(num_nodes)
             features: dict[str, np.ndarray] = {}
@@ -595,7 +602,8 @@ class ShardedGallery:
             nodes = [DataNode(f"node-{i}", self.similarity, factory,
                               position=i) for i in range(num_nodes)]
             self._write(nodes, live, labels,
-                        [features[rowid] for rowid in live], primaries)
+                        [features[rowid] for rowid in live], primaries,
+                        replication)
             self.nodes = nodes
             self._ring = new_ring
             self._shard_rows = [primaries.count(primary)
@@ -606,7 +614,7 @@ class ShardedGallery:
             self._order = live
             self._labels = labels
             self._pinned = tuple(node.index for node in nodes)
-            self.replication = min(self.replication, num_nodes)
+            self.replication = replication
             self.set_resilience(self.resilience)
             self._rebuild_topology()
             counter("gallery.rebalances").inc()

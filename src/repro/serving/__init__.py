@@ -26,8 +26,6 @@ from repro.serving.config import (
     PRIORITIES,
     ServingConfig,
     TenantPolicy,
-    default_batch_size,
-    default_workers,
 )
 from repro.serving.events import (
     AddVideo,
@@ -72,8 +70,6 @@ __all__ = [
     "VirtualClock",
     "WorkerPool",
     "closed_spaced_timeline",
-    "default_batch_size",
-    "default_workers",
     "generate_churn",
     "generate_timeline",
     "merge_timeline",

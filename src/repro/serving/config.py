@@ -4,13 +4,6 @@ Follows the frozen-dataclass pattern of
 :class:`~repro.retrieval.config.ServiceConfig` /
 :class:`~repro.resilience.ResilienceConfig`: one :class:`ServingConfig`
 per front end, with nested per-tenant :class:`TenantPolicy` entries.
-
-``REPRO_SERVING_BATCH`` overrides the default micro-batch size from the
-environment (benchmarks use it to sweep batching without code changes);
-an explicit ``max_batch_size`` passed in code always wins.  All flags
-parse through :mod:`repro.utils.envflags`: invalid values raise instead
-of silently coercing to the default (``REPRO_SERVING_BATCH=abc`` used to
-mean 8).
 """
 
 from __future__ import annotations
@@ -19,34 +12,9 @@ from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping
 
-from repro.utils.envflags import env_int
-
 #: Priority classes, best first.  Interactive requests are dispatched
 #: before bulk ones queued at the same time, and bulk is shed first.
 PRIORITIES = ("interactive", "bulk")
-
-#: Sentinel meaning "take the env/default batch size".
-_ENV_BATCH = -1
-
-#: Sentinel meaning "take the env/default worker count".
-_ENV_WORKERS = -1
-
-
-def default_batch_size() -> int:
-    """``REPRO_SERVING_BATCH`` when set (and valid), else 8.
-
-    Invalid or ``< 1`` values raise.
-    """
-    return env_int("REPRO_SERVING_BATCH", 8, minimum=1)
-
-
-def default_workers() -> int:
-    """``REPRO_SERVING_WORKERS`` when set (and valid), else 1.
-
-    Invalid or ``< 1`` values raise (``REPRO_SERVING_WORKERS=0`` used to
-    silently mean 1).
-    """
-    return env_int("REPRO_SERVING_WORKERS", 1, minimum=1)
 
 
 @dataclass(frozen=True)
@@ -94,8 +62,7 @@ class ServingConfig:
     max_batch_size:
         Upper bound on queries coalesced into one
         ``engine.retrieve_batch`` dispatch.  ``1`` degenerates to a
-        sequential front end (the oracle reference).  Defaults to
-        ``REPRO_SERVING_BATCH`` (else 8).
+        sequential front end (the oracle reference).
     max_wait_s:
         Micro-batch deadline: a queued request is dispatched no later
         than this many virtual seconds after it was enqueued, even if
@@ -117,8 +84,7 @@ class ServingConfig:
         Worker-pool size for dispatched batches.  ``1`` (the default)
         runs batch compute inline on the event-loop thread; ``> 1`` runs
         it on a thread pool leaning on the GIL-releasing BLAS kernels, with
-        per-worker virtual clocks.  Defaults to
-        ``REPRO_SERVING_WORKERS`` (else 1).  Semantics-invisible — see
+        per-worker virtual clocks.  Semantics-invisible — see
         the ``serving.pooled_vs_single`` oracle.
     churn:
         Pin a gallery snapshot per admitted request even for pure-query
@@ -133,13 +99,13 @@ class ServingConfig:
         Policy for tenants without an explicit entry.
     """
 
-    max_batch_size: int = _ENV_BATCH
+    max_batch_size: int = 8
     max_wait_s: float = 0.002
     queue_capacity: int = 64
     shed_policy: str = "shed-bulk"
     service_base_s: float = 0.004
     service_per_item_s: float = 0.001
-    workers: int = _ENV_WORKERS
+    workers: int = 1
     churn: bool = False
     compact_dead_fraction: float = 0.25
     compact_min_dead: int = 4
@@ -147,10 +113,6 @@ class ServingConfig:
     default_tenant: TenantPolicy = field(default_factory=TenantPolicy)
 
     def __post_init__(self) -> None:
-        if self.max_batch_size == _ENV_BATCH:
-            object.__setattr__(self, "max_batch_size", default_batch_size())
-        if self.workers == _ENV_WORKERS:
-            object.__setattr__(self, "workers", default_workers())
         object.__setattr__(self, "churn", bool(self.churn))
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
@@ -181,5 +143,4 @@ class ServingConfig:
         return replace(self, **changes)
 
 
-__all__ = ["ServingConfig", "TenantPolicy", "PRIORITIES",
-           "default_batch_size", "default_workers"]
+__all__ = ["ServingConfig", "TenantPolicy", "PRIORITIES"]

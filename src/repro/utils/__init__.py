@@ -8,10 +8,7 @@ from repro.utils.seeding import SeedSequence, seeded_rng, set_global_seed
 from repro.utils.logging import get_logger
 from repro.utils.envflags import (
     env_bool,
-    env_choice,
-    env_int,
     env_raw,
-    env_set,
     env_str,
 )
 
@@ -21,9 +18,6 @@ __all__ = [
     "set_global_seed",
     "get_logger",
     "env_bool",
-    "env_choice",
-    "env_int",
     "env_raw",
-    "env_set",
     "env_str",
 ]

@@ -1,32 +1,22 @@
 """One parser for every ``REPRO_*`` environment flag.
 
-Before this module each flag parsed itself, and the failure behaviour
-had drifted: ``REPRO_EMBED_CACHE=abc`` raised, ``REPRO_SERVING_BATCH=abc``
-silently became 8, and ``REPRO_SERVING_WORKERS=0`` silently became 1.  A
-typo'd flag that silently falls back to the default is worse than a
-crash — the run *looks* configured but is not, and benchmarks sweep
-these flags programmatically.
-
-The contract, uniform across flags:
+The flags carry only paths and diagnostics; everything that shapes a
+result is a config field or constructor argument.  A typo'd flag that
+silently falls back to the default is worse than a crash — the run
+*looks* configured but is not — so the contract is uniform across flags:
 
 * **unset or empty/whitespace** → the documented default (an empty
   string is indistinguishable from unset, matching shell ``VAR= cmd``
   usage);
-* **a valid value** → that value, normalised (ints parsed, choices
-  lower-cased, booleans mapped from ``1/true/yes/on`` / ``0/false/no/off``);
+* **a valid value** → that value, normalised (paths stripped, booleans
+  mapped from ``1/true/yes/on`` / ``0/false/no/off``);
 * **anything else** → :class:`ValueError` naming the flag, the raw
   value, and what would have been accepted.  Never a silent default.
-
-``0`` is a *valid* value wherever the flag's ``minimum`` admits it
-(``REPRO_EMBED_CACHE=0`` disables the cache); flags with ``minimum=1``
-(``REPRO_SERVING_BATCH``, ``REPRO_SERVING_WORKERS``) now reject ``0``
-loudly instead of swallowing it.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Sequence
 
 #: Accepted spellings for boolean flags (case-insensitive).
 TRUE_VALUES = ("1", "true", "yes", "on")
@@ -40,31 +30,6 @@ def env_raw(name: str) -> str | None:
         return None
     raw = raw.strip()
     return raw if raw else None
-
-
-def env_set(name: str) -> bool:
-    """Whether ``name`` carries a non-empty value."""
-    return env_raw(name) is not None
-
-
-def env_int(name: str, default: int, *, minimum: int | None = None,
-            maximum: int | None = None) -> int:
-    """Integer flag; raises on non-integers and out-of-range values."""
-    raw = env_raw(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{name}={raw!r} is not an integer") from exc
-    if minimum is not None and value < minimum:
-        raise ValueError(
-            f"{name}={value} is below the minimum of {minimum}")
-    if maximum is not None and value > maximum:
-        raise ValueError(
-            f"{name}={value} is above the maximum of {maximum}")
-    return value
 
 
 def env_bool(name: str, default: bool = False) -> bool:
@@ -82,19 +47,6 @@ def env_bool(name: str, default: bool = False) -> bool:
         f"{TRUE_VALUES + FALSE_VALUES}")
 
 
-def env_choice(name: str, choices: Sequence[str], default: str) -> str:
-    """Enumerated flag (case-insensitive); raises on unknown values."""
-    raw = env_raw(name)
-    if raw is None:
-        return default
-    lowered = raw.lower()
-    if lowered not in choices:
-        raise ValueError(
-            f"{name}={raw!r} is not a known value; "
-            f"choose from {sorted(choices)}")
-    return lowered
-
-
 def env_str(name: str, default: str = "") -> str:
     """Free-form string flag (paths, directories); stripped."""
     raw = env_raw(name)
@@ -105,9 +57,6 @@ __all__ = [
     "TRUE_VALUES",
     "FALSE_VALUES",
     "env_raw",
-    "env_set",
-    "env_int",
     "env_bool",
-    "env_choice",
     "env_str",
 ]

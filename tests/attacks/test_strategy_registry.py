@@ -12,11 +12,9 @@ import pytest
 
 from repro.attacks.config import AttackConfig
 from repro.attacks.registry import (
-    ATTACK_ENV,
     ATTACK_STRATEGIES,
     DEFAULT_STRATEGY,
     build_attack,
-    default_strategy,
     main as registry_main,
     resolve_strategy,
 )
@@ -82,17 +80,12 @@ class TestRegistry:
         with pytest.raises(KeyError, match="vanilla"):
             resolve_strategy("definitely-not-an-attack")
 
-    def test_default_strategy_reads_env(self, monkeypatch):
-        monkeypatch.delenv(ATTACK_ENV, raising=False)
-        assert default_strategy() == DEFAULT_STRATEGY
-        monkeypatch.setenv(ATTACK_ENV, "qair")
-        assert default_strategy() == "qair"
-
     def test_cli_list_prints_every_strategy(self, capsys):
         assert registry_main(["--list"]) == 0
         out = capsys.readouterr().out
         for name in ATTACK_STRATEGIES:
             assert name in out
+        assert f"* {DEFAULT_STRATEGY} " in out
 
     def test_build_rejects_missing_service(self):
         with pytest.raises(ValueError, match="service"):

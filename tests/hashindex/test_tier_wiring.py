@@ -1,17 +1,11 @@
-"""Tier selection wiring: registry, env flag, gallery/service plumbing,
-and the end-to-end DUO attack against a compressed tier."""
+"""Tier selection wiring: registry, gallery/service plumbing, and the
+end-to-end DUO attack against a compressed tier."""
 
 import numpy as np
 import pytest
 
 from repro.hashindex import BinaryHashIndex, IVFPQIndex
-from repro.hashindex.tiers import (
-    DEFAULT_TIER,
-    INDEX_TIER_ENV,
-    INDEX_TIERS,
-    default_index_tier,
-    resolve_index_tier,
-)
+from repro.hashindex.tiers import INDEX_TIERS, resolve_index_tier
 from repro.qa.generators import draw_clustered_gallery
 from repro.qa.pairs import _qa_priors, duo_query_attack
 from repro.qa.world import build_world
@@ -38,19 +32,6 @@ class TestRegistry:
         with pytest.raises(KeyError):
             resolve_index_tier("annoy")
 
-    def test_env_flag_selects_default(self, monkeypatch):
-        monkeypatch.delenv(INDEX_TIER_ENV, raising=False)
-        assert default_index_tier() == DEFAULT_TIER
-        monkeypatch.setenv(INDEX_TIER_ENV, "hamming")
-        assert default_index_tier() == "hamming"
-
-    def test_env_flag_rejects_unknown(self, monkeypatch):
-        # "ivf" named a plain IVF-flat tier that no longer exists.
-        for value in ("faiss", "ivf"):
-            monkeypatch.setenv(INDEX_TIER_ENV, value)
-            with pytest.raises(ValueError, match=INDEX_TIER_ENV):
-                default_index_tier()
-
     def test_service_config_validates_tier(self):
         assert ServiceConfig(index_tier="ivfpq").index_tier == "ivfpq"
         for value in ("annoy", "ivf"):
@@ -58,7 +39,7 @@ class TestRegistry:
                 ServiceConfig(index_tier=value)
 
 
-def _filled_gallery(tier=None, num_nodes=2, rows=60, dim=12, seed=4):
+def _filled_gallery(tier="exact", num_nodes=2, rows=60, dim=12, seed=4):
     rng = np.random.default_rng(seed)
     ids, labels, features = draw_clustered_gallery(rng, rows, dim)
     gallery = ShardedGallery(num_nodes=num_nodes, index_tier=tier)
@@ -67,9 +48,8 @@ def _filled_gallery(tier=None, num_nodes=2, rows=60, dim=12, seed=4):
 
 
 class TestGalleryWiring:
-    def test_env_flag_reaches_fresh_gallery(self, monkeypatch):
-        monkeypatch.setenv(INDEX_TIER_ENV, "hamming")
-        gallery, _ = _filled_gallery()
+    def test_constructor_tier_reaches_fresh_gallery(self):
+        gallery, _ = _filled_gallery(tier="hamming")
         assert gallery.index_tier == "hamming"
         for node in gallery.nodes:
             assert isinstance(node.index, BinaryHashIndex)

@@ -203,10 +203,9 @@ class TestPlanCache:
 
     def test_lru_cap_evicts_oldest_plans(self, rng, monkeypatch):
         from repro.obs import counter
-        from repro.perf import plan_cache_cap
+        from repro.perf import gemm_conv
 
-        monkeypatch.setenv("REPRO_PLAN_CACHE_CAP", "2")
-        assert plan_cache_cap() == 2
+        monkeypatch.setattr(gemm_conv, "MAX_PLANS", 2)
         evictions = counter("perf.plan_cache.evictions")
         before = evictions.value
         w = Tensor(rng.normal(size=(4, 3, 3, 3)))
@@ -216,10 +215,3 @@ class TestPlanCache:
         assert info["size"] <= 2
         assert info["cap"] == 2
         assert evictions.value - before == 2
-
-    def test_cap_must_be_positive(self, monkeypatch):
-        from repro.perf import plan_cache_cap
-
-        monkeypatch.setenv("REPRO_PLAN_CACHE_CAP", "0")
-        with pytest.raises(ValueError):
-            plan_cache_cap()

@@ -29,6 +29,7 @@ from repro.nn import jit
 from repro.nn import modules as nn_modules
 from repro.nn import tensor as nn_tensor
 from repro.obs import OpProfiler, counter
+from repro.perf import gemm_conv
 from repro.qa import BarrierHarness
 from repro.qa.world import tiny_extractor
 
@@ -259,7 +260,7 @@ class TestGradMode:
 
 class TestTraceCache:
     def test_lru_cap_and_eviction_counter(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_CACHE_CAP", "2")
+        monkeypatch.setattr(gemm_conv, "MAX_PLANS", 2)
         model = _mlp()
         compiled = jit.compile(model)
         evictions = counter("nn.jit.trace_cache.evictions")

@@ -222,6 +222,22 @@ class TestServiceAndEngineBatch:
         assert world.service.queries_issued == 1
         assert world.service.queries_refunded == 1
 
+    def test_pinned_batch_draws_faults_per_query(self):
+        # Pinned batches used to search each same-version run in one
+        # call, so a flaky node drew once per run instead of per query.
+        runs = []
+        for pinned in (False, True):
+            world = build_world(83, num_nodes=2)
+            gallery = world.engine.gallery
+            snapshots = [gallery.snapshot()] * 4 if pinned else None
+            plan = FaultPlan(seed=5).flaky("node-0", 0.5)
+            with plan.install(gallery):
+                results = world.engine.retrieve_batch(
+                    world.gallery_videos[:4], 4, snapshots=snapshots)
+            runs.append((plan.timeline(), [r.ids for r in results]))
+        assert runs[0] == runs[1]
+        assert len({query for query, _, _ in runs[0][0]}) > 1
+
     def test_retrieve_batch_matches_retrieve(self, tiny_victim, tiny_dataset):
         videos = tiny_dataset.test[:3]
         sequential = [tiny_victim.engine.retrieve(v, m=4) for v in videos]

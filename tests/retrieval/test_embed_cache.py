@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.perf.cache import EmbeddingCache, content_key, default_capacity
+from repro.perf.cache import EmbeddingCache, content_key
 from repro.qa.concurrency import BarrierHarness
 from repro.retrieval import RetrievalEngine
 from repro.video import Video
@@ -129,14 +129,6 @@ class TestEmbeddingCache:
             sys.setswitchinterval(old_interval)
         stats = cache.stats()
         assert stats["hits"] + stats["misses"] == threads * steps * burst
-
-    def test_env_capacity(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EMBED_CACHE", "7")
-        assert default_capacity() == 7
-        assert EmbeddingCache().capacity == 7
-        monkeypatch.setenv("REPRO_EMBED_CACHE", "many")
-        with pytest.raises(ValueError):
-            default_capacity()
 
 
 class TestEngineCache:

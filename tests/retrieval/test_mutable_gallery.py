@@ -7,6 +7,8 @@ ahead, tombstones never resurrect, and compaction/rebalancing are
 invisible to retrieval results.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,33 @@ class TestRebalance:
         after = gallery.search(query, k=10)
         assert [(e.video_id, e.score) for e in before] == \
             [(e.video_id, e.score) for e in after]
+
+    def test_grown_gallery_takes_the_config_replication(self):
+        # r = 3 on 2 nodes runs at r = 2.  Rebalancing onto 4 nodes used
+        # to install the new nodes and then raise "cannot change
+        # replication", leaving a gallery that could not search.
+        config = ResilienceConfig(replication=3, retry=None, breaker=None)
+        ids, labels, features = draw_clustered_gallery(
+            np.random.default_rng(6), 6, 8)
+        gallery = ShardedGallery(num_nodes=2, placement="hash",
+                                 resilience=config)
+        gallery.add_batch(ids, labels, features)
+        assert gallery.replication == 2
+        version = gallery.version
+        gallery.rebalance(4)
+        assert (gallery.num_nodes, gallery.replication) == (4, 3)
+        assert gallery.version == version + 1
+        fresh = ShardedGallery(num_nodes=4, placement="hash",
+                               resilience=config)
+        fresh.add_batch(ids, labels, features)
+        exact = [fresh.search(query, k=6) for query in features]
+        assert [gallery.search(query, k=6) for query in features] == exact
+        for down in itertools.combinations(gallery.nodes, 2):
+            for node in down:
+                node.take_down()
+            assert [gallery.search(query, k=6) for query in features] == exact
+            for node in down:
+                node.bring_up()
 
     def test_rebalance_requires_hash_placement(self):
         gallery, _, _, _ = build_gallery()

@@ -216,10 +216,14 @@ class TestBudgetPaths:
 
 
 class TestOutage:
+    #: Pin a gallery snapshot per admitted request (see TestOutageUnderChurn).
+    churn = False
+
     def test_outage_sheds_queued_work_with_exact_refunds(self, query_videos):
         world = build_world(21, num_nodes=1)
         requests = closed_spaced_timeline(["a", "b"], query_videos, 4, 2e-4)
-        config = ServingConfig(max_batch_size=4, max_wait_s=0.001)
+        config = ServingConfig(max_batch_size=4, max_wait_s=0.001,
+                               churn=self.churn)
         frontend = ServingFrontend(world.service, config)
         shed_before = counter("serving.shed", reason="outage").value
         with FaultPlan().outage("node-0", 3, 7).install(
@@ -250,7 +254,7 @@ class TestOutage:
         world = build_world(21, num_nodes=1)
         requests = closed_spaced_timeline(["a", "b"], query_videos, 4, 2e-4)
         config = ServingConfig(max_batch_size=2, max_wait_s=0.001,
-                               service_base_s=0.01)
+                               service_base_s=0.01, churn=self.churn)
         with FaultPlan().outage("node-0", 1, 9).install(
                 world.engine.gallery):
             report = ServingFrontend(world.service, config).run(requests)
@@ -266,7 +270,8 @@ class TestOutage:
         assert len(unavailable) == 1
 
     def test_prefix_results_match_sequential(self, query_videos):
-        config = ServingConfig(max_batch_size=4, max_wait_s=0.001)
+        config = ServingConfig(max_batch_size=4, max_wait_s=0.001,
+                               churn=self.churn)
         requests = closed_spaced_timeline(["a"], query_videos, 4, 1e-4)
 
         batched_world = build_world(21, num_nodes=1)
@@ -288,6 +293,13 @@ class TestOutage:
         served = [r for r in report.responses if r.ok]
         assert [r.result.ids for r in served] == \
             [result.ids for result in sequential_results]
+
+
+class TestOutageUnderChurn(TestOutage):
+    """The same outages with every request pinned to its admission
+    snapshot: the fault clock must still tick once per query."""
+
+    churn = True
 
 
 class TestWorkload:

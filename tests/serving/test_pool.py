@@ -12,7 +12,6 @@ from repro.serving import (
     ServingFrontend,
     TenantSpec,
     WorkerPool,
-    default_workers,
     generate_timeline,
 )
 from repro.serving.pool import _Immediate
@@ -159,13 +158,6 @@ class TestFallbacks:
         assert report.workers == 1
         assert report.served > 0
         check_budget_conservation(service)
-
-    def test_workers_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVING_WORKERS", raising=False)
-        assert default_workers() == 1
-        monkeypatch.setenv("REPRO_SERVING_WORKERS", "4")
-        assert default_workers() == 4
-        assert ServingConfig().workers == 4
 
     def test_workers_validation(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,8 @@
 
 One contract, every flag: unset/empty means the documented default, a
 valid value is normalised, garbage raises ``ValueError`` — never a
-silent fallback.  The table below is the complete flag inventory; adding
-a flag without a row here should feel like a missing test.
+silent fallback.  The tables below cover every flag the library reads;
+adding a flag without a row here should feel like a missing test.
 """
 
 import re
@@ -15,10 +15,7 @@ from repro.utils.envflags import (
     FALSE_VALUES,
     TRUE_VALUES,
     env_bool,
-    env_choice,
-    env_int,
     env_raw,
-    env_set,
     env_str,
 )
 
@@ -32,23 +29,8 @@ class TestPrimitives:
         assert env_raw("REPRO_X") is None
         monkeypatch.setenv("REPRO_X", "   ")
         assert env_raw("REPRO_X") is None
-        assert not env_set("REPRO_X")
         monkeypatch.setenv("REPRO_X", "  7 ")
         assert env_raw("REPRO_X") == "7"
-        assert env_set("REPRO_X")
-
-    def test_env_int_range_and_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_X", "5")
-        assert env_int("REPRO_X", 1, minimum=1, maximum=8) == 5
-        monkeypatch.setenv("REPRO_X", "0")
-        with pytest.raises(ValueError, match="below the minimum"):
-            env_int("REPRO_X", 1, minimum=1)
-        monkeypatch.setenv("REPRO_X", "9")
-        with pytest.raises(ValueError, match="above the maximum"):
-            env_int("REPRO_X", 1, maximum=8)
-        monkeypatch.setenv("REPRO_X", "5.5")
-        with pytest.raises(ValueError, match="not an integer"):
-            env_int("REPRO_X", 1)
 
     @pytest.mark.parametrize("raw", TRUE_VALUES + tuple(
         v.upper() for v in TRUE_VALUES))
@@ -66,13 +48,6 @@ class TestPrimitives:
         with pytest.raises(ValueError, match="not a boolean"):
             env_bool("REPRO_X")
 
-    def test_env_choice_lowercases_and_rejects(self, monkeypatch):
-        monkeypatch.setenv("REPRO_X", "GEMM")
-        assert env_choice("REPRO_X", ("auto", "gemm"), "auto") == "gemm"
-        monkeypatch.setenv("REPRO_X", "blas")
-        with pytest.raises(ValueError, match="not a known value"):
-            env_choice("REPRO_X", ("auto", "gemm"), "auto")
-
     def test_env_str_passthrough(self, monkeypatch):
         monkeypatch.delenv("REPRO_X", raising=False)
         assert env_str("REPRO_X", "fallback") == "fallback"
@@ -83,43 +58,12 @@ class TestPrimitives:
 # ---------------------------------------------------------------------- #
 # Flag inventory: (flag, accessor, default, valid raw, normalised, garbage)
 # ---------------------------------------------------------------------- #
-def _embed_cache():
-    from repro.perf.cache import default_capacity
-    return default_capacity()
-
-
-def _serving_batch():
-    from repro.serving.config import default_batch_size
-    return default_batch_size()
-
-
-def _serving_workers():
-    from repro.serving.config import default_workers
-    return default_workers()
-
-
-def _plan_cache_cap():
-    from repro.perf.gemm_conv import plan_cache_cap
-    return plan_cache_cap()
-
-
-def _index_tier():
-    from repro.hashindex.tiers import default_index_tier
-    return default_index_tier()
-
-
 def _trace():
     from repro.obs.tracing import tracing_enabled
     return tracing_enabled()
 
 
 FLAGS = [
-    ("REPRO_EMBED_CACHE", _embed_cache, 256, "7", 7, "many"),
-    ("REPRO_SERVING_BATCH", _serving_batch, 8, "4", 4, "0"),
-    ("REPRO_SERVING_WORKERS", _serving_workers, 1, "3", 3, "0"),
-    ("REPRO_PLAN_CACHE_CAP", _plan_cache_cap, 64, "16", 16, "0"),
-    ("REPRO_INDEX_TIER", _index_tier, "exact", "HAMMING", "hamming",
-     "fancy"),
     ("REPRO_TRACE", _trace, True, "0", False, "2"),
 ]
 
@@ -170,28 +114,6 @@ class TestQaNanguard:
             install_runtime_guards()
 
 
-class TestAttackStrategy:
-    def test_unset_is_builtin_default(self, monkeypatch):
-        from repro.attacks.registry import DEFAULT_STRATEGY, default_strategy
-
-        monkeypatch.delenv("REPRO_ATTACK", raising=False)
-        assert default_strategy() == DEFAULT_STRATEGY
-
-    def test_valid_is_lowercased(self, monkeypatch):
-        from repro.attacks.registry import default_strategy, resolve_strategy
-
-        monkeypatch.setenv("REPRO_ATTACK", "TIMI")
-        assert default_strategy() == "timi"
-        assert resolve_strategy().name == "timi"
-
-    def test_unknown_strategy_raises(self, monkeypatch):
-        from repro.attacks.registry import resolve_strategy
-
-        monkeypatch.setenv("REPRO_ATTACK", "nope")
-        with pytest.raises(KeyError, match="nope"):
-            resolve_strategy()
-
-
 # ---------------------------------------------------------------------- #
 # Path flags: blank means the default, never the working directory
 # ---------------------------------------------------------------------- #
@@ -232,20 +154,33 @@ class TestPathFlags:
 
 
 # ---------------------------------------------------------------------- #
-# Inventory: every flag the library reads is documented
+# Inventory: the README's flag table is exactly the flags the library reads
 # ---------------------------------------------------------------------- #
 _REPO = Path(__file__).resolve().parents[2]
 
 
-def test_every_flag_read_by_the_library_is_documented():
-    """Each ``"REPRO_*"`` literal under ``src/repro`` has a README row."""
+def _flags_read_by_the_library() -> set[str]:
     literal = re.compile(r"""["'](REPRO_[A-Z0-9_]+)["']""")
     read = set()
     for path in (_REPO / "src" / "repro").rglob("*.py"):
         read.update(literal.findall(path.read_text()))
-    readme = (_REPO / "README.md").read_text()
-    documented = set(re.findall(r"^\| `(REPRO_[A-Z0-9_]+)` \|", readme,
-                                flags=re.MULTILINE))
     assert read, "no REPRO_* literals found; is the source tree missing?"
-    missing = sorted(read - documented)
+    return read
+
+
+def _flags_in_readme_table() -> set[str]:
+    readme = (_REPO / "README.md").read_text()
+    return set(re.findall(r"^\| `(REPRO_[A-Z0-9_]+)` \|", readme,
+                          flags=re.MULTILINE))
+
+
+def test_every_flag_read_by_the_library_is_documented():
+    """Each ``"REPRO_*"`` literal under ``src/repro`` has a README row."""
+    missing = sorted(_flags_read_by_the_library() - _flags_in_readme_table())
     assert not missing, f"flags read but missing from README's table: {missing}"
+
+
+def test_every_documented_flag_is_read_by_the_library():
+    """Each README flag row names a ``"REPRO_*"`` literal under ``src/repro``."""
+    stale = sorted(_flags_in_readme_table() - _flags_read_by_the_library())
+    assert not stale, f"README's table documents flags nothing reads: {stale}"
