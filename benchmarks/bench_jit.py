@@ -7,7 +7,12 @@ Two measurements:
    the ResNet18+LSTM victim and the C3D surrogate.  Replay skips graph
    construction and Python op dispatch; fusion additionally collapses
    elementwise chains into shared buffers.
-2. **end-to-end SparseQuery** — the black-box attack loop against a live
+2. **surrogate gradient** — one C3D surrogate forward + input-gradient
+   backward at the DUO clip shape, the pass SparseTransfer and TIMI make
+   per step: eager vs ``FeatureExtractor.embed_tensor``'s grad-mode
+   replay.  The replayed input gradient must equal the eager one byte
+   for byte; the speedup is printed, not gated.
+3. **end-to-end SparseQuery** — the black-box attack loop against a live
    victim service on the eager reference forward (under
    :func:`repro.qa.eager_forwards`) vs the production trace replay.
    The victim embedding forward
@@ -21,7 +26,8 @@ Usage::
 
 The full run records ``BENCH_jit.json`` at the repo root.  ``--smoke``
 is the CI gate: it asserts replay stays bit-identical on the bench
-fixture, holds the fused speedups above a 1.3× floor, and fails if a
+fixture (forwards and the surrogate input gradient), holds the fused
+speedups above a 1.3× floor, and fails if a
 ratio regressed more than 10% against the recorded baseline (ratios,
 not wall times, so the check is machine-independent).  Smoke never
 overwrites the baseline.
@@ -116,6 +122,38 @@ def bench_models(trials: int) -> list[dict]:
     return rows
 
 
+#: The surrogate-gradient pass: C3D at DUO's ``(1, C, T, H, W)`` clip.
+GRAD_CASE = ("c3d.grad.b1", "c3d", (1, 3, 8, 16, 16))
+
+
+def bench_surrogate_grad(trials: int) -> dict:
+    """Eager vs grad-mode replay of one surrogate forward + backward."""
+    name, backbone, shape = GRAD_CASE
+    extractor = create_feature_extractor(backbone, feature_dim=16, width=4,
+                                         rng=0)
+    extractor.eval()
+    extractor.requires_grad_(False)
+    x_data = np.random.default_rng(2).random(shape)
+
+    def input_grad(embed) -> np.ndarray:
+        x = Tensor(x_data, requires_grad=True)
+        (embed(x) ** 2).sum().backward()
+        return x.grad
+
+    eager = input_grad(extractor)
+    input_grad(extractor.embed_tensor)  # traces the grad-mode program
+    replayed = input_grad(extractor.embed_tensor)
+    if replayed.tobytes() != eager.tobytes():
+        raise AssertionError(
+            f"{name}: replayed input gradient differs from eager (max "
+            f"|diff| {np.abs(replayed - eager).max():.3g})")
+    eager_s, replay_s = interleaved_best(
+        [lambda: input_grad(extractor),
+         lambda: input_grad(extractor.embed_tensor)], trials)
+    return {"name": name, "eager_us": eager_s * 1e6,
+            "replay_us": replay_s * 1e6, "speedup": eager_s / replay_s}
+
+
 def sparse_query_seconds(fuse: bool, iterations: int, repeats: int) -> float:
     """Best-of-``repeats`` wall time of a seeded DUO query-stage attack.
 
@@ -189,6 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     trials = 10 if args.smoke else args.trials
 
     model_rows = bench_models(trials)
+    grad_row = bench_surrogate_grad(trials)
     eager_s = sparse_query_seconds(False, iterations, repeats)
     fused_s = sparse_query_seconds(True, iterations, repeats)
 
@@ -198,6 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         "smoke": args.smoke,
         "models": model_rows,
         "fused_min_speedup": min(row["fused_speedup"] for row in model_rows),
+        "surrogate_grad": grad_row,
         "sparse_query": {
             "iterations": iterations,
             "repeats": repeats,

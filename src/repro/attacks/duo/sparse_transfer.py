@@ -111,7 +111,7 @@ class SparseTransfer:
         adv = (Tensor(original.pixels) + perturbation).clip(0.0, 1.0)
         # (N, H, W, C) → (1, C, N, H, W)
         batch = adv.transpose(3, 0, 1, 2).expand_dims(0)
-        feature = self.surrogate(batch)[0]
+        feature = self.surrogate.embed_tensor(batch)[0]
         distance = ((feature - Tensor(target_feature)) ** 2).sum()
         if not self.targeted:
             distance = -distance

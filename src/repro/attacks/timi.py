@@ -34,7 +34,7 @@ def _surrogate_gradient(surrogate: FeatureExtractor, original: Video,
     phi = Tensor(perturbation, requires_grad=True)
     adv = (Tensor(original.pixels) + phi).clip(0.0, 1.0)
     batch = adv.transpose(3, 0, 1, 2).expand_dims(0)
-    feature = surrogate(batch)[0]
+    feature = surrogate.embed_tensor(batch)[0]
     loss = ((feature - Tensor(target_feature)) ** 2).sum()
     loss.backward()
     return phi.grad if phi.grad is not None else np.zeros_like(perturbation)

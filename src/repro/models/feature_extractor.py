@@ -84,5 +84,15 @@ class FeatureExtractor(Module):
         return compiled
 
     def embed_tensor(self, x: Tensor) -> Tensor:
-        """Differentiable embedding of an already-built input tensor."""
-        return self.forward(x)
+        """Differentiable embedding of an already-built input tensor.
+
+        Runs through the same compiled module as :meth:`embed_videos`.
+        With gradients on, the first call per signature traces a
+        grad-mode program and later calls replay it; the result's
+        backward runs the retained tape, bit-identical to eager.  A
+        program holds one forward's activations, so backpropagate each
+        result before the next same-shape call (a stale backward
+        raises).  :func:`repro.qa.eager_forwards` runs the eager
+        forward instead.
+        """
+        return self._fused_forward()(x)

@@ -61,14 +61,11 @@ def _conv_gemm(x: Tensor, weight: Tensor, bias: Tensor | None,
     if weight.shape[1] != x.shape[1]:
         raise ValueError(f"channel mismatch: input has {x.shape[1]}, "
                          f"weight expects {weight.shape[1]}")
-    records_grad = is_grad_enabled() and (
-        x.requires_grad or weight.requires_grad
-        or (bias is not None and bias.requires_grad)
-    )
-    # The plan's scratch buffer may only be reused when no backward closure
-    # will capture ``cols`` (another same-shape forward would clobber it).
-    out, cols, padded_shape = gemm_conv.conv_forward(
-        x.data, weight.data, stride, padding, reuse_scratch=not records_grad)
+    # ``cols`` outlives the op only when ``grad_w`` needs it; otherwise
+    # the fill goes to the plan's per-thread scratch.
+    weight_grad = is_grad_enabled() and weight.requires_grad
+    out, cols, plan = gemm_conv.conv_forward(
+        x.data, weight.data, stride, padding, weight_grad)
     if bias is not None:
         out += bias.data.reshape((1, -1) + (1,) * len(stride))
 
@@ -76,8 +73,7 @@ def _conv_gemm(x: Tensor, weight: Tensor, bias: Tensor | None,
 
     def backward(grad, fwd=None):
         grad_x, grad_w = gemm_conv.conv_backward(
-            grad, cols, weight.data, x.shape, padded_shape, stride, padding,
-            x.requires_grad, weight.requires_grad)
+            grad, cols, weight.data, plan, x.requires_grad, weight_grad)
         if bias is None:
             return grad_x, grad_w
         grad_b = grad.sum(axis=(0, *range(2, grad.ndim))) \
@@ -91,7 +87,7 @@ def _conv_gemm(x: Tensor, weight: Tensor, bias: Tensor | None,
             result, parents,
             gemm_conv.bind_replay(x.data, weight.data,
                                   None if bias is None else bias.data,
-                                  cols, result.data, stride, padding),
+                                  cols, result.data, plan),
             op=op)
     return result
 
@@ -110,63 +106,40 @@ def max_pool3d(x: Tensor, kernel_size, stride=None) -> Tensor:
     """Max pooling over ``(T, H, W)``; ``stride`` defaults to the kernel."""
     kernel = _triple(kernel_size)
     stride = kernel if stride is None else _triple(stride)
-    out_t = (x.shape[2] - kernel[0]) // stride[0] + 1
-    out_h = (x.shape[3] - kernel[1]) // stride[1] + 1
-    out_w = (x.shape[4] - kernel[2]) // stride[2] + 1
-    # Forward as a running elementwise max over kernel-offset slabs: max is
+    out_spatial = tuple((size - k) // step + 1
+                        for size, k, step in zip(x.shape[2:], kernel, stride))
+    # One input slab per kernel offset, in ``np.ndindex`` order.
+    slabs = [
+        (slice(None), slice(None)) + tuple(
+            slice(o, o + size * step, step)
+            for o, size, step in zip(offset, out_spatial, stride))
+        for offset in np.ndindex(*kernel)
+    ]
+    # Forward as a running elementwise max over the slabs: max is
     # order-independent, so this matches the window reduction exactly while
     # never materializing the (B, C, T', H', W', kt, kh, kw) window tensor.
-    out = None
-    for it in range(kernel[0]):
-        for ih in range(kernel[1]):
-            for iw in range(kernel[2]):
-                slab = x.data[
-                    :,
-                    :,
-                    it : it + out_t * stride[0] : stride[0],
-                    ih : ih + out_h * stride[1] : stride[1],
-                    iw : iw + out_w * stride[2] : stride[2],
-                ]
-                if out is None:
-                    out = slab.copy()
-                else:
-                    np.maximum(out, slab, out=out)
+    src = x.data
+    out = src[slabs[0]].copy()
+    for slab in slabs[1:]:
+        np.maximum(out, src[slab], out=out)
 
     def backward(grad, fwd=None):
-        # The window view is only needed to locate argmaxes, so it is built
-        # lazily here — inference never pays for it.
-        windows = _pool3d_windows(x.data, kernel, stride)
-        grad_x = np.zeros_like(x.data)
-        # Distribute each output's gradient to the argmax inside its window.
-        mask = windows == out[..., None, None, None]
-        # Normalize ties so the gradient total is preserved.
-        weights = mask / mask.sum(axis=(5, 6, 7), keepdims=True)
-        contrib = weights * grad[..., None, None, None]
-        for it in range(kernel[0]):
-            for ih in range(kernel[1]):
-                for iw in range(kernel[2]):
-                    grad_x[
-                        :,
-                        :,
-                        it : it + out_t * stride[0] : stride[0],
-                        ih : ih + out_h * stride[1] : stride[1],
-                        iw : iw + out_w * stride[2] : stride[2],
-                    ] += contrib[:, :, :, :, :, it, ih, iw]
+        # Each output's gradient goes to every argmax in its window,
+        # split evenly between ties so the gradient total is preserved.
+        data = x.data
+        masks = [data[slab] == out for slab in slabs]
+        count = np.zeros(out.shape, dtype=np.intp)
+        for mask in masks:
+            count += mask
+        grad_x = np.zeros_like(data)
+        for slab, mask in zip(slabs, masks):
+            grad_x[slab] += (mask / count) * grad
         return (grad_x,)
 
     result = make_op(out, (x,), backward, "max_pool3d")
     tracer = get_tracer()
     if tracer is not None:
-        src, buf = x.data, result.data
-        slabs = [
-            (slice(None), slice(None),
-             slice(it, it + out_t * stride[0], stride[0]),
-             slice(ih, ih + out_h * stride[1], stride[1]),
-             slice(iw, iw + out_w * stride[2], stride[2]))
-            for it in range(kernel[0])
-            for ih in range(kernel[1])
-            for iw in range(kernel[2])
-        ]
+        buf = result.data
 
         def run():
             np.copyto(buf, src[slabs[0]])

@@ -29,6 +29,7 @@ from repro.metrics.perturbation import perturbed_frames, sparsity
 from repro.qa.comparators import array_digest
 from repro.qa.pairs import _qa_priors, duo_query_attack
 from repro.qa.world import build_world, tiny_extractor
+from repro.utils.envflags import env_str
 
 #: Exact-match fields; everything else numeric is tolerance-compared.
 EXACT_SUFFIXES = ("_digest", "_count", "_queries", "_spa", "_frames",
@@ -44,7 +45,7 @@ ATTACK_SEED = 1051
 
 def golden_dir() -> Path:
     """Directory holding the golden JSON files."""
-    override = os.environ.get("REPRO_QA_GOLDEN_DIR", "").strip()
+    override = env_str("REPRO_QA_GOLDEN_DIR")
     if override:
         return Path(override)
     return Path(__file__).parent / "goldens"

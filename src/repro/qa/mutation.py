@@ -31,10 +31,9 @@ def seeded_conv_fault(scale: float = 1.0 + 1e-3):
     """
     original = gemm_conv.conv_forward
 
-    def faulty(x, weight, stride, padding, reuse_scratch):
-        out, cols, padded_shape = original(x, weight, stride, padding,
-                                           reuse_scratch)
-        return out * scale, cols, padded_shape
+    def faulty(*args, **kwargs):
+        out, cols, plan = original(*args, **kwargs)
+        return out * scale, cols, plan
 
     gemm_conv.conv_forward = faulty
     try:

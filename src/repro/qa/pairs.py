@@ -5,6 +5,10 @@ with every reference/fast equivalence contract the library claims:
 
 * ``conv2d`` / ``conv3d``: the :mod:`repro.qa.reference` strided-einsum
   convs vs the production im2col GEMM (forward and both gradients);
+* ``conv.grid_vs_dense``: the GEMM conv's grid geometry (eager and
+  replayed) vs its dense geometry, byte for byte;
+* ``max_pool3d.window_vs_slab``: the window-mask max-pool backward vs
+  the production slab-wise one, byte for byte (ties, overlaps);
 * ``search`` vs ``search_batch`` on :class:`FeatureIndex` and
   :class:`ShardedGallery`;
 * cached vs uncached query embeddings (``cache_size``);
@@ -35,7 +39,7 @@ from repro.attacks.search import nes_search, simba_search
 from repro.attacks.timi import timi_transfer
 from repro.attacks.vanilla import random_support
 from repro.metrics.similarity import ndcg_similarity, ndcg_similarity_many
-from repro.nn import Tensor
+from repro.nn import Conv2d, Conv3d, Tensor, jit, no_grad
 from repro.nn import functional as F
 from repro.qa.comparators import (
     array_digest,
@@ -151,6 +155,130 @@ register(OraclePair(
     compare=_conv_compare,
     cases=4,
     description="conv3d forward/backward: strided einsum vs im2col GEMM",
+))
+
+
+# ---------------------------------------------------------------------- #
+# conv grid vs dense geometry, max-pool window vs slab backward
+# ---------------------------------------------------------------------- #
+def _byte_equal(reference, fast):
+    assert reference.keys() == fast.keys()
+    for key, expected in reference.items():
+        got = fast[key]
+        assert got.shape == expected.shape and \
+            got.tobytes() == expected.tobytes(), \
+            f"{key}: max |diff| {np.abs(got - expected).max():.3g}"
+
+
+def _upstream(shape, seed) -> np.ndarray:
+    """A deterministic upstream gradient with exact zeros (ReLU-like)."""
+    grad = np.random.default_rng(seed).normal(size=shape)
+    grad[grad < 0] = 0.0
+    return grad
+
+
+def _grid_conv_run(weight_grad, seed, batch, in_ch, out_ch, spatial, kernel,
+                   stride, padding):
+    """Forward and input gradient of one stride-any conv, eager + replay.
+
+    ``weight_grad`` makes the weight record a gradient, which pins the
+    dense geometry; without it a stride-1 conv takes the grid geometry,
+    and a traced one-conv module replays it too.  The dense side reports
+    its eager results under the replay keys, so both sides compare
+    eager and replayed grid outputs against dense ones.
+    """
+    x, w, stride, padding = _conv_case(seed, batch, in_ch, out_ch, spatial,
+                                       kernel, stride, padding)
+    conv = F.conv3d if len(kernel) == 3 else F.conv2d
+    xt = Tensor(x, requires_grad=True)
+    out = conv(xt, Tensor(w, requires_grad=weight_grad), stride=stride,
+               padding=padding)
+    grad = _upstream(out.shape, seed + 1)
+    out.backward(grad)
+    result = {"out": out.data, "grad_x": xt.grad}
+    if weight_grad:
+        result["replay_out"], result["replay_grad_x"] = out.data, xt.grad
+        return result
+    module = (Conv3d if len(kernel) == 3 else Conv2d)(
+        in_ch, out_ch, kernel, stride=stride, padding=padding, bias=False)
+    module.weight.data = w
+    module.requires_grad_(False)
+    compiled = jit.compile(module)
+    with no_grad():  # trace, then replay on the real input
+        compiled(Tensor(x * 0.5))
+        result["replay_out"] = compiled(Tensor(x)).data
+    compiled(Tensor(x * 0.5, requires_grad=True)).backward(grad)
+    replayed = Tensor(x, requires_grad=True)
+    compiled(replayed).backward(grad)
+    result["replay_grad_x"] = replayed.grad
+    return result
+
+
+def _grid_conv_strategy(rng: np.random.Generator) -> dict:
+    rank = int(rng.integers(2, 4))
+    kernel = [(1,) * rank, (3,) * rank, (1, 3, 3)][
+        int(rng.integers(0, 3 if rank == 3 else 2))]
+    step = int(rng.integers(1, 3))
+    return {
+        "seed": int(rng.integers(0, 2**31)),
+        "batch": int(rng.choice([1, 3])),
+        "in_ch": int(rng.integers(1, 4)),
+        "out_ch": int(rng.integers(1, 5)),
+        "spatial": tuple(int(rng.integers(3, 9)) for _ in range(rank)),
+        "kernel": kernel,
+        "stride": (step,) * rank,
+        "padding": (int(rng.integers(0, 3)),) * rank,
+    }
+
+
+register(OraclePair(
+    name="conv.grid_vs_dense",
+    reference=lambda **case: _grid_conv_run(True, **case),
+    fast=lambda **case: _grid_conv_run(False, **case),
+    strategy=Strategy("conv_geometry", _grid_conv_strategy, _CONV_SHRINKERS),
+    compare=_byte_equal,
+    cases=8,
+    description="GEMM conv forward (eager, replay) and grad_x: grid "
+                "geometry vs dense, byte-identical",
+))
+
+
+def _max_pool_run(pool, seed, batch, channels, spatial, kernel, stride):
+    """Forward + backward of one max pool over tie-heavy ReLU'd input."""
+    rng = np.random.default_rng(seed)
+    spatial = tuple(max(size, k) for size, k in zip(spatial, kernel))
+    # Half-integer grid after ReLU: zero windows and equal maxima tie.
+    x = np.maximum(np.round(rng.normal(size=(batch, channels, *spatial))
+                            * 2) / 2, 0.0)
+    xt = Tensor(x, requires_grad=True)
+    out = pool(xt, kernel, stride)
+    out.backward(np.random.default_rng(seed + 1).normal(size=out.shape))
+    return {"out": out.data, "grad_x": xt.grad}
+
+
+def _max_pool_strategy(rng: np.random.Generator) -> dict:
+    kernel = tuple(int(rng.integers(1, 4)) for _ in range(3))
+    return {
+        "seed": int(rng.integers(0, 2**31)),
+        "batch": int(rng.integers(1, 3)),
+        "channels": int(rng.integers(1, 4)),
+        "spatial": tuple(int(rng.integers(2, 8)) for _ in range(3)),
+        "kernel": kernel,
+        # stride ≤ kernel: windows overlap wherever stride < kernel.
+        "stride": tuple(int(rng.integers(1, k + 1)) for k in kernel),
+    }
+
+
+register(OraclePair(
+    name="max_pool3d.window_vs_slab",
+    reference=lambda **case: _max_pool_run(reference.max_pool3d, **case),
+    fast=lambda **case: _max_pool_run(F.max_pool3d, **case),
+    strategy=Strategy("max_pool3d", _max_pool_strategy,
+                      {"batch": shrink_int(1), "channels": shrink_int(1)}),
+    compare=_byte_equal,
+    cases=8,
+    description="max_pool3d forward/backward: window-view masks vs "
+                "slab-wise masks and tie counts, byte-identical",
 ))
 
 

@@ -13,10 +13,15 @@ bench).
   GEMM kernels of :mod:`repro.perf.gemm_conv`); outputs and gradients
   agree within ``allclose``.  They record no trace-replay rule, so a
   trace that meets one falls back to eager.
+* :func:`max_pool3d` — max pooling whose backward locates each
+  window's argmaxes through the 8-D ``(B, C, T', H', W', kt, kh, kw)``
+  window view; :func:`repro.nn.functional.max_pool3d` computes the same
+  masks and tie counts slab by slab, byte for byte.
 * :func:`eager_forwards` — runs every
   :meth:`~repro.models.feature_extractor.FeatureExtractor.embed_videos`
-  inside the block on the eager forward (``fuse=False``) instead of the
-  production trace replay, so one scenario can be pinned on both paths.
+  and :meth:`~repro.models.feature_extractor.FeatureExtractor.embed_tensor`
+  inside the block on the eager forward instead of the production trace
+  replay, so one scenario can be pinned on both paths.
 * :func:`replay_sequential` — a serving timeline (requests, optionally
   interleaved with gallery events) replayed one query at a time against
   the bare service: the reference for
@@ -115,25 +120,55 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return _conv_einsum(x, weight, bias, stride, padding, "conv3d")
 
 
+def max_pool3d(x: Tensor, kernel_size, stride=None) -> Tensor:
+    """Reference max pooling (window-view masks); op name ``max_pool3d``."""
+    kernel = _expand(kernel_size, 3)
+    stride = kernel if stride is None else _expand(stride, 3)
+    windows = sliding_window_view(x.data, kernel, axis=(2, 3, 4))[
+        :, :, ::stride[0], ::stride[1], ::stride[2]]
+    out = windows.max(axis=(5, 6, 7))
+    out_spatial = out.shape[2:]
+
+    def backward(grad, fwd=None):
+        grad_x = np.zeros_like(x.data)
+        # Distribute each output's gradient to the argmax inside its window.
+        mask = windows == out[..., None, None, None]
+        # Normalize ties so the gradient total is preserved.
+        weights = mask / mask.sum(axis=(5, 6, 7), keepdims=True)
+        contrib = weights * grad[..., None, None, None]
+        for offset in np.ndindex(*kernel):
+            grad_x[(slice(None), slice(None)) + tuple(
+                slice(o, o + n * s, s)
+                for o, n, s in zip(offset, out_spatial, stride))] += \
+                contrib[(Ellipsis, *offset)]
+        return (grad_x,)
+
+    return make_op(out, (x,), backward, "max_pool3d")
+
+
 @contextlib.contextmanager
 def eager_forwards():
     """Force the eager reference forward for every embed in the block.
 
-    Patches the class method for the whole process, so it is meant for
+    Covers the no-grad video embeds and the differentiable
+    ``embed_tensor`` the surrogate-gradient attacks call.  Patches the
+    class methods for the whole process, so it is meant for
     single-threaded tests and oracle runs; nesting is safe.
     """
     from repro.models.feature_extractor import FeatureExtractor
 
-    replayed = FeatureExtractor.embed_videos
+    replayed = FeatureExtractor.embed_videos, FeatureExtractor.embed_tensor
 
     def eager(self, videos, batch_size=16, fuse=True):
-        return replayed(self, videos, batch_size=batch_size, fuse=False)
+        return replayed[0](self, videos, batch_size=batch_size, fuse=False)
 
     FeatureExtractor.embed_videos = eager
+    FeatureExtractor.embed_tensor = FeatureExtractor.__call__
     try:
         yield
     finally:
-        FeatureExtractor.embed_videos = replayed
+        FeatureExtractor.embed_videos, FeatureExtractor.embed_tensor = \
+            replayed
 
 
 def replay_sequential(items: list, service,
@@ -203,4 +238,5 @@ def replay_sequential(items: list, service,
     )
 
 
-__all__ = ["conv2d", "conv3d", "eager_forwards", "replay_sequential"]
+__all__ = ["conv2d", "conv3d", "eager_forwards", "max_pool3d",
+           "replay_sequential"]

@@ -53,10 +53,22 @@ def env_str(name: str, default: str = "") -> str:
     return default if raw is None else raw
 
 
+def env_choice(name: str, choices: tuple[str, ...], default: str) -> str:
+    """One of ``choices``, matched case-insensitively, spelled as listed."""
+    raw = env_raw(name)
+    if raw is None:
+        return default
+    for choice in choices:
+        if raw.lower() == choice.lower():
+            return choice
+    raise ValueError(f"{name}={raw!r} is not one of {choices}")
+
+
 __all__ = [
     "TRUE_VALUES",
     "FALSE_VALUES",
     "env_raw",
     "env_bool",
+    "env_choice",
     "env_str",
 ]

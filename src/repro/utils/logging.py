@@ -4,17 +4,21 @@ A library must not call ``logging.basicConfig``: that reconfigures the
 *root* logger for the whole host process.  Instead we attach a single
 handler to the ``repro`` parent logger (with ``propagate = False`` so
 records do not also bubble to the root) and leave every other logger
-alone.  The level comes from ``REPRO_LOG_LEVEL`` and is re-read on every
-:func:`get_logger` call, so tests and experiment runners can override it
-at runtime with ``monkeypatch.setenv`` / ``os.environ``.
+alone.  The level comes from ``REPRO_LOG_LEVEL`` (parsed by
+:mod:`repro.utils.envflags`) and is re-read on every :func:`get_logger`
+call, so tests and experiment runners can override it at runtime with
+``monkeypatch.setenv`` / ``os.environ``.
 """
 
 from __future__ import annotations
 
 import logging
-import os
+
+from repro.utils.envflags import env_choice
 
 _FORMAT = "%(asctime)s %(name)s %(levelname)s: %(message)s"
+#: The ``logging`` level names ``REPRO_LOG_LEVEL`` accepts (any case).
+LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 _HANDLER: logging.Handler | None = None
 
 
@@ -35,11 +39,11 @@ def get_logger(name: str) -> logging.Logger:
 
     Log level is controlled by the ``REPRO_LOG_LEVEL`` environment
     variable (default ``WARNING`` so test runs stay quiet), re-read on
-    every call.
+    every call; a value outside :data:`LEVELS` raises ``ValueError``.
     """
+    level = env_choice("REPRO_LOG_LEVEL", LEVELS, "WARNING")
     root = _repro_root()
-    level = os.environ.get("REPRO_LOG_LEVEL", "WARNING").upper()
-    root.setLevel(getattr(logging, level, logging.WARNING))
+    root.setLevel(level)
     if not name.startswith("repro"):
         name = f"repro.{name}"
     return logging.getLogger(name)

@@ -215,3 +215,55 @@ class TestPlanCache:
         assert info["size"] <= 2
         assert info["cap"] == 2
         assert evictions.value - before == 2
+
+
+class TestGridGeometry:
+    """Stride-1 convs whose weight records no gradient take the grid
+    geometry; everything else keeps the dense one.  Both must agree byte
+    for byte (``conv.grid_vs_dense``) over the whole coverage matrix."""
+
+    MATRIX = [
+        {"seed": 11 + batch, "batch": batch, "in_ch": 2, "out_ch": 3,
+         "spatial": spatial[-rank:], "kernel": kernel,
+         "stride": (step,) * rank, "padding": (pad,) * rank}
+        for rank, kernels in ((2, [(1, 1), (3, 3)]),
+                              (3, [(1, 1, 1), (3, 3, 3), (1, 3, 3)]))
+        for kernel in kernels
+        for step in (1, 2)
+        for pad in (0, 1, 2)
+        for batch in (1, 3)
+        for spatial in [(4, 5, 7)]
+    ]
+
+    @pytest.mark.parametrize(
+        "case", MATRIX,
+        ids=[f"{len(c['kernel'])}d-k{c['kernel']}-s{c['stride'][0]}"
+             f"-p{c['padding'][0]}-b{c['batch']}" for c in MATRIX])
+    def test_grid_matches_dense_byte_for_byte(self, case):
+        from repro.qa import get_pair
+
+        get_pair("conv.grid_vs_dense").check_case(case)
+
+    @pytest.mark.parametrize("stride,weight_grad,grid", [
+        ((1, 1), False, True),
+        ((1, 1), True, False),   # training keeps grad_w's dense cols
+        ((2, 2), False, False),
+        ((1, 2), False, False),
+    ])
+    def test_geometry_follows_the_problem(self, stride, weight_grad, grid):
+        from repro.perf import gemm_conv
+
+        plan = gemm_conv.get_plan((1, 2, 5, 7), (3, 2, 3, 3), stride,
+                                  (1, 1), weight_grad)
+        assert plan.grid is grid
+
+    def test_grid_forward_keeps_no_cols(self, rng):
+        from repro.perf import gemm_conv
+
+        x = rng.normal(size=(1, 2, 5, 7))
+        w = rng.normal(size=(3, 2, 3, 3))
+        _, cols, plan = gemm_conv.conv_forward(x, w, (1, 1), (1, 1))
+        assert cols is None and plan.grid
+        _, cols, plan = gemm_conv.conv_forward(x, w, (1, 1), (1, 1),
+                                               weight_grad=True)
+        assert cols.shape == plan.mat_shape and not plan.grid

@@ -1,7 +1,7 @@
 """Extended numeric gradient coverage for the layers the original
 gradcheck suite skimmed over: conv3d with asymmetric stride/padding (the
 GEMM conv and the qa einsum reference), multi-step LSTM sequences, BatchNorm in
-training mode, and the lazy-window max_pool3d backward."""
+training mode, and the slab-wise max_pool3d backward."""
 
 import numpy as np
 import pytest
@@ -53,6 +53,26 @@ def test_conv3d_asymmetric_stride_padding(impl, x_shape, w_shape,
         return (out * out).sum()
 
     assert_gradients_close(build_loss, arrays, rtol=1e-4, atol=1e-6)
+
+
+@pytest.mark.parametrize("x_shape,w_shape,padding", [
+    ((1, 2, 3, 5, 7), (3, 2, 3, 3, 3), (1, 1, 1)),
+    ((2, 1, 4, 5, 5), (2, 1, 1, 3, 3), (0, 2, 2)),
+    ((1, 2, 3, 4, 5), (2, 2, 2, 1, 2), (1, 0, 0)),
+])
+def test_conv3d_grid_input_gradient(x_shape, w_shape, padding):
+    """Stride 1 with a constant weight: the grid geometry's bincount
+    col2im."""
+    rng = np.random.default_rng(5)
+    w = Tensor(rng.normal(size=w_shape) / np.prod(w_shape[1:]))
+    b = Tensor(rng.normal(size=(w_shape[0],)))
+
+    def build_loss(t):
+        out = F.conv3d(t["x"], w, b, padding=padding)
+        return (out * out).sum()
+
+    assert_gradients_close(build_loss, {"x": rng.normal(size=x_shape)},
+                           rtol=1e-4, atol=1e-6)
 
 
 # ---------------------------------------------------------------------- #
@@ -127,7 +147,7 @@ def test_batchnorm_training_uses_batch_stats():
 
 
 # ---------------------------------------------------------------------- #
-# max_pool3d backward (lazy-window gradient routing)
+# max_pool3d backward (slab-wise gradient routing)
 # ---------------------------------------------------------------------- #
 def _tie_free_volume(shape, seed):
     """Distinct, well-separated values: argmax is stable under ±eps."""

@@ -6,6 +6,7 @@ silent fallback.  The tables below cover every flag the library reads;
 adding a flag without a row here should feel like a missing test.
 """
 
+import logging
 import re
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from repro.utils.envflags import (
     FALSE_VALUES,
     TRUE_VALUES,
     env_bool,
+    env_choice,
     env_raw,
     env_str,
 )
@@ -54,6 +56,17 @@ class TestPrimitives:
         monkeypatch.setenv("REPRO_X", " /tmp/p.json ")
         assert env_str("REPRO_X") == "/tmp/p.json"
 
+    def test_env_choice_matches_case_insensitively(self, monkeypatch):
+        monkeypatch.delenv("REPRO_X", raising=False)
+        assert env_choice("REPRO_X", ("Low", "High"), "Low") == "Low"
+        monkeypatch.setenv("REPRO_X", " hIGH ")
+        assert env_choice("REPRO_X", ("Low", "High"), "Low") == "High"
+
+    def test_env_choice_garbage_lists_the_choices(self, monkeypatch):
+        monkeypatch.setenv("REPRO_X", "mid")
+        with pytest.raises(ValueError, match=r"REPRO_X='mid'.*'Low', 'High'"):
+            env_choice("REPRO_X", ("Low", "High"), "Low")
+
 
 # ---------------------------------------------------------------------- #
 # Flag inventory: (flag, accessor, default, valid raw, normalised, garbage)
@@ -63,8 +76,16 @@ def _trace():
     return tracing_enabled()
 
 
+def _log_level():
+    from repro.utils.logging import get_logger
+    get_logger("envflags-test")
+    return logging.getLogger("repro").level
+
+
 FLAGS = [
     ("REPRO_TRACE", _trace, True, "0", False, "2"),
+    ("REPRO_LOG_LEVEL", _log_level, logging.WARNING, "debug",
+     logging.DEBUG, "verbose"),
 ]
 
 _IDS = [row[0] for row in FLAGS]
@@ -112,6 +133,30 @@ class TestQaNanguard:
         monkeypatch.setenv("REPRO_QA_NANGUARD", "2")
         with pytest.raises(ValueError, match="REPRO_QA_NANGUARD"):
             install_runtime_guards()
+
+
+class TestLogLevel:
+    """``REPRO_LOG_LEVEL`` once fell back to WARNING on unknown names and
+    handed format strings straight to ``logging``."""
+
+    @pytest.mark.parametrize("raw", ["verbose", "basic_format",
+                                     "%(levelname)s:%(name)s:%(message)s"])
+    def test_unknown_level_raises_with_accepted_names(self, monkeypatch,
+                                                      raw):
+        from repro.utils.logging import LEVELS, get_logger
+
+        monkeypatch.setenv("REPRO_LOG_LEVEL", raw)
+        with pytest.raises(ValueError, match="REPRO_LOG_LEVEL") as excinfo:
+            get_logger("envflags-test")
+        assert all(level in str(excinfo.value) for level in LEVELS)
+
+    def test_debug_enables_debug_records(self, monkeypatch):
+        from repro.utils.logging import get_logger
+
+        monkeypatch.setenv("REPRO_LOG_LEVEL", "Debug")
+        assert get_logger("envflags-test").isEnabledFor(logging.DEBUG)
+        monkeypatch.delenv("REPRO_LOG_LEVEL")
+        assert not get_logger("envflags-test").isEnabledFor(logging.INFO)
 
 
 # ---------------------------------------------------------------------- #
