@@ -38,18 +38,15 @@ class EnsembleEngine:
 
     def retrieve(self, video: Video, m: int) -> RetrievalList:
         """Reciprocal-rank-fusion of every member's top-``m`` list."""
-        # Ask each member for a deeper list so fused tails are stable.
-        depth = 2 * int(m)
-        return self._fuse([engine.retrieve(video, depth)
-                           for engine in self.engines], m)
+        return self.retrieve_batch([video], m)[0]
 
     def retrieve_batch(self, videos: list[Video], m: int,
                        snapshots: list | None = None) -> list[RetrievalList]:
         """:meth:`retrieve` for every video; one batch per member.
 
         Each member embeds and searches the whole batch in one
-        ``retrieve_batch`` call; the fusion then runs per video, so the
-        results equal per-video :meth:`retrieve` calls.  Every member
+        ``retrieve_batch`` call, at a doubled depth so fused tails are
+        stable; the fusion then runs per video.  Every member
         owns its own gallery, so a gallery snapshot cannot pin the
         ensemble: ``snapshots`` must be ``None``.
         """

@@ -9,6 +9,9 @@ queries fall within a small distance of an earlier one.
 
 The fingerprint is a coarse perceptual hash (down-sampled pixel means),
 so the detector needs no access to the model — it runs at the API edge.
+It attaches as the service's preprocessor (``detector.preprocessor(
+account)``), which every query path runs in issue order and which turns
+speculation off; with ``quantize_queries`` it sees the 8-bit upload.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from collections import defaultdict, deque
 
 import numpy as np
 
+from repro.retrieval.config import Preprocessor
 from repro.video.types import Video
 
 
@@ -63,6 +67,7 @@ class StatefulQueryDetector:
         self._history: dict[str, deque] = defaultdict(
             lambda: deque(maxlen=self.window))
         self._hits: dict[str, int] = defaultdict(int)
+        self._observed: dict[str, int] = defaultdict(int)
         self.flagged: set[str] = set()
 
     def observe(self, account: str, video: Video) -> bool:
@@ -75,6 +80,7 @@ class StatefulQueryDetector:
                 self._hits[account] += 1
                 break
         history.append(fingerprint)
+        self._observed[account] += 1
         if self._hits[account] >= self.flag_after:
             self.flagged.add(account)
         return account in self.flagged
@@ -87,9 +93,14 @@ class StatefulQueryDetector:
         """Near-duplicate hits recorded for an account."""
         return self._hits[account]
 
-    def wrap_service(self, service, account: str):
-        """Return a query function that feeds the detector transparently."""
-        def query(video: Video, m: int | None = None):
+    def observed_count(self, account: str) -> int:
+        """Queries observed for an account so far."""
+        return self._observed[account]
+
+    def preprocessor(self, account: str) -> Preprocessor:
+        """A service preprocessor that observes every query for ``account``
+        and passes the video through unchanged."""
+        def observe(video: Video) -> Video:
             self.observe(account, video)
-            return service.query(video, m)
-        return query
+            return video
+        return observe

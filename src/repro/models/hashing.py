@@ -42,6 +42,8 @@ class HashingHead(FeatureExtractor):
     def sharpen(self, factor: float = 2.0) -> None:
         """Continuation step: increase β so codes approach ±1."""
         self.beta *= float(factor)
+        # Replay schedules bake β in as a constant: retrace on next use.
+        self.__dict__.pop("_jit_compiled", None)
 
     def binary_codes(self, videos: Video | list[Video],
                      batch_size: int = 16) -> np.ndarray:

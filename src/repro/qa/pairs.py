@@ -38,6 +38,7 @@ from repro.attacks.registry import build_attack
 from repro.attacks.search import nes_search, simba_search
 from repro.attacks.timi import timi_transfer
 from repro.attacks.vanilla import random_support
+from repro.defenses.stateful import StatefulQueryDetector
 from repro.metrics.similarity import ndcg_similarity, ndcg_similarity_many
 from repro.nn import Conv2d, Conv3d, Tensor, jit, no_grad
 from repro.nn import functional as F
@@ -733,6 +734,21 @@ def _ndcg_lists(seed: int, num_lists: int, length: int, universe: int):
 # ---------------------------------------------------------------------- #
 # micro-batched serving front end vs sequential replay
 # ---------------------------------------------------------------------- #
+def _serving_digest(world, report, detector) -> dict:
+    """What a serving oracle compares: statuses, lists, counts, ledgers."""
+    return {
+        "statuses": [response.status for response in report.responses],
+        "lists": [response.result for response in report.responses
+                  if response.ok],
+        "served_by_tenant": report.served_by_tenant,
+        "ledger": (world.service.query_count,
+                   world.service.queries_issued,
+                   world.service.queries_refunded),
+        "detector": None if detector is None else
+        (detector.hit_count("edge"), detector.observed_count("edge")),
+    }
+
+
 def _serving_run(batched: bool, seed: int, tenants: int, per_tenant: int,
                  batch: int, limited: int):
     """One tenant timeline through the front end (or the bare service).
@@ -760,15 +776,7 @@ def _serving_run(batched: bool, seed: int, tenants: int, per_tenant: int,
         report = ServingFrontend(world.service, config).run(timeline)
     else:
         report = reference.replay_sequential(timeline, world.service, config)
-    return {
-        "statuses": [response.status for response in report.responses],
-        "lists": [response.result for response in report.responses
-                  if response.ok],
-        "served_by_tenant": report.served_by_tenant,
-        "ledger": (world.service.query_count,
-                   world.service.queries_issued,
-                   world.service.queries_refunded),
-    }
+    return _serving_digest(world, report, None)
 
 
 def _serving_compare(reference, fast):
@@ -781,6 +789,9 @@ def _serving_compare(reference, fast):
     assert reference["ledger"] == fast["ledger"], (
         f"service ledger diverged: {reference['ledger']} vs "
         f"{fast['ledger']}")
+    assert reference["detector"] == fast["detector"], (
+        f"detector (hits, observed) diverged: {reference['detector']} vs "
+        f"{fast['detector']}")
     # Rankings must match exactly; scores only to float tolerance — the
     # embedding forward is batched (one model batch of B vs B batches of
     # one), and BLAS picks different kernels per batch shape, so the
@@ -1053,30 +1064,35 @@ def _pooled_config(batch: int, workers: int) -> ServingConfig:
                          queue_capacity=512, workers=workers)
 
 
+def _attach_detector(service, detector: int):
+    """Attach a stateful detector as ``service``'s preprocessor when drawn."""
+    if not detector:
+        return None
+    attached = StatefulQueryDetector()
+    service.config = service.config.with_(
+        preprocessor=attached.preprocessor("edge"))
+    return attached
+
+
 def _pooled_run(workers: int, seed: int, tenants: int, per_tenant: int,
-                batch: int):
+                batch: int, detector: int):
     """A pure-query timeline through the front end at a worker count.
 
     The contract: worker count is semantics-invisible.  Admission,
-    accounting, and snapshotting happen on the event-loop thread at
+    accounting, snapshotting and a drawn stateful detector (the
+    service's preprocessor) run on the event-loop thread at
     arrival/dispatch virtual times, so W workers change virtual
-    latencies and throughput but never statuses, rankings, or ledgers.
+    latencies and throughput but never statuses, rankings, ledgers, or
+    what the detector saw.
     """
     world = _pooled_world(seed)
+    attached = _attach_detector(world.service, detector)
     specs = [TenantSpec(f"tenant-{i}", 150.0 + 50.0 * i, per_tenant)
              for i in range(tenants)]
     timeline = generate_timeline(seed + 11, specs, world.gallery_videos)
     report = ServingFrontend(world.service,
                              _pooled_config(batch, workers)).run(timeline)
-    return {
-        "statuses": [response.status for response in report.responses],
-        "lists": [response.result for response in report.responses
-                  if response.ok],
-        "served_by_tenant": report.served_by_tenant,
-        "ledger": (world.service.query_count,
-                   world.service.queries_issued,
-                   world.service.queries_refunded),
-    }
+    return _serving_digest(world, report, attached)
 
 
 register(OraclePair(
@@ -1088,14 +1104,16 @@ register(OraclePair(
         lambda rng: {"seed": int(rng.integers(0, 2**31)),
                      "tenants": int(rng.integers(1, 4)),
                      "per_tenant": int(rng.integers(1, 6)),
-                     "batch": int(rng.integers(2, 7))},
+                     "batch": int(rng.integers(2, 7)),
+                     "detector": int(rng.integers(0, 2))},
         {"tenants": shrink_int(1), "per_tenant": shrink_int(1),
-         "batch": shrink_int(1)},
+         "batch": shrink_int(1), "detector": shrink_int(0)},
     ),
     compare=_serving_compare,
     cases=3,
     description="worker-pool execution is semantics-invisible: statuses, "
-                "rankings, and ledgers match the single-worker scheduler",
+                "rankings, ledgers and detector hits match the "
+                "single-worker scheduler",
 ))
 
 
@@ -1118,7 +1136,7 @@ def _mutating_timeline(seed: int, tenants: int, per_tenant: int,
 
 def _mutating_run(pooled: bool, seed: int, tenants: int, per_tenant: int,
                   adds: int, deletes: int, reembeds: int, batch: int,
-                  replication: int):
+                  replication: int, detector: int):
     """Replay a mutating timeline pooled (W=3) or sequentially.
 
     The contract: a query admitted at time t sees exactly the gallery
@@ -1130,21 +1148,14 @@ def _mutating_run(pooled: bool, seed: int, tenants: int, per_tenant: int,
     world, timeline = _mutating_timeline(seed, tenants, per_tenant,
                                          adds, deletes, reembeds,
                                          replication)
+    attached = _attach_detector(world.service, detector)
     config = _pooled_config(batch, 3)
     if pooled:
         report = ServingFrontend(world.service, config).run(timeline)
     else:
         report = reference.replay_sequential(timeline, world.service, config)
-    return {
-        "statuses": [response.status for response in report.responses],
-        "lists": [response.result for response in report.responses
-                  if response.ok],
-        "served_by_tenant": report.served_by_tenant,
-        "events": report.gallery_events,
-        "ledger": (world.service.query_count,
-                   world.service.queries_issued,
-                   world.service.queries_refunded),
-    }
+    return {**_serving_digest(world, report, attached),
+            "events": report.gallery_events}
 
 
 def _mutating_compare(reference, fast):
@@ -1167,15 +1178,16 @@ register(OraclePair(
                      "deletes": int(rng.integers(0, 5)),
                      "reembeds": int(rng.integers(0, 4)),
                      "batch": int(rng.integers(2, 7)),
-                     "replication": int(rng.integers(1, 3))},
+                     "replication": int(rng.integers(1, 3)),
+                     "detector": int(rng.integers(0, 2))},
         {"tenants": shrink_int(1), "per_tenant": shrink_int(1),
          "adds": shrink_int(0), "deletes": shrink_int(0),
          "reembeds": shrink_int(0), "batch": shrink_int(1),
-         "replication": shrink_int(1)},
+         "replication": shrink_int(1), "detector": shrink_int(0)},
     ),
     compare=_mutating_compare,
     cases=3,
     description="interleaved query/add/delete/re-embed replayed "
                 "sequentially matches the pooled front end: statuses, "
-                "rankings, ledgers, and applied-event counts",
+                "rankings, ledgers, detector hits and applied-event counts",
 ))

@@ -130,8 +130,7 @@ class RetrievalEngine:
     # -------------------------------------------------------------- #
     def retrieve(self, video: Video, m: int) -> RetrievalList:
         """Return ``R^m(v)``: the ``m`` most similar gallery videos."""
-        feature = self.embed_queries([video])[0]
-        return RetrievalList(self.gallery.search(feature, m))
+        return self.retrieve_batch([video], m)[0]
 
     def retrieve_batch(self, videos: list[Video], m: int,
                        snapshots: list | None = None

@@ -25,7 +25,11 @@ candidate pair but may consume only the first result (SimBA's ±flip):
 speculation computes results without touching the query counter, and the
 caller commits exactly the evaluations a sequential attacker would have
 issued.  Speculation requires a stateless service (no preprocessor) —
-a stateful defense must never observe phantom queries.
+a stateful defense must never observe phantom queries.  Stateful
+detectors and instrumentation attach as the preprocessor (e.g.
+:meth:`~repro.defenses.StatefulQueryDetector.preprocessor`), so every
+query path — ``query``, ``query_batch`` and the serving front end's
+``begin_batch`` — feeds them in issue order.
 
 Unavailability
 --------------
@@ -164,7 +168,7 @@ class RetrievalService:
     def _unissue(self, count: int) -> None:
         """Roll back queries a sequential caller would never have sent.
 
-        ``query_batch`` pre-accounts the whole batch before dispatch; on
+        :meth:`begin_batch` pre-accounts the whole batch before compute; on
         a mid-batch failure the suffix behind the failing video was never
         issued in sequential semantics, so — unlike :meth:`_refund`,
         which keeps the query on the issued side of the ledger — it is
@@ -172,6 +176,7 @@ class RetrievalService:
         """
         self.query_count -= int(count)
         self.queries_issued -= int(count)
+        counter("retrieval.unissued").inc(count)
         if self.config.query_budget is not None:
             gauge("retrieval.budget_remaining").set(
                 self.config.query_budget - self.query_count)
@@ -195,23 +200,14 @@ class RetrievalService:
     # Queries
     # -------------------------------------------------------------- #
     def query(self, video: Video, m: int | None = None) -> RetrievalList:
-        """Return the retrieval list for ``video``.
+        """Return the retrieval list for ``video``: a batch of one.
 
         Raises :class:`QueryBudgetExceeded` once the budget is exhausted
         (this models server-side throttling of suspicious accounts), and
         :class:`~repro.errors.RetrievalUnavailable` — with the query
         refunded — when the gallery cannot answer exactly.
         """
-        self._check_budget()
-        self._account_one()
-        with span("retrieval.query"):
-            video = self._prepare(video)
-            try:
-                return self.engine.retrieve(
-                    video, self.config.m if m is None else int(m))
-            except RetrievalUnavailable:
-                self._refund(1)
-                raise
+        return self.query_batch([video], m)[0]
 
     def query_batch(self, videos: list[Video],
                     m: int | None = None) -> list[RetrievalList]:
@@ -231,20 +227,13 @@ class RetrievalService:
         exception carries the prefix (``served``/``served_count``) for
         callers that deliver partial results, e.g. the serving front end.
         """
-        if "query" in self.__dict__:
-            # The instance's query entry point was overridden (wrapped by a
-            # detector, a test spy, ...) — batching must not route around
-            # the instrumentation, so fall back to per-video queries.
-            return [self.query(video, m) for video in videos]
         prepared = self.begin_batch(videos)
-        with span("retrieval.query_batch", batch=len(videos)):
-            try:
-                return self.engine.retrieve_batch(
-                    prepared, self.config.m if m is None else int(m))
-            except RetrievalUnavailable as exc:
-                self.settle_interrupted(
-                    len(prepared), int(getattr(exc, "served_count", 0)))
-                raise
+        try:
+            return self.compute_batch(prepared, m)
+        except RetrievalUnavailable as exc:
+            self.settle_interrupted(
+                len(prepared), int(getattr(exc, "served_count", 0)))
+            raise
 
     # -------------------------------------------------------------- #
     # Split accounting/compute (pooled serving executor)
@@ -252,11 +241,11 @@ class RetrievalService:
     def begin_batch(self, videos: list[Video]) -> list[Video]:
         """Account and prepare a batch whose compute happens elsewhere.
 
-        The serving event loop calls this at dispatch time — budget
-        checks, per-video accounting, and (possibly stateful) defense
-        preprocessing all run on the loop thread in arrival order, so
-        worker count never changes the ledger.  The returned prepared
-        videos go to :meth:`compute_batch` on a worker.
+        :meth:`query_batch` and the serving event loop (at dispatch time)
+        call this — budget checks, per-video accounting, and (possibly
+        stateful) defense preprocessing all run on the calling thread in
+        issue order, so worker count never changes the ledger.  The
+        prepared videos go to :meth:`compute_batch`, perhaps on a worker.
         """
         prepared = []
         for video in videos:
@@ -282,10 +271,10 @@ class RetrievalService:
     def settle_interrupted(self, total: int, served: int) -> None:
         """Sequential serve-or-refund settlement for an interrupted batch.
 
-        Mirrors :meth:`query_batch`'s exception path: the served prefix
-        stays charged, the failing query is refunded, and the suffix a
-        sequential caller would never have sent is rolled off the
-        ledger.
+        The exception path of :meth:`query_batch` and of the serving
+        front end: the served prefix stays charged, the failing query is
+        refunded, and the suffix a sequential caller would never have
+        sent is rolled off the ledger.
         """
         self._refund(1)
         self._unissue(int(total) - int(served) - 1)
@@ -297,15 +286,12 @@ class RetrievalService:
     def speculation_safe(self) -> bool:
         """Whether results may be precomputed without observable effects.
 
-        A defense preprocessor may be stateful or randomized; evaluating
-        a candidate the attacker would never have sent could perturb it.
-        Quantization is pure, so it does not block speculation.  An
-        instance-level override of :meth:`query` (a stateful detector or
-        test spy wrapping the entry point) also disables speculation —
-        phantom evaluations must never bypass instrumentation.
+        A defense preprocessor may be stateful or randomized (a
+        stateful detector, a test spy); evaluating a candidate the
+        attacker would never have sent could perturb it.  Quantization
+        is pure, so it does not block speculation.
         """
-        return self.config.preprocessor is None and \
-            "query" not in self.__dict__
+        return self.config.preprocessor is None
 
     def speculate(self, videos: list[Video],
                   m: int | None = None) -> list[RetrievalList]:

@@ -277,17 +277,17 @@ class ServingFrontend:
     def _effective_workers(self, events: list) -> int:
         """The worker count after safety fallbacks.
 
-        Three situations force single-worker execution (the inline pool,
+        Two situations force single-worker execution (the inline pool,
         so everything stays on the loop thread):
 
         * an installed fault plan — fault clocks and breaker state are
           scatter-order-dependent and not thread-safe;
-        * an instance-level ``service.query`` override — instrumented
-          services route through the override per video, which touches
-          service counters and must not run concurrently;
         * gallery events on a compressed index tier — binary/IVF-PQ
           indexes are not hardened for appends concurrent with reads
           (the exact tier's grow-only matrix cache is).
+
+        A stateful defense is the service's preprocessor, which
+        ``begin_batch`` runs on the loop thread: it needs no fallback.
         """
         workers = self.config.workers
         if workers == 1:
@@ -298,8 +298,6 @@ class ServingFrontend:
         if any(getattr(gallery, "fault_plan", None) is not None
                for gallery in galleries):
             reason = "fault_plan"
-        elif "query" in service.__dict__:
-            reason = "query_override"
         elif events and any(gallery.index_tier != "exact"
                             for gallery in galleries):
             reason = "compressed_tier"
@@ -343,24 +341,16 @@ class ServingFrontend:
         histogram("serving.batch_size",
                   buckets=(1, 2, 4, 8, 16, 32, 64)).observe(len(batch))
 
-        videos = [request.video for _, request in batch]
-        if "query" in self.service.__dict__:
-            # Instrumented service: route through query_batch, which
-            # falls back to the per-video override (accounting inside).
-            # _effective_workers already forced the inline pool.
-            future = pool.submit(self.service.query_batch, videos)
-            preaccounted = False
-        else:
-            pinned = [state.snapshots.get(index) for index, _ in batch] \
-                if state.churn else None
-            prepared = self.service.begin_batch(videos)
-            future = pool.submit(self.service.compute_batch, prepared,
-                                 None, pinned)
-            preaccounted = True
+        pinned = [state.snapshots.get(index) for index, _ in batch] \
+            if state.churn else None
+        prepared = self.service.begin_batch(
+            [request.video for _, request in batch])
+        future = pool.submit(self.service.compute_batch, prepared, None,
+                             pinned)
         # ``state.batches`` is unique per dispatch: it breaks completion
         # ties in dispatch order.
         heapq.heappush(state.inflight, (done_s, state.batches,
-                                        _Flight(batch, future, preaccounted)))
+                                        _Flight(batch, future)))
 
     # The benchmark's per-layer clock wraps both ``_dispatch`` and
     # ``_dispatch_pooled`` by name, so the second name must keep
@@ -374,9 +364,8 @@ class ServingFrontend:
         try:
             results = flight.future.result()
         except RetrievalUnavailable as exc:
-            if flight.preaccounted:
-                self.service.settle_interrupted(
-                    len(batch), int(getattr(exc, "served_count", 0)))
+            self.service.settle_interrupted(
+                len(batch), int(getattr(exc, "served_count", 0)))
             self._settle_outage(state, batch, exc, done_s)
             return
         for (index, request), result in zip(batch, results):
@@ -455,8 +444,8 @@ class ServingFrontend:
         """Deliver the served prefix, fail the interrupted request, and
         shed the suffix plus everything still queued.
 
-        ``RetrievalService.query_batch`` has already settled the service
-        ledger with sequential semantics (prefix charged, failing query
+        :meth:`_settle_flight` has already settled the service ledger
+        with sequential semantics (prefix charged, failing query
         refunded, suffix never issued); here the per-tenant ledgers and
         responses follow suit.
         """
@@ -487,7 +476,6 @@ class _Flight:
 
     batch: list
     future: object
-    preaccounted: bool
 
 
 @dataclass

@@ -165,14 +165,18 @@ class TestStatefulQueryDetector:
         with pytest.raises(ValueError):
             StatefulQueryDetector(flag_after=0)
 
-    def test_wrap_service(self, tiny_victim, tiny_dataset):
+    def test_preprocessor_feeds_the_detector(self, tiny_victim,
+                                             tiny_dataset):
         detector = StatefulQueryDetector(window=10, flag_after=2)
-        query = detector.wrap_service(tiny_victim.service, "acct")
+        service = RetrievalService.build(
+            tiny_victim.engine, tiny_victim.service.config,
+            preprocessor=detector.preprocessor("acct"))
         video = tiny_dataset.test[0]
-        query(video)
-        query(video)
-        query(video)
+        service.query(video)
+        service.query(video)
+        service.query(video)
         assert detector.is_flagged("acct")
+        assert detector.observed_count("acct") == 3
 
     def test_simba_attack_trips_the_detector(self, tiny_victim, tiny_dataset,
                                              rng):
@@ -181,20 +185,14 @@ class TestStatefulQueryDetector:
 
         detector = StatefulQueryDetector(window=30, flag_after=8,
                                          distance_threshold=0.05)
-        original_query = tiny_victim.service.query
-
-        def counted_query(video, m=None):
-            detector.observe("attacker", video)
-            return original_query(video, m)
-
-        tiny_victim.service.query = counted_query
-        try:
-            pair = tiny_dataset.sample_attack_pairs(1, rng_or_seed=5)[0]
-            attack = build_attack(
-                AttackConfig(strategy="vanilla", k=60, n=3, tau=30,
-                             iterations=20, seed=6),
-                service=tiny_victim.service)
-            attack.run(*pair)
-        finally:
-            tiny_victim.service.query = original_query
+        service = RetrievalService.build(
+            tiny_victim.engine, tiny_victim.service.config,
+            preprocessor=detector.preprocessor("attacker"))
+        pair = tiny_dataset.sample_attack_pairs(1, rng_or_seed=5)[0]
+        attack = build_attack(
+            AttackConfig(strategy="vanilla", k=60, n=3, tau=30,
+                         iterations=20, seed=6),
+            service=service)
+        attack.run(*pair)
         assert detector.is_flagged("attacker")
+        assert detector.observed_count("attacker") == service.query_count

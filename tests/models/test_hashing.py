@@ -33,6 +33,17 @@ class TestHashingHead:
         hard = np.abs(head(x).data).mean()
         assert hard > soft
 
+    def test_sharpen_retraces_replayed_codes(self, tiny_dataset):
+        head = HashingHead(create_backbone("c3d", width=2, rng=0),
+                           code_bits=16, rng=1)
+        videos = tiny_dataset.test[:2]
+        before = head.embed_videos(videos)
+        head.sharpen(4.0)
+        replayed = head.embed_videos(videos)
+        assert not np.array_equal(replayed, before)
+        np.testing.assert_array_equal(replayed,
+                                      head.embed_videos(videos, fuse=False))
+
     def test_binary_codes_are_pm_one(self, head, tiny_dataset):
         codes = head.binary_codes(tiny_dataset.test[:3])
         assert set(np.unique(codes)) <= {-1.0, 1.0}

@@ -1,11 +1,11 @@
-"""Fast query paths must not route around instance-level instrumentation.
+"""Fast query paths must not route around a stateful defense.
 
-A stateful defense (or a test spy) installed as ``service.query`` has to
-observe *every* query the attacker issues.  These tests pin the two
-escape hatches shut: ``query_batch`` falls back to per-video queries
-when the entry point is wrapped, and ``speculate`` refuses to run at
-all — so the detector and the obs counters see exactly the stream a
-sequential attacker would have produced.
+A stateful detector (or a test spy) attached as the service's
+preprocessor has to observe *every* query the attacker issues.  These
+tests pin the escape hatches shut: ``query_batch`` feeds it every video
+in order, and ``speculate`` refuses to run at all — so the detector and
+the obs counters see exactly the stream a sequential attacker would
+have produced.
 """
 
 import numpy as np
@@ -20,21 +20,15 @@ from repro.qa.world import build_world
 
 
 def _spy_on(service, detector, account="acct"):
-    """Wrap ``service.query`` with a detector plus an id-recording spy.
-
-    Captures the original bound method before overriding — assigning
-    ``detector.wrap_service(service, ...)`` onto ``service.query`` would
-    recurse, since the wrapper resolves ``service.query`` at call time.
-    """
+    """Attach a detector plus an id-recording spy as the preprocessor."""
     observed = []
-    original = service.query
+    feed = detector.preprocessor(account)
 
-    def spy(video, m=None):
+    def spy(video):
         observed.append(video.video_id)
-        detector.observe(account, video)
-        return original(video, m)
+        return feed(video)
 
-    service.query = spy
+    service.config = service.config.with_(preprocessor=spy)
     return observed
 
 
@@ -46,17 +40,19 @@ def test_wrapped_service_disables_speculation():
         world.service.speculate([world.original])
 
 
-def test_query_batch_falls_back_through_the_wrapped_entry_point():
+def test_query_batch_feeds_the_detector_every_video():
     plain = build_world(41)
     wrapped = build_world(41)
     observed = _spy_on(wrapped.service, StatefulQueryDetector())
 
     videos = wrapped.gallery_videos[:4]
     batched = wrapped.service.query_batch(videos)
-    sequential = [plain.service.query(video) for video in videos]
+    # Same batch shape, so the same forward: byte-identical lists (a
+    # batch of one embeds differently in the last bit).
+    reference = plain.service.query_batch(videos)
 
     assert observed == [video.video_id for video in videos]
-    assert_retrieval_lists_equal(sequential, batched)
+    assert_retrieval_lists_equal(reference, batched)
     assert wrapped.service.query_count == plain.service.query_count == 4
 
 
@@ -118,8 +114,8 @@ def test_speculative_path_reports_the_same_obs_counter_stream():
 
 
 def test_jit_replay_preserves_query_instrumentation():
-    """Trace replay sits *below* ``service.query`` — it must never skim
-    queries past a detector spy or the obs counter stream."""
+    """Trace replay sits *below* the service's preprocessor — it must
+    never skim queries past a detector spy or the obs counter stream."""
     queries_counter = counter("retrieval.queries")
 
     plain = build_world(61)

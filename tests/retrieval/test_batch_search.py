@@ -259,17 +259,16 @@ class TestServiceAndEngineBatch:
 
     def test_instrumented_query_is_not_bypassed(self, tiny_victim,
                                                 tiny_dataset):
-        # Wrapping the instance's query (as a stateful detector would)
-        # must disable speculation and route query_batch through the wrapper.
-        service = RetrievalService.build(tiny_victim.engine, m=4)
-        original = service.query
+        # An identity spy preprocessor (attached the way a stateful
+        # detector is) must disable speculation and see every batched query.
         calls = []
 
-        def spy(video, m=None):
+        def spy(video):
             calls.append(video.video_id)
-            return original(video, m)
+            return video
 
-        service.query = spy
+        service = RetrievalService.build(tiny_victim.engine, m=4,
+                                         preprocessor=spy)
         assert not service.speculation_safe
         service.query_batch(tiny_dataset.test[:3])
         assert len(calls) == 3

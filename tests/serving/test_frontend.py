@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.defenses import StatefulQueryDetector
 from repro.errors import (
     QueryBudgetExceeded,
     RetrievalUnavailable,
@@ -219,8 +220,11 @@ class TestOutage:
     #: Pin a gallery snapshot per admitted request (see TestOutageUnderChurn).
     churn = False
 
+    def _world(self):
+        return build_world(21, num_nodes=1)
+
     def test_outage_sheds_queued_work_with_exact_refunds(self, query_videos):
-        world = build_world(21, num_nodes=1)
+        world = self._world()
         requests = closed_spaced_timeline(["a", "b"], query_videos, 4, 2e-4)
         config = ServingConfig(max_batch_size=4, max_wait_s=0.001,
                                churn=self.churn)
@@ -251,7 +255,7 @@ class TestOutage:
     def test_outage_sheds_no_earlier_than_the_failure(self, query_videos):
         # Shedding is causal: the queue is dropped when the failing batch
         # completes on the virtual clock, never before.
-        world = build_world(21, num_nodes=1)
+        world = self._world()
         requests = closed_spaced_timeline(["a", "b"], query_videos, 4, 2e-4)
         config = ServingConfig(max_batch_size=2, max_wait_s=0.001,
                                service_base_s=0.01, churn=self.churn)
@@ -274,13 +278,13 @@ class TestOutage:
                                churn=self.churn)
         requests = closed_spaced_timeline(["a"], query_videos, 4, 1e-4)
 
-        batched_world = build_world(21, num_nodes=1)
+        batched_world = self._world()
         frontend = ServingFrontend(batched_world.service, config)
         with FaultPlan().outage("node-0", 2, 9).install(
                 batched_world.engine.gallery):
             report = frontend.run(requests)
 
-        sequential_world = build_world(21, num_nodes=1)
+        sequential_world = self._world()
         sequential_results = []
         with FaultPlan().outage("node-0", 2, 9).install(
                 sequential_world.engine.gallery):
@@ -300,6 +304,33 @@ class TestOutageUnderChurn(TestOutage):
     snapshot: the fault clock must still tick once per query."""
 
     churn = True
+
+
+class TestOutageWithDetector(TestOutage):
+    """The same outages with a stateful detector as the service's
+    preprocessor.  It observes every issued query, plus the suffix of an
+    interrupted batch: that suffix was preprocessed at dispatch before
+    the outage rolled it off the ledger (``retrieval.unissued``)."""
+
+    @pytest.fixture(autouse=True)
+    def _observed_matches_issued(self):
+        self.attached = []
+        unissued = counter("retrieval.unissued").value
+        yield
+        unissued = counter("retrieval.unissued").value - unissued
+        assert self.attached
+        assert sum(detector.observed_count("edge")
+                   for _, detector in self.attached) == \
+            sum(service.queries_issued for service, _ in self.attached) + \
+            unissued
+
+    def _world(self):
+        world = super()._world()
+        detector = StatefulQueryDetector()
+        world.service.config = world.service.config.with_(
+            preprocessor=detector.preprocessor("edge"))
+        self.attached.append((world.service, detector))
+        return world
 
 
 class TestWorkload:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.defenses import StatefulQueryDetector
 from repro.obs import counter
 from repro.qa import eager_forwards
 from repro.qa.invariants import check_budget_conservation
@@ -148,16 +149,23 @@ class TestFallbacks:
         assert counter("serving.pool_fallbacks",
                        reason="fault_plan").value == before + 1
 
-    def test_instance_query_override_forces_single_worker(self):
-        world = build_world(64, num_videos=8)
-        service = world.service
-        inner = type(service).query
-        service.query = lambda video, m=None: inner(service, video, m)
-        report = ServingFrontend(service, config_with(4)).run(
-            make_timeline(world, per_tenant=3))
-        assert report.workers == 1
-        assert report.served > 0
-        check_budget_conservation(service)
+    def test_stateful_detector_keeps_the_pool(self):
+        # The detector is the service's preprocessor, run on the loop
+        # thread at dispatch: no fallback, and the stream W=1 sees.
+        seen = []
+        for workers in (1, 4):
+            world = build_world(64, num_videos=8)
+            detector = StatefulQueryDetector()
+            world.service.config = world.service.config.with_(
+                preprocessor=detector.preprocessor("edge"))
+            report = ServingFrontend(world.service, config_with(workers)).run(
+                make_timeline(world, per_tenant=3))
+            assert report.workers == workers
+            assert detector.observed_count("edge") == \
+                world.service.queries_issued == report.served
+            seen.append((detector.observed_count("edge"),
+                         detector.hit_count("edge")))
+        assert seen[0] == seen[1]
 
     def test_workers_validation(self):
         with pytest.raises(ValueError):
