@@ -1,6 +1,6 @@
 """Benchmark the resilience wrappers: overhead, replication, recovery.
 
-Four measurements:
+Five measurements:
 
 1. **wrapper overhead** — a fault-free SimBA rectification loop against
    a victim service with the full resilience stack on (retry + breaker
@@ -12,7 +12,11 @@ Four measurements:
 3. **faulted recovery** — the acceptance scenario: r=2, four nodes, a
    seeded :class:`FaultPlan` kills one node mid-attack; the run must
    finish with a trace identical to the fault-free run.
-4. **checkpoint** — save/load round-trip time for an attack checkpoint.
+4. **keyed faults** — one SimBA attack under a flaky + corrupt + outage
+   plan, batched (speculating) and sequential; fault draws are keyed by
+   logical query id, so both must agree on queries, trace, ledger and
+   the plan's timeline, through the outage and the resume it forces.
+5. **checkpoint** — save/load round-trip time for an attack checkpoint.
 
 Usage::
 
@@ -22,7 +26,8 @@ Usage::
 The full run records ``BENCH_resilience.json`` at the repo root.
 ``--smoke`` is the CI gate: it re-measures quickly and fails when the
 fault-free wrapper overhead exceeds 5% (re-measuring once to damp
-scheduler flake) or the faulted run diverges from the fault-free one.
+scheduler flake), the faulted run diverges from the fault-free one, or
+the batched and sequential faulted attacks differ.
 """
 
 from __future__ import annotations
@@ -41,8 +46,10 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.attacks.objective import RetrievalObjective  # noqa: E402
 from repro.attacks.search import simba_search  # noqa: E402
+from repro.errors import RetrievalUnavailable  # noqa: E402
 from repro.models import create_feature_extractor  # noqa: E402
 from repro.resilience import (  # noqa: E402
+    ANY_NODE,
     AttackCheckpoint,
     BreakerPolicy,
     FaultPlan,
@@ -173,7 +180,8 @@ def bench_gallery_micro(trials: int) -> dict:
 
 
 def bench_faulted_recovery(extractor, dataset, iterations) -> dict:
-    """Kill one of four nodes mid-run under r=2; results must not move."""
+    """Kill one of four nodes from the attack's 7th query (logical id 6)
+    on, under r=2; results must not move."""
     clean_s, clean_trace, clean_queries = attack_run(
         extractor, dataset, wrapper_config(replication=2), iterations)
     plan = FaultPlan(seed=1).outage("node-1", 6, 10 ** 9)
@@ -188,6 +196,48 @@ def bench_faulted_recovery(extractor, dataset, iterations) -> dict:
         "outage_events": outages,
         "identical_trace": faulted_trace == clean_trace,
         "identical_queries": faulted_queries == clean_queries,
+    }
+
+
+def bench_keyed_faults(extractor, dataset, iterations) -> dict:
+    """One SimBA attack under flaky + corrupt + outage, batched and not."""
+    original, target = dataset.test[0], dataset.test[1]
+    support = np.zeros(original.pixels.shape, dtype=bool)
+    support[:2] = True
+    runs, interruptions = {}, 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for batched in (False, True):
+            service = build_service(extractor, dataset,
+                                    wrapper_config(replication=2))
+            plan = (FaultPlan(seed=3).flaky("node-0", 0.3)
+                    .corrupt("node-2", 0.3).outage(ANY_NODE, 9, 12))
+            with plan.install(service.engine.gallery):
+                for _ in range(50):
+                    try:
+                        report = simba_search(
+                            original,
+                            RetrievalObjective(service, original, target),
+                            support, tau=0.1, iterations=iterations,
+                            rng=np.random.default_rng(0), batched=batched,
+                            checkpoint_path=Path(tmp) / f"{batched}.pkl")
+                        break
+                    except RetrievalUnavailable:
+                        interruptions += 1
+                else:
+                    raise RuntimeError("SimBA never escaped the outage")
+            runs[batched] = {
+                "queries": report.queries,
+                "trace": report.trace,
+                "ledger": (service.query_count, service.queries_issued,
+                           service.queries_refunded),
+                "timeline": plan.timeline(),
+            }
+    return {
+        "iterations": iterations,
+        "interruptions": interruptions,
+        "fault_events": len(runs[False]["timeline"]),
+        **{f"identical_{key}": runs[False][key] == runs[True][key]
+           for key in runs[False]},
     }
 
 
@@ -264,6 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         "gallery_micro": bench_gallery_micro(trials),
         "faulted_recovery": bench_faulted_recovery(
             extractor, dataset, iterations),
+        "keyed_faults": bench_keyed_faults(extractor, dataset, iterations),
         "checkpoint": bench_checkpoint(trials),
     }
     print(json.dumps(result, indent=2))
@@ -281,6 +332,13 @@ def main(argv: list[str] | None = None) -> int:
         failures.append("faulted r=2 run changed the query accounting")
     if not recovery["outage_events"]:
         failures.append("the scripted outage never fired")
+    keyed = result["keyed_faults"]
+    failures.extend(
+        f"batched and sequential faulted SimBA differ in {key[10:]}"
+        for key, same in keyed.items()
+        if key.startswith("identical_") and not same)
+    if not keyed["interruptions"]:
+        failures.append("the keyed-fault outage never interrupted SimBA")
 
     for failure in failures:
         print(f"[bench_resilience] FAIL: {failure}")

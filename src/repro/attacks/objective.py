@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+from repro.errors import RetrievalUnavailable
 from repro.metrics.similarity import ndcg_similarity_many
 from repro.retrieval.service import RetrievalService
 from repro.video.types import Video
@@ -88,9 +89,13 @@ class RetrievalObjective:
         """Compute ``T`` for candidates without counting or tracing.
 
         Pair with :meth:`commit` for every value actually consumed by the
-        attack loop.
+        attack loop.  An unavailable service yields the served prefix;
+        the loop sends the next candidate as a real query.
         """
-        results = self.service.speculate(candidates)
+        try:
+            results = self.service.speculate(candidates)
+        except RetrievalUnavailable as exc:
+            results = getattr(exc, "served", [])
         return self._values_of([result.ids for result in results])
 
     def commit(self, value: float) -> float:

@@ -244,7 +244,8 @@ def simba_search(original: Video, objective: RetrievalObjective,
                     accepted = False
                     for spec_index, (candidate, pixels, adversarial) in \
                             enumerate(live):
-                        if speculated is None:
+                        if speculated is None or \
+                                spec_index >= len(speculated):
                             value = objective.value(adversarial)
                         else:
                             value = objective.commit(speculated[spec_index])

@@ -41,12 +41,14 @@ class EnsembleEngine:
         return self.retrieve_batch([video], m)[0]
 
     def retrieve_batch(self, videos: list[Video], m: int,
-                       snapshots: list | None = None) -> list[RetrievalList]:
+                       snapshots: list | None = None,
+                       query_ids=None) -> list[RetrievalList]:
         """:meth:`retrieve` for every video; one batch per member.
 
         Each member embeds and searches the whole batch in one
-        ``retrieve_batch`` call, at a doubled depth so fused tails are
-        stable; the fusion then runs per video.  Every member
+        ``retrieve_batch`` call under the same ``query_ids``, at a
+        doubled depth so fused tails are stable; the fusion then runs
+        per video.  Every member
         owns its own gallery, so a gallery snapshot cannot pin the
         ensemble: ``snapshots`` must be ``None``.
         """
@@ -55,7 +57,8 @@ class EnsembleEngine:
                 "EnsembleEngine: snapshot-pinned retrieval is not "
                 "supported; each member owns its own gallery")
         depth = 2 * int(m)
-        per_member = [engine.retrieve_batch(videos, depth)
+        per_member = [engine.retrieve_batch(videos, depth,
+                                            query_ids=query_ids)
                       for engine in self.engines]
         return [self._fuse([results[row] for results in per_member], m)
                 for row in range(len(videos))]

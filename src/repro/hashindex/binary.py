@@ -72,12 +72,5 @@ class BinaryHashIndex(CompressedIndex):
             payload += int(self._coder._mean.nbytes)
         return payload
 
-    def code_matrix(self) -> np.ndarray:
-        """The packed ``(n, words)`` gallery codes (built on demand)."""
-        self._ensure_built()
-        if self._codes is None:
-            raise RuntimeError("index is empty; no codes to expose")
-        return self._codes
-
 
 __all__ = ["BinaryHashIndex"]

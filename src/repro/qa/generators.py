@@ -118,18 +118,6 @@ def shrink_array(value: np.ndarray) -> Iterable[np.ndarray]:
 # ---------------------------------------------------------------------- #
 # Draw helpers (building blocks for strategy ``sample`` functions)
 # ---------------------------------------------------------------------- #
-def draw_tensor(rng: np.random.Generator, shape: tuple[int, ...],
-                scale: float = 1.0) -> np.ndarray:
-    """A standard-normal float64 tensor of ``shape`` times ``scale``."""
-    return rng.normal(size=shape) * scale
-
-
-def draw_video_pixels(rng: np.random.Generator, frames: int, height: int,
-                      width: int, channels: int = 3) -> np.ndarray:
-    """Uniform ``[0, 1]`` pixels in the paper's ``(N, H, W, C)`` layout."""
-    return rng.random((frames, height, width, channels))
-
-
 def draw_gallery(rng: np.random.Generator, rows: int, dim: int
                  ) -> tuple[list[str], list[int], np.ndarray]:
     """Ids, labels, and a ``(rows, dim)`` feature matrix for an index."""

@@ -27,6 +27,8 @@ integers without ever producing inconsistent array shapes.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from repro.attacks.base import clip_video_range
@@ -57,6 +59,7 @@ from repro.qa import reference
 from repro.qa.oracle import OraclePair, register
 from repro.qa.world import build_world, tiny_extractor
 from repro.resilience.config import ResilienceConfig
+from repro.resilience.faults import FaultPlan
 from repro.retrieval.index import FeatureIndex
 from repro.retrieval.lists import RetrievalEntry
 from repro.retrieval.nodes import ShardedGallery
@@ -792,6 +795,9 @@ def _serving_compare(reference, fast):
     assert reference["detector"] == fast["detector"], (
         f"detector (hits, observed) diverged: {reference['detector']} vs "
         f"{fast['detector']}")
+    assert reference.get("faults") == fast.get("faults"), (
+        f"fault timelines diverged: {reference.get('faults')} vs "
+        f"{fast.get('faults')}")
     # Rankings must match exactly; scores only to float tolerance — the
     # embedding forward is batched (one model batch of B vs B batches of
     # one), and BLAS picks different kernels per batch shape, so the
@@ -1051,10 +1057,14 @@ def _pooled_world(seed: int, replication: int = 1):
 
     Every gallery accepts live mutation, so the mutating timeline draws
     ``replication`` too; replicated reads without churn have their own
-    oracle (``gallery.replicated_vs_single``).
+    oracle (``gallery.replicated_vs_single``).  No breakers (the pool
+    would fall back to one worker); uncovered reads degrade.
     """
-    return build_world(seed % 997, num_videos=12, num_nodes=3,
-                       replication=replication)
+    world = build_world(seed % 997, num_videos=12, num_nodes=3,
+                        replication=replication)
+    world.engine.configure_resilience(world.engine.resilience.with_(
+        breaker=None, on_data_loss="degrade"))
+    return world
 
 
 def _pooled_config(batch: int, workers: int) -> ServingConfig:
@@ -1075,7 +1085,7 @@ def _attach_detector(service, detector: int):
 
 
 def _pooled_run(workers: int, seed: int, tenants: int, per_tenant: int,
-                batch: int, detector: int):
+                batch: int, detector: int, faults: int = 0):
     """A pure-query timeline through the front end at a worker count.
 
     The contract: worker count is semantics-invisible.  Admission,
@@ -1083,16 +1093,20 @@ def _pooled_run(workers: int, seed: int, tenants: int, per_tenant: int,
     service's preprocessor) run on the event-loop thread at
     arrival/dispatch virtual times, so W workers change virtual
     latencies and throughput but never statuses, rankings, ledgers, or
-    what the detector saw.
+    what the detector saw — nor, under a drawn flaky + corrupt plan
+    keyed by request index, the faults met.
     """
     world = _pooled_world(seed)
     attached = _attach_detector(world.service, detector)
     specs = [TenantSpec(f"tenant-{i}", 150.0 + 50.0 * i, per_tenant)
              for i in range(tenants)]
     timeline = generate_timeline(seed + 11, specs, world.gallery_videos)
-    report = ServingFrontend(world.service,
-                             _pooled_config(batch, workers)).run(timeline)
-    return _serving_digest(world, report, attached)
+    plan = FaultPlan(seed).flaky("node-0", 0.3).corrupt("node-1", 0.3)
+    with plan.install(world.engine.gallery) if faults else nullcontext():
+        report = ServingFrontend(
+            world.service, _pooled_config(batch, workers)).run(timeline)
+    return {**_serving_digest(world, report, attached),
+            "faults": sorted(plan.timeline())}
 
 
 register(OraclePair(
@@ -1105,15 +1119,17 @@ register(OraclePair(
                      "tenants": int(rng.integers(1, 4)),
                      "per_tenant": int(rng.integers(1, 6)),
                      "batch": int(rng.integers(2, 7)),
-                     "detector": int(rng.integers(0, 2))},
+                     "detector": int(rng.integers(0, 2)),
+                     "faults": int(rng.integers(0, 2))},
         {"tenants": shrink_int(1), "per_tenant": shrink_int(1),
-         "batch": shrink_int(1), "detector": shrink_int(0)},
+         "batch": shrink_int(1), "detector": shrink_int(0),
+         "faults": shrink_int(0)},
     ),
     compare=_serving_compare,
     cases=3,
     description="worker-pool execution is semantics-invisible: statuses, "
-                "rankings, ledgers and detector hits match the "
-                "single-worker scheduler",
+                "rankings, ledgers, detector hits and keyed fault draws "
+                "match the single-worker scheduler",
 ))
 
 

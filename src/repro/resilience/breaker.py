@@ -40,6 +40,7 @@ class CircuitBreaker:
         self.consecutive_failures = 0
         self.opened_at: float | None = None
         self.trips = 0
+        self._last_query: int | None = None
 
     def _set_state(self, state: str) -> None:
         self.state = state
@@ -65,15 +66,26 @@ class CircuitBreaker:
         # concurrent callers in this single-threaded repro just probe too.
         return True
 
-    def record_success(self) -> None:
+    def _seen(self, query: int | None) -> bool:
+        """Whether ``query`` is the logical id just recorded (a re-sent
+        row counts once); records it."""
+        repeat = query is not None and query == self._last_query
+        self._last_query = query
+        return repeat
+
+    def record_success(self, query: int | None = None) -> None:
         """A request to the node succeeded."""
+        if self._seen(query):
+            return
         self.consecutive_failures = 0
         if self.state != CLOSED:
             self._set_state(CLOSED)
             counter("resilience.breaker_closes", node=self.node_id).inc()
 
-    def record_failure(self) -> None:
+    def record_failure(self, query: int | None = None) -> None:
         """A request to the node failed (after retries were exhausted)."""
+        if self._seen(query):
+            return
         self.consecutive_failures += 1
         if self.state == HALF_OPEN or (
             self.state == CLOSED
@@ -91,6 +103,7 @@ class CircuitBreaker:
         """Force the breaker back to a fresh closed state."""
         self.consecutive_failures = 0
         self.opened_at = None
+        self._last_query = None
         self._set_state(CLOSED)
 
 

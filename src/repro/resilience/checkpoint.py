@@ -51,9 +51,7 @@ class AttackCheckpoint:
     objective_trace_len: int | None
     payload: dict = field(default_factory=dict)
     version: int = CHECKPOINT_VERSION
-    #: Full service ledger at the mark.  Restoring only ``query_count``
-    #: would leave the interrupted iteration's issued-but-unsettled
-    #: queries dangling, breaking ``issued == charged + refunded``.
+    #: Service ledger at the mark (a resume never rewinds issued).
     service_queries_issued: int | None = None
     service_queries_refunded: int | None = None
 
@@ -138,9 +136,12 @@ class CheckpointSession:
         if service is not None and checkpoint.service_query_count is not None:
             service.query_count = checkpoint.service_query_count
             if checkpoint.service_queries_issued is not None:
-                service.queries_issued = checkpoint.service_queries_issued
-            if checkpoint.service_queries_refunded is not None:
-                service.queries_refunded = checkpoint.service_queries_refunded
+                # Issue ordinals key fault draws, so they never rewind:
+                # what the interrupted iteration charged is refunded.
+                service.queries_issued = max(
+                    service.queries_issued, checkpoint.service_queries_issued)
+                service.queries_refunded = \
+                    service.queries_issued - service.query_count
         if checkpoint.objective_queries is not None:
             self.objective.queries = checkpoint.objective_queries
         if checkpoint.objective_trace_len is not None:
@@ -152,9 +153,9 @@ class CheckpointSession:
     def resume(self) -> dict | None:
         """Restore a saved state, or ``None`` for a fresh start.
 
-        Rewinds the rng to the marked state and rolls the service /
-        objective accounting back to the mark, undoing any evaluations
-        of the interrupted iteration.
+        Rewinds the rng to the marked state and rolls the service charge
+        and objective accounting back to the mark, undoing any
+        evaluations of the interrupted iteration.
         """
         if not self.enabled:
             return None

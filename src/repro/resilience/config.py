@@ -19,9 +19,9 @@ class RetryPolicy:
 
     Backoff before attempt ``a`` (1-indexed; the first attempt never
     waits) is ``min(backoff_max_s, backoff_base_s * 2**(a-2))`` scaled by
-    ``1 + jitter * u`` with ``u ~ U[0, 1)`` drawn from a generator seeded
-    by ``(seed, node_id)`` — the same seed always produces the same
-    backoff timeline, which the determinism tests rely on.
+    ``1 + jitter * u`` with ``u ~ U[0, 1)`` a pure function of ``(seed,
+    node_id, logical query id, attempt)`` — the same seed always produces
+    the same backoff timeline, which the determinism tests rely on.
     """
 
     max_attempts: int = 3

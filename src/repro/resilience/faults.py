@@ -8,24 +8,26 @@ A :class:`FaultPlan` describes *when and how* data nodes misbehave:
   checks against its per-query deadline / hedge threshold;
 * **corrupt** — the node's similarity scores are perturbed with seeded
   Gaussian noise (what quorum merging is for);
-* **outage** — the node hard-fails for a window of logical query
-  indexes ``[start, end)``, then recovers.
+* **outage** — the node hard-fails for a window of logical query ids
+  ``[start, end)``, then recovers.
 
-Everything is driven by generators seeded from ``(seed, node_id)`` and a
-logical query clock the coordinator advances, so the same plan replayed
-against the same workload produces the *same outage timeline* — tests
-and benchmarks can script incidents and assert exact recovery.
+Every decision is a pure function of ``(seed, node, logical query id,
+attempt)`` (:func:`~repro.utils.seeding.keyed_rng`); there is no query
+clock.  Callers supply the ids — the service its issue ordinals, the
+serving front end each request's timeline index — so a batch draws
+exactly what the same queries sent one at a time would, and a replay
+produces the *same outage timeline*.
 
-Installation is a context manager::
+Installation is a context manager; the plan lives on the gallery::
 
     plan = FaultPlan(seed=7).flaky("node-1", 0.3).outage("node-0", 50, 80)
     with plan.install(engine.gallery):
         run_attack(...)          # faults active
     # gallery back to healthy
 
-Injected latency is *virtual* by default: it is accounted against
-deadlines and hedge thresholds without sleeping, keeping fault-injected
-test suites fast and bit-deterministic.
+Injected latency is *virtual*: it is accounted against deadlines and
+hedge thresholds without sleeping, keeping fault-injected test suites
+fast and bit-deterministic.
 """
 
 from __future__ import annotations
@@ -37,9 +39,13 @@ import numpy as np
 
 from repro.errors import NodeDownError
 from repro.obs import counter
+from repro.utils.seeding import keyed_rng
 
 #: Wildcard node id applying a fault spec to every node.
 ANY_NODE = "*"
+
+#: Draw-site offsets: each spec slot owns one stream per kind.
+_FLAKY, _LATENCY, _CORRUPT = range(3)
 
 
 @dataclass
@@ -102,102 +108,82 @@ class FaultPlan:
         return self
 
     def outage(self, node_id: str, start: int, end: int) -> "FaultPlan":
-        """Hard-fail ``node_id`` for logical queries ``[start, end)``."""
+        """Hard-fail ``node_id`` for logical query ids ``[start, end)``."""
         if end <= start:
             raise ValueError("outage window must be non-empty")
         self._spec(node_id).outages.append((int(start), int(end)))
         return self
 
     # -------------------------------------------------------------- #
-    # Replay state
+    # Draws and the event log
     # -------------------------------------------------------------- #
     def reset(self) -> None:
-        """Rewind the query clock and all rng streams (exact replay)."""
-        self.query_index = 0
-        self._span = (0, 0)
+        """Forget the recorded events (draws are pure: nothing to rewind)."""
         self.events: list[FaultEvent] = []
-        self._rngs: dict[str, np.random.Generator] = {}
-
-    def _rng(self, node_id: str) -> np.random.Generator:
-        rng = self._rngs.get(node_id)
-        if rng is None:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([self.seed,
-                                        *(ord(c) for c in node_id)]))
-            self._rngs[node_id] = rng
-        return rng
 
     def _specs_for(self, node_id: str):
-        for key in (node_id, ANY_NODE):
+        """``(slot, spec)`` for the node's own spec, then the wildcard's."""
+        for slot, key in enumerate((node_id, ANY_NODE)):
             spec = self.specs.get(key)
             if spec is not None:
-                yield spec
+                yield slot, spec
 
-    # -------------------------------------------------------------- #
-    # Runtime protocol (called by the gallery / nodes)
-    # -------------------------------------------------------------- #
-    def advance(self, count: int = 1) -> int:
-        """Advance the logical query clock by ``count`` queries."""
-        start = self.query_index
-        self.query_index += int(count)
-        self._span = (start, self.query_index)
-        return start
+    def _draw(self, node_id: str, query: int, attempt: int, slot: int,
+              kind: int) -> np.random.Generator:
+        return keyed_rng(self.seed, node_id, query, attempt, 3 * slot + kind)
 
-    def on_attempt(self, node_id: str) -> float:
-        """One attempt against ``node_id``; may raise, returns latency.
+    def on_attempt(self, node_id: str, query: int, attempt: int = 1) -> float:
+        """Attempt ``attempt`` (1-based) against ``node_id`` for query
+        ``query``; may raise, returns latency.
 
-        Raises :class:`~repro.errors.NodeDownError` when the node is in
-        an outage window or a flaky draw fails; otherwise returns the
-        injected (virtual) latency in seconds for this attempt.
+        Raises :class:`~repro.errors.NodeDownError` when the query id is
+        in an outage window or the attempt's flaky draw fails; otherwise
+        returns the attempt's injected (virtual) latency in seconds.
         """
-        start, end = self._span
         latency = 0.0
-        for spec in self._specs_for(node_id):
+        for slot, spec in self._specs_for(node_id):
             for lo, hi in spec.outages:
-                if lo < end and start < hi:
-                    self.events.append(FaultEvent(start, node_id, "outage"))
+                if lo <= query < hi:
+                    self.events.append(FaultEvent(query, node_id, "outage"))
                     counter("faults.outage_hits", node=node_id).inc()
                     raise NodeDownError(
                         f"node {node_id} in scheduled outage "
-                        f"[{lo}, {hi}) at query {start}")
+                        f"[{lo}, {hi}) at query {query}")
             if spec.flaky_p > 0.0:
-                draw = float(self._rng(node_id).random())
+                draw = float(self._draw(node_id, query, attempt, slot,
+                                        _FLAKY).random())
                 if draw < spec.flaky_p:
                     self.events.append(
-                        FaultEvent(start, node_id, "flaky", draw))
+                        FaultEvent(query, node_id, "flaky", draw))
                     counter("faults.flaky_failures", node=node_id).inc()
                     raise NodeDownError(
-                        f"node {node_id} flaked at query {start}")
+                        f"node {node_id} flaked at query {query}")
             if spec.latency_s > 0.0 or spec.latency_jitter_s > 0.0:
-                jitter = spec.latency_jitter_s * float(
-                    self._rng(node_id).random())
+                jitter = spec.latency_jitter_s * float(self._draw(
+                    node_id, query, attempt, slot, _LATENCY).random())
                 latency += spec.latency_s + jitter
         if latency > 0.0:
-            self.events.append(FaultEvent(start, node_id, "latency", latency))
+            self.events.append(FaultEvent(query, node_id, "latency", latency))
             counter("faults.injected_latency", node=node_id).inc()
         return latency
 
-    def transform(self, node_id: str, scores: np.ndarray) -> np.ndarray:
-        """Apply score corruption to one node's ``(B, k)`` score rows.
+    def transform(self, node_id: str, scores: np.ndarray, query: int,
+                  attempt: int = 1) -> np.ndarray:
+        """Corrupt one query's score row as answered by ``attempt``.
 
-        Each query's row draws one noise value per returned result (the
-        ``-inf`` padding after them is left alone), rows in order, so
-        the draw sizes and order match a per-query result list.
+        Draws one noise value per returned result (the ``-inf`` padding
+        after them is left alone); returns ``scores`` itself when the
+        node is not corrupt or returned nothing.
         """
-        sigma = 0.0
-        for spec in self._specs_for(node_id):
-            sigma += spec.corrupt_sigma
-        if sigma <= 0.0 or not scores.size:
+        sigma = sum(spec.corrupt_sigma for _, spec in self._specs_for(node_id))
+        count = int(np.count_nonzero(scores != -np.inf))
+        if sigma <= 0.0 or not count:
             return scores
         corrupted = scores.copy()
-        for row in corrupted:
-            count = int(np.count_nonzero(row != -np.inf))
-            if not count:
-                continue
-            row[:count] += self._rng(node_id).normal(0.0, sigma, size=count)
-            self.events.append(
-                FaultEvent(self._span[0], node_id, "corrupt", sigma))
-            counter("faults.corrupted_results", node=node_id).inc()
+        corrupted[:count] += self._draw(node_id, query, attempt, 0,
+                                        _CORRUPT).normal(0.0, sigma, count)
+        self.events.append(FaultEvent(query, node_id, "corrupt", sigma))
+        counter("faults.corrupted_results", node=node_id).inc()
         return corrupted
 
     def timeline(self) -> list[tuple[int, str, str]]:
@@ -209,22 +195,19 @@ class FaultPlan:
     # -------------------------------------------------------------- #
     @contextmanager
     def install(self, gallery):
-        """Attach this plan to every node of ``gallery`` for the block.
+        """Make this the gallery's plan for the block.
 
-        Restores whatever injectors were previously installed (usually
-        none) on exit, even when the block raises.
+        The plan lives on the gallery only, so it survives a
+        :meth:`~repro.retrieval.ShardedGallery.rebalance` that replaces
+        every node.  Restores the previous plan (usually none) on exit,
+        even when the block raises.
         """
-        previous_plan = getattr(gallery, "fault_plan", None)
-        previous = [node.fault_injector for node in gallery.nodes]
+        previous = gallery.fault_plan
         gallery.fault_plan = self
-        for node in gallery.nodes:
-            node.fault_injector = self
         try:
             yield self
         finally:
-            gallery.fault_plan = previous_plan
-            for node, injector in zip(gallery.nodes, previous):
-                node.fault_injector = injector
+            gallery.fault_plan = previous
 
 
 __all__ = ["FaultPlan", "FaultEvent", "NodeFaultSpec", "ANY_NODE"]

@@ -133,19 +133,17 @@ class RetrievalEngine:
         return self.retrieve_batch([video], m)[0]
 
     def retrieve_batch(self, videos: list[Video], m: int,
-                       snapshots: list | None = None
-                       ) -> list[RetrievalList]:
+                       snapshots: list | None = None,
+                       query_ids=None) -> list[RetrievalList]:
         """``R^m`` for every video, embedded in one forward batch.
 
         Identical results to per-video :meth:`retrieve` calls made at the
         gallery versions the queries were admitted under.  ``snapshots``
         pins each query to its
         :class:`~repro.retrieval.snapshot.GallerySnapshot` (one per
-        video; ``None`` reads the current version).  Consecutive queries
-        sharing a version are scored in one ``search_batch`` call; with
-        a :class:`~repro.resilience.FaultPlan` installed every query gets
-        its own call, so the fault clock, rng draws and the index at
-        which an outage interrupts the batch match a sequential loop.
+        video; ``None`` reads the current version); consecutive queries
+        sharing a version are scored in one ``search_batch`` call.
+        ``query_ids`` (``0..B-1`` by default) key every fault draw.
 
         A propagating :class:`~repro.errors.RetrievalUnavailable` is
         annotated with the already-served prefix (``served``,
@@ -159,29 +157,27 @@ class RetrievalEngine:
         elif len(snapshots) != len(videos):
             raise ValueError(
                 f"got {len(snapshots)} snapshots for {len(videos)} queries")
+        ids = None if query_ids is None else list(query_ids)
         features = self.embed_queries(videos)
         versions = [None if snap is None else snap.version
                     for snap in snapshots]
-        per_query = getattr(self.gallery, "fault_plan", None) is not None
         results: list[RetrievalList] = []
         row = 0
         try:
             while row < len(features):
                 end = row + 1
-                while (not per_query and end < len(features)
-                       and versions[end] == versions[row]):
+                while end < len(features) and versions[end] == versions[row]:
                     end += 1
                 results.extend(RetrievalList(entries) for entries in
                                self.gallery.search_batch(
                                    features[row:end], m,
-                                   snapshot=snapshots[row]))
+                                   snapshot=snapshots[row],
+                                   query_ids=None if ids is None
+                                   else ids[row:end]))
                 row = end
         except RetrievalUnavailable as exc:
-            exc.served = results
-            exc.served_count = len(results)
+            exc.served = results + [RetrievalList(entries) for entries
+                                    in getattr(exc, "served", ())]
+            exc.served_count = len(exc.served)
             raise
         return results
-
-    def retrieve_by_feature(self, feature: np.ndarray, m: int) -> RetrievalList:
-        """Search with a precomputed embedding (used by defenses)."""
-        return RetrievalList(self.gallery.search(feature, m))

@@ -72,11 +72,6 @@ class DataNode:
     :class:`FeatureIndex`, or any factory from the compressed tier
     registry (:mod:`repro.hashindex.tiers`) — the node only relies on
     the shared :class:`~repro.retrieval.protocol.Index` protocol.
-
-    An installed ``fault_injector`` (usually a
-    :class:`~repro.resilience.FaultPlan`) is consulted on every search
-    attempt: it may raise :class:`NodeDownError`, add virtual latency
-    (exposed as ``last_injected_latency_s``), or corrupt scores.
     """
 
     def __init__(self, node_id: str, similarity: SimilarityFn = negative_l2,
@@ -88,8 +83,6 @@ class DataNode:
         self.position = int(position)
         self.alive = True
         self.search_count = 0
-        self.fault_injector = None
-        self.last_injected_latency_s = 0.0
 
     def __len__(self) -> int:
         return len(self.index)
@@ -103,37 +96,23 @@ class DataNode:
         """Store many gallery rows in one pass."""
         self.index.add_batch(ids, labels, features)
 
-    def _pre_search(self) -> float:
-        """Shared down/fault checks; returns injected latency."""
-        if not self.alive:
-            counter("gallery.node_down_errors", node=self.node_id).inc()
-            raise NodeDownError(f"node {self.node_id} is down")
-        injected = 0.0
-        if self.fault_injector is not None:
-            injected = self.fault_injector.on_attempt(self.node_id)
-        self.last_injected_latency_s = injected
-        return injected
-
     def scan(self, queries: np.ndarray, k: int, rows: int | None = None,
              hidden: np.ndarray | None = None, index=None
              ) -> tuple[np.ndarray, np.ndarray]:
         """One scatter leg over ``(B, d)`` queries: ``(scores, rows)``.
 
-        Raises :class:`NodeDownError` when down or when the fault
-        injector fails the attempt; otherwise scans the local index
-        (see :class:`~repro.retrieval.protocol.ScanIndex`) and lets the
-        injector corrupt the returned scores.  ``index`` lets the
-        coordinator pin the index object it resolved at scatter start,
-        so a concurrent tier swap cannot hand this leg a half-built
-        replacement.
+        Raises :class:`NodeDownError` when down; otherwise scans the
+        local index (see :class:`~repro.retrieval.protocol.ScanIndex`).
+        ``index`` lets the coordinator pin the index object it resolved
+        at scatter start, so a concurrent tier swap cannot hand this leg
+        a half-built replacement.
         """
-        self._pre_search()
+        if not self.alive:
+            counter("gallery.node_down_errors", node=self.node_id).inc()
+            raise NodeDownError(f"node {self.node_id} is down")
         self.search_count += len(queries)
         target = self.index if index is None else index
-        scores, found = target.scan(queries, k, rows, hidden)
-        if self.fault_injector is not None:
-            scores = self.fault_injector.transform(self.node_id, scores)
-        return scores, found
+        return target.scan(queries, k, rows, hidden)
 
     def search(self, query: np.ndarray, k: int,
                index=None) -> list[RetrievalEntry]:
@@ -636,32 +615,34 @@ class ShardedGallery:
         return self.search_batch(query, k, snapshot)[0]
 
     def search_batch(self, queries: np.ndarray, k: int,
-                     snapshot: GallerySnapshot | None = None
-                     ) -> list[list[RetrievalEntry]]:
+                     snapshot: GallerySnapshot | None = None,
+                     query_ids=None) -> list[list[RetrievalEntry]]:
         """Scatter/gather top-k for a ``(B, d)`` query matrix.
 
-        Every read is a snapshot read: the batch is evaluated against
-        exactly the gallery version ``snapshot`` pins (the current one
-        by default).  Each live node scans the whole batch in one
-        vectorized pass (:meth:`_snapshot_search_batch`) and answers
-        with score/row arrays; the coordinator merges them for every
-        query at once (:meth:`_merge`).  Results are identical to B
-        sequential :meth:`search` calls.
+        A snapshot read of ``snapshot`` (default: current version): each
+        node scans the batch once, :meth:`_scatter` picks each row's
+        answering nodes, :meth:`_merge` merges every row at once.
+        ``query_ids`` (``0..B-1`` by default) key the :attr:`fault_plan`
+        draws, so results equal B :meth:`search` calls with the same ids.
+        The first uncovered row raises
+        :class:`~repro.errors.RetrievalUnavailable` carrying the rows
+        before it (``served``, ``served_count``).
         """
         queries = as_query_matrix(queries)
         batch = queries.shape[0]
         snap = snapshot or self.snapshot()
-        if self.fault_plan is not None:
-            self.fault_plan.advance(batch)
         with span("gallery.search_batch", k=int(k), batch=batch):
-            scatter = self._scatter_plain if self.resilience is None \
-                else self._scatter_resilient
-            partials = scatter(
+            partials, error = self._scatter(
                 lambda node: self._snapshot_search_batch(
                     node, queries, k, snap),
-                weight=batch)
-            merged = self._merge(partials, k, batch, snap)
-            counter("gallery.searches").inc(batch)
+                range(batch) if query_ids is None else list(query_ids),
+                keyed=query_ids is not None)
+            served = batch if error is None else error.served_count
+            merged = self._merge(partials, k, served, snap)
+            counter("gallery.searches").inc(served)
+            if error is not None:
+                error.served = merged
+                raise error
             return merged
 
     def _snapshot_search_batch(self, node: DataNode, queries: np.ndarray,
@@ -685,127 +666,130 @@ class ShardedGallery:
     _snapshot_search_one = _snapshot_search_batch
 
     # -------------------------------------------------------------- #
-    # Scatter strategies
+    # Scatter
     # -------------------------------------------------------------- #
-    def _scatter_plain(self, call, weight: int = 1) -> list:
-        """Pre-resilience behaviour: skip failing nodes, serve the rest."""
-        partials = []
-        for node in self.nodes:
-            if not node.alive:
-                counter("gallery.node_skipped", node=node.node_id).inc()
-                continue
-            start = time.perf_counter()
-            try:
-                results = call(node)
-            except NodeDownError:
-                # A fault injector flaked the node mid-scatter; without a
-                # resilience config this degrades exactly like a downed
-                # node instead of failing the whole query.
-                counter("gallery.node_skipped", node=node.node_id).inc()
-                continue
-            partials.append(results)
-            histogram("gallery.node_latency_s",
-                      buckets=NODE_LATENCY_BUCKETS,
-                      node=node.node_id).observe(
-                          time.perf_counter() - start)
-        if not partials and self._order:
-            # Zero live nodes is not a degraded answer — it is no answer.
-            # Mirror the resilient scatter's coverage-loss behaviour
-            # instead of silently returning an empty retrieval list (an
-            # attacker would read that as "the gallery is empty").
-            counter("resilience.uncovered_queries").inc(weight)
-            raise RetrievalUnavailable(
-                "no live node answered the scatter "
-                f"({len(self._order)} rows unreachable)")
-        if len(partials) < len(self.nodes):
-            counter("gallery.degraded_searches").inc(weight)
-        return partials
+    def _scatter(self, call, ids, keyed: bool = False) -> tuple:
+        """Decide which nodes answer each row: ``(partials, error)``.
 
-    def _scatter_resilient(self, call, weight: int = 1) -> list:
-        """Retry + breaker + deadline + hedged scatter over all nodes."""
-        config = self.resilience
-        results: dict[int, list] = {}
-        latencies: dict[int, float] = {}
-        for index, (node, breaker, retry) in enumerate(self._node_plan):
-            if breaker is not None and not breaker.allow():
-                counter("resilience.breaker_short_circuits",
-                        node=node.node_id).inc()
-                continue
-            try:
-                value, latency = self._attempt_node(node, call, retry)
-            except (NodeDownError, DeadlineExceeded):
-                if breaker is not None:
-                    breaker.record_failure()
-                counter("gallery.node_skipped", node=node.node_id).inc()
-                continue
-            if breaker is not None:
-                breaker.record_success()
-            results[index] = value
-            latencies[index] = latency
-            histogram("gallery.node_latency_s",
-                      buckets=NODE_LATENCY_BUCKETS,
-                      node=node.node_id).observe(latency)
-
-        # Hedged reads: drop slow nodes whose shards faster replicas
-        # already cover (the replica responses are the hedge).
-        if config.hedge_after_s is not None:
-            for index in sorted(results):
-                if latencies[index] <= config.hedge_after_s:
+        With a fault plan or a downed node, rows are walked in id order
+        (draws, retries, breaker records, hedge, coverage) until the
+        first uncovered one; otherwise one pass stands for every row.
+        Without a resilience config an uncovered row degrades unless no
+        node answered it.  With ``keyed`` ids a breaker counts a re-sent
+        id once.  See DESIGN.md §10.
+        """
+        plan, config = self.fault_plan, self.resilience
+        per_row = plan is not None or \
+            not all(node.alive for node in self.nodes)
+        legs: dict[int, tuple] = {}
+        answered: dict[int, list] = {}  # position -> served rows, per row
+        error = None
+        for row in range(len(ids)) if per_row else (None,):
+            query = None if row is None else ids[row]
+            key = query if keyed else None
+            weight = len(ids) if row is None else 1
+            latencies: dict[int, tuple[float, int]] = {}
+            for position, (node, breaker, retry) in enumerate(self._node_plan):
+                if breaker is not None and not breaker.allow():
+                    counter("resilience.breaker_short_circuits",
+                            node=node.node_id).inc(weight)
                     continue
-                node_id = self.nodes[index].node_id
-                if self._covers_all_shards(set(results) - {index}):
-                    del results[index]
-                    counter("resilience.hedge_wins", node=node_id).inc()
+                try:
+                    latencies[position] = self._attempt(
+                        position, call, retry, query, legs)
+                except (NodeDownError, DeadlineExceeded):
+                    if breaker is not None:
+                        breaker.record_failure(key)
+                    counter("gallery.node_skipped",
+                            node=node.node_id).inc(weight)
+                    continue
+                if breaker is not None:
+                    breaker.record_success(key)
+                histogram("gallery.node_latency_s",
+                          buckets=NODE_LATENCY_BUCKETS,
+                          node=node.node_id).observe(latencies[position][0])
+            hedge = None if config is None else config.hedge_after_s
+            for position in sorted(latencies) if hedge is not None else ():
+                # Hedged reads: drop a slow node whose shards faster
+                # replicas already cover (their responses are the hedge).
+                if latencies[position][0] <= hedge:
+                    continue
+                node_id = self.nodes[position].node_id
+                if not self._uncovered(set(latencies) - {position}):
+                    del latencies[position]
+                    counter("resilience.hedge_wins", node=node_id).inc(weight)
                 else:
-                    counter("resilience.hedge_losses", node=node_id).inc()
+                    counter("resilience.hedge_losses", node=node_id).inc(weight)
+            missing = self._uncovered(set(latencies))
+            if missing and (config.on_data_loss == "raise" if config
+                            else not latencies):
+                counter("resilience.uncovered_queries").inc()
+                error = RetrievalUnavailable(
+                    f"no live replica for shard(s) {missing} "
+                    f"at query {query}")
+                error.served_count = row or 0
+                break
+            if missing:
+                counter("resilience.uncovered_queries").inc(weight)
+                counter("gallery.degraded_searches").inc(weight)
+            elif len(latencies) < len(self.nodes):
+                counter("resilience.degraded_covered_queries").inc(weight)
+            if row is None:  # every row met the nodes in ``latencies``
+                return [legs[position][0] for position in sorted(latencies)], None
+            for position, (_, attempt) in latencies.items():
+                answered.setdefault(position, []).append((row, attempt))
+        served = len(ids) if error is None else error.served_count
+        partials = []
+        for position in sorted(answered):
+            index, scores, found = legs[position][0]
+            scores, found = scores[:served].copy(), found[:served].copy()
+            blank = np.ones(served, dtype=bool)
+            for row, attempt in answered[position]:
+                blank[row] = False
+                if plan is not None:
+                    scores[row] = plan.transform(self.nodes[position].node_id,
+                                                 scores[row], ids[row], attempt)
+            scores[blank], found[blank] = -np.inf, -1
+            partials.append((index, scores, found))
+        return partials, error
 
-        if not self._covers_all_shards(set(results)):
-            counter("resilience.uncovered_queries").inc(weight)
-            if config.on_data_loss == "raise":
-                missing = [
-                    primary for primary in range(len(self.nodes))
-                    if self._shard_rows[primary]
-                    and not any(replica in results
-                                for replica in self._replica_nodes(primary))
-                ]
-                raise RetrievalUnavailable(
-                    f"no live replica for shard(s) {missing}")
-            counter("gallery.degraded_searches").inc(weight)
-        elif len(results) < len(self.nodes):
-            counter("resilience.degraded_covered_queries").inc(weight)
-        return [results[index] for index in sorted(results)]
-
-    def _attempt_node(self, node: DataNode, call, retry: RetryExecutor | None):
-        """One node's scatter leg under retry and the per-query deadline."""
-        config = self.resilience
+    def _attempt(self, position: int, call, retry: RetryExecutor | None,
+                 query: int | None, legs: dict) -> tuple[float, int]:
+        """Node ``position``'s leg for row ``query`` (``None``: every row)
+        under retry and the deadline: ``(latency, attempt)``.  A retry
+        redraws the row's faults and reuses the batch scan in ``legs``.
+        """
+        node, plan = self.nodes[position], self.fault_plan
+        deadline = None if self.resilience is None \
+            else self.resilience.deadline_s
+        attempts = 0
 
         def attempt():
-            start = time.perf_counter()
-            value = call(node)
-            latency = (time.perf_counter() - start
-                       + node.last_injected_latency_s)
-            if config.deadline_s is not None and latency > config.deadline_s:
+            nonlocal attempts
+            attempts += 1
+            injected = plan.on_attempt(node.node_id, query, attempts) \
+                if plan is not None and node.alive else 0.0
+            if position not in legs:
+                start = time.perf_counter()
+                legs[position] = (call(node), time.perf_counter() - start)
+            latency = legs[position][1] + injected
+            if deadline is not None and latency > deadline:
                 counter("resilience.deadline_exceeded",
                         node=node.node_id).inc()
                 raise DeadlineExceeded(
                     f"node {node.node_id} answered in {latency:.4f}s "
-                    f"(> deadline {config.deadline_s}s)")
-            return value, latency
+                    f"(> deadline {deadline}s)")
+            return latency, attempts
 
-        if retry is None:
-            return attempt()
-        return retry.run(attempt)
+        return attempt() if retry is None else retry.run(attempt, query or 0)
 
-    def _covers_all_shards(self, available: set[int]) -> bool:
-        """Whether every non-empty shard has a replica in ``available``."""
+    def _uncovered(self, available: set[int]) -> list[int]:
+        """Non-empty shards with no replica in ``available``."""
         if len(available) == len(self.nodes):
-            return True  # every node answered — trivially covered
-        return all(
-            rows == 0
-            or any(replica in available
-                   for replica in self._replica_nodes(primary))
-            for primary, rows in enumerate(self._shard_rows)
-        )
+            return []  # every node answered — trivially covered
+        return [primary for primary, rows in enumerate(self._shard_rows)
+                if rows and not any(replica in available for replica
+                                    in self._replica_nodes(primary))]
 
     # -------------------------------------------------------------- #
     # Merge
@@ -817,7 +801,7 @@ class ShardedGallery:
         One stable argsort per query over the node-order concatenation
         of the returned scores ranks every candidate best first — the
         order ``heapq.merge`` gives sorted per-node lists, and still
-        best first when a fault injector corrupted a node's scores.
+        best first when a fault plan corrupted a node's scores.
         Entries are built only for the survivors, with snapshot aliases
         mapped back to public ids.
 

@@ -78,6 +78,8 @@ class RetrievalService:
         # queries_issued == query_count + queries_refunded at all times.
         self.queries_issued = 0
         self.queries_refunded = 0
+        # Fault events of speculated rows, held until committed.
+        self._withheld: list = []
 
     @classmethod
     def build(cls, engine: RetrievalEngine,
@@ -227,9 +229,11 @@ class RetrievalService:
         exception carries the prefix (``served``/``served_count``) for
         callers that deliver partial results, e.g. the serving front end.
         """
+        first = self.queries_issued
         prepared = self.begin_batch(videos)
         try:
-            return self.compute_batch(prepared, m)
+            return self.compute_batch(
+                prepared, m, query_ids=range(first, first + len(prepared)))
         except RetrievalUnavailable as exc:
             self.settle_interrupted(
                 len(prepared), int(getattr(exc, "served_count", 0)))
@@ -255,18 +259,20 @@ class RetrievalService:
         return prepared
 
     def compute_batch(self, prepared: list[Video], m: int | None = None,
-                      snapshots: list | None = None
+                      snapshots: list | None = None, query_ids=None
                       ) -> list[RetrievalList]:
         """Pure compute for a batch accounted via :meth:`begin_batch`.
 
         Safe to run on a worker thread: it touches no service counters.
+        ``query_ids`` key fault draws: issue ordinals from
+        :meth:`query_batch`, timeline indexes from the serving front end.
         A propagating :class:`~repro.errors.RetrievalUnavailable` must be
         settled by the caller with :meth:`settle_interrupted`.
         """
         with span("retrieval.query_batch", batch=len(prepared)):
             return self.engine.retrieve_batch(
                 prepared, self.config.m if m is None else int(m),
-                snapshots=snapshots)
+                snapshots=snapshots, query_ids=query_ids)
 
     def settle_interrupted(self, total: int, served: int) -> None:
         """Sequential serve-or-refund settlement for an interrupted batch.
@@ -300,16 +306,29 @@ class RetrievalService:
         Callers must pair this with :meth:`commit_speculated` for every
         result they actually consume, so the query counter, budget, and
         obs counters end up exactly where sequential :meth:`query` calls
-        would have left them.
+        would have left them.  Each candidate takes the issue ordinal it
+        would get if committed in order as its logical query id.
         """
         if not self.speculation_safe:
             raise RuntimeError(
                 "speculative queries require a stateless service "
                 "(preprocessor is set)")
         prepared = [self._prepare(video, record=False) for video in videos]
-        with span("retrieval.speculate", batch=len(videos)):
-            return self.engine.retrieve_batch(
-                prepared, self.config.m if m is None else int(m))
+        first = self.queries_issued
+        logs = [member.gallery.fault_plan.events for member
+                in getattr(self.engine, "engines", (self.engine,))
+                if member.gallery.fault_plan is not None]
+        marks = [len(log) for log in logs]
+        try:
+            with span("retrieval.speculate", batch=len(videos)):
+                return self.engine.retrieve_batch(
+                    prepared, self.config.m if m is None else int(m),
+                    query_ids=range(first, first + len(prepared)))
+        finally:  # a row's fault events are recorded when it is committed
+            self._withheld = [(log, log[mark:])
+                              for log, mark in zip(logs, marks)]
+            for log, mark in zip(logs, marks):
+                del log[mark:]
 
     def commit_speculated(self, count: int = 1) -> None:
         """Account for ``count`` speculated results that were consumed.
@@ -321,6 +340,9 @@ class RetrievalService:
         """
         for _ in range(int(count)):
             self._check_budget()
+            for log, held in self._withheld:
+                log.extend(event for event in held
+                           if event.query == self.queries_issued)
             self._account_one()
             if self.config.quantize_queries:
                 counter("retrieval.quantized_queries").inc()

@@ -6,7 +6,7 @@ on a :class:`VirtualClock` that only moves when the event loop advances
 it.  Two runs over the same request timeline therefore produce the same
 dispatch schedule, the same admission decisions, and the same latency
 histograms, bit for bit (the same discipline as
-:class:`~repro.resilience.FaultPlan`'s logical query clock).
+:class:`~repro.resilience.FaultPlan`'s draws keyed by logical query id).
 """
 
 from __future__ import annotations

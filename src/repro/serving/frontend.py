@@ -275,19 +275,14 @@ class ServingFrontend:
         )
 
     def _effective_workers(self, events: list) -> int:
-        """The worker count after safety fallbacks.
+        """The worker count after safety fallbacks to the inline pool.
 
-        Two situations force single-worker execution (the inline pool,
-        so everything stays on the loop thread):
-
-        * an installed fault plan — fault clocks and breaker state are
-          scatter-order-dependent and not thread-safe;
-        * gallery events on a compressed index tier — binary/IVF-PQ
-          indexes are not hardened for appends concurrent with reads
-          (the exact tier's grow-only matrix cache is).
-
-        A stateful defense is the service's preprocessor, which
-        ``begin_batch`` runs on the loop thread: it needs no fallback.
+        * ``breaker`` — breaker history is the one piece of scatter state
+          that depends on completion order (fault draws are keyed by
+          request index, and a stateful defense runs in ``begin_batch``
+          on the loop thread: neither needs a fallback);
+        * ``compressed_tier`` — gallery events on a binary/IVF-PQ index,
+          which is not hardened for appends concurrent with reads.
         """
         workers = self.config.workers
         if workers == 1:
@@ -295,9 +290,8 @@ class ServingFrontend:
         service = self.service
         galleries = [member.gallery for member in _members(service.engine)]
         reason = None
-        if any(getattr(gallery, "fault_plan", None) is not None
-               for gallery in galleries):
-            reason = "fault_plan"
+        if any(gallery._breakers for gallery in galleries):
+            reason = "breaker"
         elif events and any(gallery.index_tier != "exact"
                             for gallery in galleries):
             reason = "compressed_tier"
@@ -345,8 +339,10 @@ class ServingFrontend:
             if state.churn else None
         prepared = self.service.begin_batch(
             [request.video for _, request in batch])
+        # Fault draws key on each request's timeline index: an issue
+        # ordinal would move when priorities reorder batches.
         future = pool.submit(self.service.compute_batch, prepared, None,
-                             pinned)
+                             pinned, [index for index, _ in batch])
         # ``state.batches`` is unique per dispatch: it breaks completion
         # ties in dispatch order.
         heapq.heappush(state.inflight, (done_s, state.batches,

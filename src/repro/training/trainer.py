@@ -28,10 +28,6 @@ class TrainingHistory:
 
     losses: list[float] = field(default_factory=list)
 
-    @property
-    def final_loss(self) -> float:
-        return self.losses[-1] if self.losses else float("nan")
-
 
 class MetricTrainer:
     """Train a :class:`FeatureExtractor` with a metric loss.

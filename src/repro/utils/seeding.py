@@ -8,6 +8,8 @@ experiments reproducible end to end.
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 
 _GLOBAL_SEED: int | None = None
@@ -18,11 +20,6 @@ def set_global_seed(seed: int) -> None:
     global _GLOBAL_SEED
     _GLOBAL_SEED = int(seed)
     np.random.seed(seed)
-
-
-def get_global_seed() -> int | None:
-    """Return the process-wide default seed, if one was set."""
-    return _GLOBAL_SEED
 
 
 def seeded_rng(seed: int | np.random.Generator | None = None) -> np.random.Generator:
@@ -66,3 +63,13 @@ class SeedSequence:
     def rng(self, *labels: object) -> np.random.Generator:
         """Return a generator seeded by :meth:`child`."""
         return np.random.default_rng(self.child(*labels))
+
+
+def keyed_rng(seed: int, label: str, *words: int) -> np.random.Generator:
+    """A Philox generator that is a pure function of ``(seed, label,
+    *words)``: the key is ``(seed, crc32(label))`` and up to three words
+    fill the counter's high words, so no state carries between calls."""
+    counter = [0] * (4 - len(words)) + [int(w) % 2**64 for w in words[::-1]]
+    return np.random.Generator(np.random.Philox(
+        key=[int(seed) % 2**64, zlib.crc32(str(label).encode())],
+        counter=counter))

@@ -17,7 +17,9 @@ from repro.attacks.duo import TransferPriors
 from repro.attacks.objective import RetrievalObjective
 from repro.attacks.registry import build_attack
 from repro.attacks.search import nes_search, simba_search
+from repro.errors import RetrievalUnavailable
 from repro.qa.pairs import duo_query_attack
+from repro.resilience import ANY_NODE, FaultPlan, ResilienceConfig
 from repro.retrieval import RetrievalEngine, RetrievalService
 
 
@@ -153,6 +155,66 @@ class TestComposedEquivalence:
             assert bool(speculated) == batched
         seq, bat = runs[False], runs[True]
         assert len(set(seq[1])) > 1, "the list never moved"
+        np.testing.assert_array_equal(bat[0], seq[0])
+        assert bat[1:] == seq[1:]
+
+
+class TestFaultedEquivalence:
+    """Fault draws are keyed by logical query id, so under a corrupt +
+    flaky + outage plan on a replicated gallery, batched (speculating)
+    and sequential runs still agree on everything observable — pixels,
+    trace, ledger and the plan's own timeline — through the outage and
+    the checkpoint resume it forces."""
+
+    @pytest.mark.parametrize("name", ["simba", "qair", "lowrank"])
+    def test_identical_under_faults(self, tiny_victim, tiny_dataset,
+                                    attack_pair, name, tmp_path):
+        original, target = attack_pair
+        support = np.zeros(original.pixels.shape, dtype=bool)
+        support[:2] = True
+        runs = {}
+        for batched in (False, True):
+            engine = RetrievalEngine(
+                tiny_victim.engine.extractor, num_nodes=2, cache_size=0,
+                resilience=ResilienceConfig(replication=2))
+            engine.index_videos(tiny_dataset.train)
+            service = fresh_service(engine)
+            plan = (FaultPlan(seed=9).corrupt("node-1", 0.3)
+                    .flaky("node-0", 0.3).outage(ANY_NODE, 9, 12))
+            path = str(tmp_path / f"{name}-{batched}.pkl")
+
+            def run():
+                if name == "simba":
+                    return simba_search(
+                        original, RetrievalObjective(service, original,
+                                                     target),
+                        support, tau=0.1, iterations=30,
+                        rng=np.random.default_rng(7), batched=batched,
+                        checkpoint_path=path)
+                return build_attack(
+                    AttackConfig(strategy=name, k=400, n=8, tau=255.0,
+                                 iterations=12, batched=batched),
+                    service=service, rng=np.random.default_rng(3),
+                ).run(original, target, checkpoint_path=path)
+
+            failures = 0
+            with plan.install(engine.gallery):
+                while True:
+                    try:
+                        report = run()
+                        break
+                    except RetrievalUnavailable:
+                        failures += 1
+                        assert failures < 10
+            runs[batched] = (report.perturbation, report.trace,
+                             report.queries, service.query_count,
+                             service.queries_issued,
+                             service.queries_refunded, plan.timeline(),
+                             failures)
+        seq, bat = runs[False], runs[True]
+        kinds = {kind for _, _, kind in seq[6]}
+        assert kinds == {"corrupt", "flaky", "outage"}
+        assert seq[7] >= 1, "the outage never interrupted the attack"
         np.testing.assert_array_equal(bat[0], seq[0])
         assert bat[1:] == seq[1:]
 

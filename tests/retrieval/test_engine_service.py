@@ -1,6 +1,5 @@
 """Tests for the retrieval engine and black-box service facade."""
 
-import numpy as np
 import pytest
 
 from repro.retrieval import (
@@ -20,11 +19,6 @@ class TestRetrievalEngine:
 
     def test_gallery_size(self, tiny_victim, tiny_dataset):
         assert tiny_victim.engine.gallery_size == len(tiny_dataset.train)
-
-    def test_retrieve_by_feature(self, tiny_victim):
-        feature = np.zeros(tiny_victim.engine.extractor.feature_dim)
-        result = tiny_victim.engine.retrieve_by_feature(feature, m=3)
-        assert len(result) == 3
 
     def test_query_video_retrieves_itself_first(self, tiny_victim,
                                                 tiny_dataset):

@@ -6,7 +6,7 @@ and node-1 from the half-installed new one (or from an index still
 being built).  The fix pins the complete index set at scatter start
 (``gallery._pinned``) and builds every replacement index fully before
 swapping any node's reference — these tests drive a swap at the exact
-mid-scatter instant through a fault-injector hook and fail against the
+mid-scatter instant through the fault-plan hook and fail against the
 pre-fix behaviour.
 """
 
@@ -41,7 +41,7 @@ class MidScatterSwap:
         self.pinned_rows_at_swap: list[int] | None = None
         self.pinned_is_new: bool | None = None
 
-    def on_attempt(self, node_id: str) -> float:
+    def on_attempt(self, node_id: str, query: int, attempt: int = 1) -> float:
         if node_id == "node-1" and not self.fired:
             self.fired = True
             old = self.gallery._pinned
@@ -55,13 +55,12 @@ class MidScatterSwap:
                                         for index in self.gallery._pinned]
         return 0.0
 
-    def transform(self, node_id, entries):
-        return entries
+    def transform(self, node_id, scores, query, attempt=1):
+        return scores
 
 
 def install(gallery: ShardedGallery, injector) -> None:
-    for node in gallery.nodes:
-        node.fault_injector = injector
+    gallery.fault_plan = injector
 
 
 class TestTierSwapDuringScatter:

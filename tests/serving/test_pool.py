@@ -138,16 +138,35 @@ class TestPooledEquivalence:
 
 
 class TestFallbacks:
-    def test_fault_plan_forces_single_worker(self):
-        world = build_world(63, num_videos=8)
-        plan = FaultPlan(seed=1).outage("node-0", 10_000, 10_001)
-        before = counter("serving.pool_fallbacks", reason="fault_plan").value
-        with plan.install(world.service.engine.gallery):
-            report = ServingFrontend(world.service, config_with(4)).run(
-                make_timeline(world, per_tenant=3))
+    def test_keyed_fault_plan_keeps_the_pool(self):
+        # Fault draws are keyed by request index, so a flaky + corrupt
+        # plan needs no fallback and W=3 sees exactly what W=1 sees.
+        runs = []
+        for workers in (1, 3):
+            world = build_world(63, num_videos=8)
+            plan = FaultPlan(seed=2).flaky("node-0", 0.5) \
+                .corrupt("node-1", 0.5)
+            with plan.install(world.service.engine.gallery):
+                report = ServingFrontend(world.service,
+                                         config_with(workers)).run(
+                    make_timeline(world, per_tenant=4))
+            assert report.workers == workers
+            runs.append(([(r.status, r.result.ids if r.ok else None)
+                          for r in report.responses],
+                         world.service.query_count, sorted(plan.timeline())))
+        assert runs[0] == runs[1]
+        kinds = {kind for _, _, kind in runs[0][2]}
+        assert kinds == {"flaky", "corrupt"}
+
+    def test_breakers_force_single_worker(self):
+        world = build_world(63, num_videos=8, replication=1)
+        assert world.engine.gallery._breakers
+        before = counter("serving.pool_fallbacks", reason="breaker").value
+        report = ServingFrontend(world.service, config_with(4)).run(
+            make_timeline(world, per_tenant=3))
         assert report.workers == 1
         assert counter("serving.pool_fallbacks",
-                       reason="fault_plan").value == before + 1
+                       reason="breaker").value == before + 1
 
     def test_stateful_detector_keeps_the_pool(self):
         # The detector is the service's preprocessor, run on the loop
