@@ -5,7 +5,8 @@ feature matrix, indexes it three ways — exact ``FeatureIndex``, binary
 Hamming codes (``BinaryHashIndex``), and IVF-PQ (``IVFPQIndex``), both
 compressed tiers memory-mapped — and records, per tier:
 
-* build seconds and batched query latency (min-of-trials, 64 queries);
+* build seconds, and batched query latency (64 queries) as the median
+  of interleaved rounds through ``common.interleave``;
 * recall@10 against the exact index (the rerank stage makes scores
   exact, so recall measures only candidate coverage);
 * the memory split: resident payload vs memmapped bytes vs the float
@@ -27,7 +28,6 @@ never overwrites the recorded baseline.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -44,6 +44,7 @@ import numpy as np  # noqa: E402
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from common import finish, interleave  # noqa: E402
 from repro.hashindex import (  # noqa: E402
     BinaryHashIndex,
     IVFPQIndex,
@@ -56,7 +57,10 @@ NUM_QUERIES = 64
 DIM = 32
 K = 10
 
-#: CI floors (smoke mode).
+#: Interleaved search rounds per scale.
+ROUNDS = 6
+
+#: Floors every run must satisfy.
 RECALL_FLOOR = 0.9
 RESIDENT_FRACTION_CEILING = 0.25
 
@@ -74,16 +78,6 @@ def make_gallery(rows: int, dim: int = DIM, seed: int = 0):
     anchors = rng.choice(rows, size=NUM_QUERIES, replace=False)
     queries = features[anchors] + 0.05 * rng.normal(size=(NUM_QUERIES, dim))
     return ids, assignment.tolist(), features, queries
-
-
-def best_of(fn, trials: int) -> float:
-    fn()  # warm-up (BLAS plans, memmap page-in)
-    best = float("inf")
-    for _ in range(trials):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _recall(exact_lists, approx_lists) -> float:
@@ -110,11 +104,21 @@ def tier_factories(rows: int, store_dir: str):
     }
 
 
-def bench_scale(rows: int, trials: int, store_dir: str) -> dict:
+def bench_scale(rows: int, store_dir: str) -> dict:
     ids, labels, features, queries = make_gallery(rows)
     exact = FeatureIndex()
     exact.add_batch(ids, labels, features)
-    exact_s = best_of(lambda: exact.search_batch(queries, k=K), trials)
+    indexes, build_s = {"exact": exact}, {}
+    for name, factory in tier_factories(rows, store_dir).items():
+        index = factory()
+        start = time.perf_counter()
+        index.add_batch(ids, labels, features)
+        index.build()
+        build_s[name] = time.perf_counter() - start
+        indexes[name] = index
+    timing = interleave(
+        {name: lambda index=index: lambda: index.search_batch(queries, k=K)
+         for name, index in indexes.items()}, ROUNDS)
     exact_lists = exact.search_batch(queries, k=K)
     float_bytes = int(features.nbytes)
 
@@ -124,23 +128,19 @@ def bench_scale(rows: int, trials: int, store_dir: str) -> dict:
         "queries": NUM_QUERIES,
         "k": K,
         "float_feature_bytes": float_bytes,
-        "exact": {"batch_s": exact_s,
-                  "per_query_ms": exact_s / NUM_QUERIES * 1e3},
+        "exact": {"batch_s": timing.median("exact"),
+                  "per_query_ms": timing.median("exact") / NUM_QUERIES
+                  * 1e3},
         "tiers": {},
     }
-    for name, factory in tier_factories(rows, store_dir).items():
-        index = factory()
-        start = time.perf_counter()
-        index.add_batch(ids, labels, features)
-        index.build()
-        build_s = time.perf_counter() - start
-        batch_s = best_of(lambda: index.search_batch(queries, k=K), trials)
+    for name in build_s:
+        index = indexes[name]
         stats = index.memory_stats()
         result["tiers"][name] = {
-            "build_s": build_s,
-            "batch_s": batch_s,
-            "per_query_ms": batch_s / NUM_QUERIES * 1e3,
-            "speedup_vs_exact": exact_s / batch_s,
+            "build_s": build_s[name],
+            "batch_s": timing.median(name),
+            "per_query_ms": timing.median(name) / NUM_QUERIES * 1e3,
+            "speedup_vs_exact": timing.ratio("exact", name)["median"],
             "recall_at_10": _recall(exact_lists,
                                     index.search_batch(queries, k=K)),
             "rerank_depth": index.effective_rerank(K),
@@ -170,29 +170,23 @@ def check_floors(result: dict) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Benchmark compressed index tiers vs exact search.")
-    parser.add_argument("--trials", type=int, default=5,
-                        help="timing trials per measurement (min is kept)")
     parser.add_argument("--million", action="store_true",
                         help="also bench at 1e6 rows (slow build)")
     parser.add_argument("--smoke", action="store_true",
                         help="CI gate: small scale, recall + memory floors")
-    parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_ann.json"),
-                        help="output JSON path (full runs only)")
     args = parser.parse_args(argv)
 
     if args.smoke:
         scales = [4000]
-        trials = 2
     else:
         scales = [10_000, 100_000] + ([1_000_000] if args.million else [])
-        trials = args.trials
 
     results = []
     failures = []
     with tempfile.TemporaryDirectory(prefix="bench-ann-") as store_dir:
         for rows in scales:
             print(f"[bench_ann] {rows} rows ...", flush=True)
-            result = bench_scale(rows, trials, store_dir)
+            result = bench_scale(rows, store_dir)
             results.append(result)
             failures.extend(check_floors(result))
             for name, tier in result["tiers"].items():
@@ -207,19 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         "smoke": args.smoke,
         "scales": results,
     }
-    print(json.dumps(payload, indent=2))
-    for failure in failures:
-        print(f"[bench_ann] FLOOR VIOLATION: {failure}")
-    if failures:
-        return 1
-
-    if args.smoke:
-        print("[bench_ann] smoke OK")
-    else:
-        out_path = Path(args.out)
-        out_path.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"[bench_ann] wrote {out_path}")
-    return 0
+    return finish("ann", payload, failures, args.smoke)
 
 
 if __name__ == "__main__":

@@ -22,10 +22,10 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_attack_grid.py           # full
     PYTHONPATH=src python benchmarks/bench_attack_grid.py --smoke   # CI
 
-A full run writes ``BENCH_attacks.json`` at the repo root (CI uploads
-every ``BENCH_*.json``); ``--smoke`` shrinks the budgets so the grid
-finishes in seconds and only prints, never overwriting the recorded
-baseline.  The gate: every cell must finish under budget
+A full run that passes writes ``BENCH_attacks.json`` at the repo root
+(CI uploads every ``BENCH_*.json``); ``--smoke`` shrinks the budgets so
+the grid finishes in seconds and only prints, never overwriting the
+recorded baseline.  The gate: every cell must finish under budget
 with a conserved query ledger, and at least three of the new
 compositions must complete end-to-end.
 """
@@ -33,7 +33,6 @@ compositions must complete end-to-end.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -43,6 +42,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from common import finish  # noqa: E402
 from repro.attacks.config import AttackConfig  # noqa: E402
 from repro.attacks.registry import ATTACK_STRATEGIES, build_attack  # noqa: E402
 from repro.defenses.stateful import StatefulQueryDetector  # noqa: E402
@@ -57,6 +57,12 @@ NEW_COMPOSITIONS = ("rl-sparse", "lowrank", "qair")
 
 #: Needs priors injected via ``config.sampler``; not grid-runnable.
 SKIPPED = ("duo-query",)
+
+#: World seed; feedback iterations and hard query budget per cell (full
+#: run, ``--smoke``).
+SEED = 101
+ITERATIONS, SMOKE_ITERATIONS = 60, 6
+BUDGET, SMOKE_BUDGET = 120, 30
 
 
 class GatedService:
@@ -189,24 +195,16 @@ def run_grid(*, seed: int, iterations: int, budget: int, tenant_budget: int,
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Run the attack-strategy grid against the defenses.")
-    parser.add_argument("--seed", type=int, default=101)
-    parser.add_argument("--iterations", type=int, default=60,
-                        help="feedback iterations per cell (full runs)")
-    parser.add_argument("--budget", type=int, default=120,
-                        help="hard query budget per cell (full runs)")
     parser.add_argument("--smoke", action="store_true",
                         help="CI gate: tiny budgets, same checks")
-    parser.add_argument("--out", default=str(REPO_ROOT /
-                                             "BENCH_attacks.json"),
-                        help="output JSON path (full runs only)")
     args = parser.parse_args(argv)
 
-    iterations = 6 if args.smoke else args.iterations
-    budget = 30 if args.smoke else args.budget
+    iterations = SMOKE_ITERATIONS if args.smoke else ITERATIONS
+    budget = SMOKE_BUDGET if args.smoke else BUDGET
     tenant_budget = budget  # the edge grants exactly the attack's budget
     rate_per_s = 2.0 if args.smoke else 4.0
 
-    cells = run_grid(seed=args.seed, iterations=iterations, budget=budget,
+    cells = run_grid(seed=SEED, iterations=iterations, budget=budget,
                      tenant_budget=tenant_budget, rate_per_s=rate_per_s)
 
     result = {
@@ -218,10 +216,6 @@ def main(argv: list[str] | None = None) -> int:
         "rate_per_s": rate_per_s,
         "cells": cells,
     }
-    if not args.smoke:
-        Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
-        print(f"[bench_attack_grid] wrote {args.out}")
-
     failures = []
     over = [c["strategy"] for c in cells if not c["under_budget"]]
     if over:
@@ -233,9 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     querying = [c for c in cells if c["queries"] > 0]
     if not any(c["improved"] for c in querying):
         failures.append("no query-based cell improved its objective")
-    for failure in failures:
-        print(f"[bench_attack_grid] FAIL: {failure}")
-    return 1 if failures else 0
+    return finish("attacks", result, failures, args.smoke)
 
 
 if __name__ == "__main__":

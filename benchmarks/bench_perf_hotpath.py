@@ -1,9 +1,10 @@
 """Benchmark the ``repro.perf`` hot paths against the seed implementations.
 
-Three hot paths, measured at the model shapes the repro actually runs:
+Three hot paths, measured at the model shapes the repro actually runs,
+each an interleaved A/B through ``common.interleave`` (interleaving
+cancels cache/turbo drift):
 
-1. **conv forward** — strided-einsum (seed) vs im2col GEMM, interleaved
-   min-of-trials per shape (interleaving cancels cache/turbo drift).
+1. **conv forward** — strided-einsum (seed) vs im2col GEMM per shape.
 2. **query-attack loop** — a SimBA rectification loop against a live
    victim service, "before" (einsum convs + sequential ±ε evaluation)
    vs "after" (GEMM convs + speculative pair batching).
@@ -20,17 +21,17 @@ The "before" legs run the strided-einsum convs of ``repro.qa.reference``
 ``repro.nn.functional`` for that leg only; production convs are GEMM.
 
 The full run records ``BENCH_perf.json`` at the repo root — the baseline
-later PRs are held to.  ``--smoke`` is the CI gate: it asserts every
-model-shape conv lands on the GEMM op, re-measures quickly, and fails if
-a speedup ratio regressed more than 10% against the recorded baseline
-(ratios, not wall times, so the check is machine-independent).
+later PRs are held to.  Every run asserts each model-shape conv lands
+on the GEMM op and fails if a median speedup ratio fell more than 10%
+under the recorded baseline (ratios, not wall times, so the check is
+machine-independent).  ``--smoke`` runs the same measurements and never
+records.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 import time
 from pathlib import Path
@@ -40,6 +41,7 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from common import finish, interleave, recorded, regressions  # noqa: E402
 from repro.attacks.objective import RetrievalObjective  # noqa: E402
 from repro.attacks.search import simba_search  # noqa: E402
 from repro.models import create_feature_extractor  # noqa: E402
@@ -75,23 +77,17 @@ def einsum_convs():
         F.conv2d, F.conv3d = saved
 
 
-def _time_once(fn) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
+#: Interleaved rounds per micro-bench.
+TRIALS = 200
+#: SimBA iterations per attack run, and interleaved rounds.
+ITERATIONS, ROUNDS = 150, 22
+
+#: Median ratios gated against the recorded baseline.
+REGRESSION_CHECKS = ["attack.speedup", "conv_min_speedup",
+                     "batched_search.speedup"]
 
 
-def interleaved_best(fn_a, fn_b, trials: int) -> tuple[float, float]:
-    """Min-of-``trials`` for two thunks, alternating a/b every trial."""
-    fn_a(), fn_b()  # joint warm-up (plans, einsum paths, BLAS init)
-    best_a = best_b = float("inf")
-    for _ in range(trials):
-        best_a = min(best_a, _time_once(fn_a))
-        best_b = min(best_b, _time_once(fn_b))
-    return best_a, best_b
-
-
-def bench_conv(trials: int) -> list[dict]:
+def bench_conv() -> list[dict]:
     rng = np.random.default_rng(0)
     rows = []
     for name, conv, x_shape, w_shape, stride, padding in CONV_CASES:
@@ -99,23 +95,25 @@ def bench_conv(trials: int) -> list[dict]:
         w = Tensor(rng.normal(size=w_shape))
 
         def run(conv, x=x, w=w, stride=stride, padding=padding):
-            with no_grad():
-                conv(x, w, stride=stride, padding=padding)
+            def body():
+                with no_grad():
+                    conv(x, w, stride=stride, padding=padding)
+            return lambda: body
 
         ref_conv = getattr(reference, conv.__name__)
-        einsum_s, gemm_s = interleaved_best(lambda: run(ref_conv),
-                                            lambda: run(conv), trials)
+        timing = interleave({"einsum": run(ref_conv), "gemm": run(conv)},
+                            TRIALS)
         rows.append({
             "name": name,
-            "einsum_us": einsum_s * 1e6,
-            "gemm_us": gemm_s * 1e6,
-            "speedup": einsum_s / gemm_s,
+            "einsum_us": timing.median("einsum") * 1e6,
+            "gemm_us": timing.median("gemm") * 1e6,
+            "speedup": timing.ratio("einsum", "gemm")["median"],
         })
     return rows
 
 
 def build_attack_fixture(seed: int = 0):
-    """A tiny victim service + attack pair (untrained model — speed only)."""
+    """A tiny victim model + dataset (untrained model — speed only)."""
     dataset = load_dataset(
         "ucf101", num_classes=4, train_videos=16, test_videos=4,
         height=12, width=12, num_frames=6, seed=seed,
@@ -127,71 +125,104 @@ def build_attack_fixture(seed: int = 0):
     return extractor, dataset
 
 
-def attack_loop_seconds(extractor, dataset, iterations: int, repeats: int,
-                        einsum: bool, batched: bool,
-                        cache_size: int) -> float:
-    """Best-of-``repeats`` wall time of a seeded SimBA rectification loop."""
-    with einsum_convs() if einsum else contextlib.nullcontext():
-        best = float("inf")
-        original, target = dataset.test[0], dataset.test[1]
-        support = np.zeros(original.pixels.shape, dtype=bool)
-        support[:2] = True
-        for repeat in range(repeats):
-            engine = RetrievalEngine(extractor, num_nodes=3,
-                                     cache_size=cache_size)
-            engine.index_videos(dataset.train)
-            service = RetrievalService.build(engine, m=8)
-            objective = RetrievalObjective(service, original, target)
-            start = time.perf_counter()
-            simba_search(original, objective, support, tau=0.1,
-                         iterations=iterations,
-                         rng=np.random.default_rng(repeat), batched=batched)
-            best = min(best, time.perf_counter() - start)
-        return best
+def bench_attack_loop(extractor, dataset) -> dict:
+    """A seeded SimBA rectification loop, before vs after.
 
+    Both configurations run cacheless: every SimBA candidate has unique
+    pixels, so an embedding cache can never hit in this loop and would
+    only add hashing overhead (the cache is measured on its own below).
+    """
+    original, target = dataset.test[0], dataset.test[1]
+    support = np.zeros(original.pixels.shape, dtype=bool)
+    support[:2] = True
 
-def bench_batched_search(trials: int) -> dict:
-    rng = np.random.default_rng(1)
-    index = FeatureIndex()
-    index.add_batch([f"v{i}" for i in range(2000)],
-                    [i % 10 for i in range(2000)],
-                    rng.normal(size=(2000, 16)))
-    queries = rng.normal(size=(64, 16))
+    def config(einsum: bool, batched: bool):
+        engine = RetrievalEngine(extractor, num_nodes=3, cache_size=0)
+        engine.index_videos(dataset.train)
+        service = RetrievalService.build(engine, m=8)
 
-    def scalar():
-        for query in queries:
-            index.search(query, k=8)
+        def convs():
+            return einsum_convs() if einsum else contextlib.nullcontext()
 
-    def batched():
-        index.search_batch(queries, k=8)
+        def setup():
+            with convs():
+                objective = RetrievalObjective(service, original, target)
 
-    scalar_s, batched_s = interleaved_best(scalar, batched, trials)
+            def body():
+                with convs():
+                    simba_search(original, objective, support, tau=0.1,
+                                 iterations=ITERATIONS,
+                                 rng=np.random.default_rng(0),
+                                 batched=batched)
+            return body
+        return setup
+
+    timing = interleave(
+        {"sequential_einsum": config(einsum=True, batched=False),
+         "batched_gemm": config(einsum=False, batched=True)}, ROUNDS)
+    speedup = timing.ratio("sequential_einsum", "batched_gemm")
     return {
-        "queries": len(queries),
-        "gallery_rows": len(index),
-        "scalar_us": scalar_s * 1e6,
-        "batched_us": batched_s * 1e6,
-        "speedup": scalar_s / batched_s,
+        "iterations": ITERATIONS,
+        "rounds": ROUNDS,
+        "sequential_einsum_s": timing.median("sequential_einsum"),
+        "batched_gemm_s": timing.median("batched_gemm"),
+        "speedup": speedup["median"],
+        "speedup_iqr": speedup["iqr"],
     }
 
 
-def bench_embed_cache(extractor, dataset, trials: int) -> dict:
+def bench_batched_search() -> dict:
+    """Scalar vs batched scans of one 2000-row index.
+
+    The ratio sits near 1 and moves by several percent with where the
+    arrays land in memory, so every run scans a freshly built index.
+    """
+    rng = np.random.default_rng(1)
+    features = rng.normal(size=(2000, 16))
+    queries = rng.normal(size=(64, 16))
+
+    def fresh_index():
+        index = FeatureIndex()
+        index.add_batch([f"v{i}" for i in range(len(features))],
+                        [i % 10 for i in range(len(features))],
+                        features.copy())
+        return index, queries.copy()
+
+    def scalar():
+        index, rows = fresh_index()
+        return lambda: [index.search(query, k=8) for query in rows]
+
+    def batched():
+        index, rows = fresh_index()
+        return lambda: index.search_batch(rows, k=8)
+
+    timing = interleave({"scalar": scalar, "batched": batched}, TRIALS)
+    return {
+        "queries": len(queries),
+        "gallery_rows": len(features),
+        "scalar_us": timing.median("scalar") * 1e6,
+        "batched_us": timing.median("batched") * 1e6,
+        "speedup": timing.ratio("scalar", "batched")["median"],
+    }
+
+
+def bench_embed_cache(extractor, dataset) -> dict:
     engine = RetrievalEngine(extractor, num_nodes=2, cache_size=64)
     video = dataset.test[0]
 
     def miss():
         engine.clear_embedding_cache()
-        engine.embed_queries([video])
+        return lambda: engine.embed_queries([video])
 
     def hit():
-        engine.embed_queries([video])
+        engine.embed_queries([video])  # prime
+        return lambda: engine.embed_queries([video])
 
-    engine.embed_queries([video])  # prime
-    miss_s, hit_s = interleaved_best(miss, hit, trials)
+    timing = interleave({"miss": miss, "hit": hit}, TRIALS)
     return {
-        "miss_us": miss_s * 1e6,
-        "hit_us": hit_s * 1e6,
-        "speedup": miss_s / hit_s,
+        "miss_us": timing.median("miss") * 1e6,
+        "hit_us": timing.median("hit") * 1e6,
+        "speedup": timing.ratio("miss", "hit")["median"],
     }
 
 
@@ -205,119 +236,30 @@ def assert_gemm_selected() -> None:
             raise AssertionError(f"{name} produced op {out.op!r}")
 
 
-def check_regression(result: dict, baseline_path: Path,
-                     tolerance: float = 0.10) -> list[str]:
-    """Compare speedup *ratios* against the recorded baseline."""
-    if not baseline_path.exists():
-        return [f"no recorded baseline at {baseline_path}; skipping check"]
-    baseline = json.loads(baseline_path.read_text())
-    failures = []
-    checks = [
-        ("attack loop", result["attack"]["speedup"],
-         baseline.get("attack", {}).get("speedup")),
-        ("conv min", result["conv_min_speedup"],
-         baseline.get("conv_min_speedup")),
-        ("batched search", result["batched_search"]["speedup"],
-         baseline.get("batched_search", {}).get("speedup")),
-    ]
-    for label, measured, recorded in checks:
-        if recorded is None:
-            continue
-        floor = recorded * (1.0 - tolerance)
-        if measured < floor:
-            failures.append(
-                f"{label} speedup regressed: {measured:.2f}x < "
-                f"{floor:.2f}x (recorded {recorded:.2f}x - {tolerance:.0%})")
-    return failures
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Benchmark the repro.perf fast paths.")
-    parser.add_argument("--iterations", type=int, default=150,
-                        help="SimBA iterations per attack run")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="attack runs per configuration (min is kept)")
-    parser.add_argument("--trials", type=int, default=30,
-                        help="interleaved trials per micro-bench")
     parser.add_argument("--smoke", action="store_true",
-                        help="CI gate: quick run, assert dispatch + no "
-                             "regression vs the recorded baseline")
-    parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_perf.json"),
-                        help="output JSON path (full runs only)")
+                        help="CI gate: same run, never records")
     args = parser.parse_args(argv)
-
-    # Best-of-2 even at smoke scale: a single 40-iteration shot is ~50 ms
-    # and a stray scheduler hiccup on either leg flips the gate.
-    iterations = 40 if args.smoke else args.iterations
-    repeats = 2 if args.smoke else args.repeats
-    trials = 10 if args.smoke else args.trials
 
     assert_gemm_selected()
     print("[bench_perf_hotpath] GEMM selected for all model shapes")
 
+    conv_rows = bench_conv()
     extractor, dataset = build_attack_fixture()
-    # Warm-up: one tiny run touches every code path on both impls.
-    attack_loop_seconds(extractor, dataset, 3, 1, True, False, 0)
-    attack_loop_seconds(extractor, dataset, 3, 1, False, True, 0)
-
-    def measure() -> dict:
-        conv_rows = bench_conv(trials)
-        # Both configurations run cacheless: every SimBA candidate has
-        # unique pixels, so an embedding cache can never hit in this loop
-        # and would only add hashing overhead (the cache is measured on
-        # its own below).
-        before_s = attack_loop_seconds(extractor, dataset, iterations,
-                                       repeats, einsum=True,
-                                       batched=False, cache_size=0)
-        after_s = attack_loop_seconds(extractor, dataset, iterations,
-                                      repeats, einsum=False,
-                                      batched=True, cache_size=0)
-        return {
-            "bench": "perf_hotpath",
-            "timestamp": time.time(),
-            "smoke": args.smoke,
-            "conv": conv_rows,
-            "conv_min_speedup": min(row["speedup"] for row in conv_rows),
-            "attack": {
-                "iterations": iterations,
-                "repeats": repeats,
-                "sequential_einsum_s": before_s,
-                "batched_gemm_s": after_s,
-                "speedup": before_s / after_s,
-            },
-            "batched_search": bench_batched_search(trials),
-            "embed_cache": bench_embed_cache(extractor, dataset, trials),
-        }
-
-    result = measure()
-    print(json.dumps(result, indent=2))
-
-    out_path = Path(args.out)
-    if args.smoke:
-        # The smoke run gates; it never overwrites the recorded baseline.
-        notes = check_regression(result, out_path)
-        failures = [note for note in notes if "regressed" in note]
-        if failures:
-            # At smoke scale each leg is a ~50 ms shot, so a stray
-            # scheduler contention window fails the gate far more often
-            # than a real regression does; one clean re-measurement
-            # separates the two.
-            for note in failures:
-                print(f"[bench_perf_hotpath] retrying after: {note}")
-            result = measure()
-            print(json.dumps(result, indent=2))
-            notes = check_regression(result, out_path)
-            failures = [note for note in notes if "regressed" in note]
-        for note in notes:
-            print(f"[bench_perf_hotpath] {note}")
-        if failures:
-            return 1
-        print("[bench_perf_hotpath] smoke OK")
-    else:
-        out_path.write_text(json.dumps(result, indent=2) + "\n")
-        print(f"[bench_perf_hotpath] wrote {out_path}")
-    return 0
+    result = {
+        "bench": "perf_hotpath",
+        "timestamp": time.time(),
+        "smoke": args.smoke,
+        "conv": conv_rows,
+        "conv_min_speedup": min(row["speedup"] for row in conv_rows),
+        "attack": bench_attack_loop(extractor, dataset),
+        "batched_search": bench_batched_search(),
+        "embed_cache": bench_embed_cache(extractor, dataset),
+    }
+    failures = regressions(result, recorded("perf"), REGRESSION_CHECKS)
+    return finish("perf", result, failures, args.smoke)
 
 
 if __name__ == "__main__":

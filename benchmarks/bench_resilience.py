@@ -5,7 +5,7 @@ Five measurements:
 1. **wrapper overhead** — a fault-free SimBA rectification loop against
    a victim service with the full resilience stack on (retry + breaker
    + deadline, r=1) vs the plain scatter path (``resilience=None``).
-   The PR's contract is <5% overhead when nothing fails.
+   The contract is <5% median overhead when nothing fails.
 2. **gallery micro** — scatter/gather search wall time, plain vs
    resilient r=1 vs replicated r=2 (the r=2 column is informational:
    replication doubles per-node scoring work by design).
@@ -23,17 +23,17 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_resilience.py           # full
     PYTHONPATH=src python benchmarks/bench_resilience.py --smoke   # CI
 
-The full run records ``BENCH_resilience.json`` at the repo root.
-``--smoke`` is the CI gate: it re-measures quickly and fails when the
-fault-free wrapper overhead exceeds 5% (re-measuring once to damp
-scheduler flake), the faulted run diverges from the fault-free one, or
-the batched and sequential faulted attacks differ.
+Every timing is an interleaved A/B through ``common.interleave``.  The
+full run records ``BENCH_resilience.json`` at the repo root.  Every run
+fails when the median fault-free wrapper overhead exceeds 5%, the
+faulted run diverges from the fault-free one, or the batched and
+sequential faulted attacks differ.  ``--smoke`` runs a shorter loop and
+never records.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import tempfile
 import time
@@ -44,6 +44,7 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from common import finish, interleave  # noqa: E402
 from repro.attacks.objective import RetrievalObjective  # noqa: E402
 from repro.attacks.search import simba_search  # noqa: E402
 from repro.errors import RetrievalUnavailable  # noqa: E402
@@ -64,6 +65,15 @@ from repro.retrieval import (  # noqa: E402
     ShardedGallery,
 )
 from repro.video import load_dataset  # noqa: E402
+
+
+#: SimBA iterations per attack run (full run, ``--smoke``), and
+#: interleaved rounds per comparison.
+ITERATIONS, SMOKE_ITERATIONS = 120, 40
+ROUNDS = 64
+
+#: Largest median fault-free wrapper overhead (a fraction).
+OVERHEAD_BUDGET = 0.05
 
 
 def wrapper_config(replication: int = 1) -> ResilienceConfig:
@@ -97,53 +107,52 @@ def build_service(extractor, dataset, resilience, num_nodes=4):
     return RetrievalService.build(engine, m=8)
 
 
-def attack_run(extractor, dataset, resilience, iterations,
-               fault_plan=None, rng_seed=0):
-    """One seeded SimBA loop; returns (seconds, trace, query_count)."""
-    service = build_service(extractor, dataset, resilience)
+def attack_setup(service, dataset, iterations):
+    """One seeded SimBA loop on ``service``; the objective's two
+    reference queries are issued untimed, the returned body runs the
+    search and returns its trace."""
     original, target = dataset.test[0], dataset.test[1]
     support = np.zeros(original.pixels.shape, dtype=bool)
     support[:2] = True
     objective = RetrievalObjective(service, original, target)
+    return lambda: simba_search(
+        original, objective, support, tau=0.1, iterations=iterations,
+        rng=np.random.default_rng(0)).trace
 
-    def run():
-        start = time.perf_counter()
-        trace = simba_search(
-            original, objective, support, tau=0.1, iterations=iterations,
-            rng=np.random.default_rng(rng_seed)).trace
-        return time.perf_counter() - start, trace
 
+def attack_run(extractor, dataset, resilience, iterations,
+               fault_plan=None):
+    """One seeded SimBA loop on a fresh service; returns
+    ``(trace, query_count)``."""
+    service = build_service(extractor, dataset, resilience)
     if fault_plan is None:
-        seconds, trace = run()
+        trace = attack_setup(service, dataset, iterations)()
     else:
         with fault_plan.install(service.engine.gallery):
-            seconds, trace = run()
-    return seconds, trace, service.query_count
+            trace = attack_setup(service, dataset, iterations)()
+    return trace, service.query_count
 
 
-def bench_wrapper_overhead(extractor, dataset, iterations, repeats):
+def bench_wrapper_overhead(extractor, dataset, iterations):
     """Fault-free attack loop: resilience stack on (r=1) vs off."""
-    plain_s = resilient_s = float("inf")
-    # Warm-up touches both code paths end to end.
-    attack_run(extractor, dataset, None, 2)
-    attack_run(extractor, dataset, wrapper_config(), 2)
-    for repeat in range(repeats):
-        seconds, _, _ = attack_run(extractor, dataset, None,
-                                   iterations, rng_seed=repeat)
-        plain_s = min(plain_s, seconds)
-        seconds, _, _ = attack_run(extractor, dataset, wrapper_config(),
-                                   iterations, rng_seed=repeat)
-        resilient_s = min(resilient_s, seconds)
+    def config(resilience):
+        service = build_service(extractor, dataset, resilience)
+        return lambda: attack_setup(service, dataset, iterations)
+
+    timing = interleave({"plain": config(None),
+                         "resilient": config(wrapper_config())}, ROUNDS)
+    overhead = timing.ratio("resilient", "plain")
     return {
         "iterations": iterations,
-        "repeats": repeats,
-        "plain_s": plain_s,
-        "resilient_s": resilient_s,
-        "overhead": resilient_s / plain_s - 1.0,
+        "rounds": ROUNDS,
+        "plain_s": timing.median("plain"),
+        "resilient_s": timing.median("resilient"),
+        "overhead": overhead["median"] - 1.0,
+        "overhead_iqr": [q - 1.0 for q in overhead["iqr"]],
     }
 
 
-def bench_gallery_micro(trials: int) -> dict:
+def bench_gallery_micro() -> dict:
     """Scatter/gather wall time: plain vs wrapped r=1 vs replicated r=2."""
     rng = np.random.default_rng(2)
     rows, dim, queries = 2000, 16, 64
@@ -152,47 +161,41 @@ def bench_gallery_micro(trials: int) -> dict:
     features = rng.normal(size=(rows, dim))
     probes = rng.normal(size=(queries, dim))
 
-    def timed(gallery):
-        best = float("inf")
-        for _ in range(trials):
-            start = time.perf_counter()
+    def config(resilience):
+        gallery = ShardedGallery(num_nodes=4, resilience=resilience)
+        gallery.add_batch(ids, labels, features)
+
+        def body():
             for probe in probes:
                 gallery.search(probe, k=8)
-            best = min(best, time.perf_counter() - start)
-        return best
+        return lambda: body
 
-    galleries = {}
-    for key, config in (("plain", None), ("resilient_r1", wrapper_config()),
-                        ("replicated_r2", wrapper_config(replication=2))):
-        gallery = ShardedGallery(num_nodes=4, resilience=config)
-        gallery.add_batch(ids, labels, features)
-        gallery.search(probes[0], k=8)  # warm-up
-        galleries[key] = timed(gallery)
+    timing = interleave(
+        {"plain": config(None), "resilient_r1": config(wrapper_config()),
+         "replicated_r2": config(wrapper_config(replication=2))}, ROUNDS)
     return {
         "gallery_rows": rows,
         "queries": queries,
-        "plain_us": galleries["plain"] * 1e6 / queries,
-        "resilient_r1_us": galleries["resilient_r1"] * 1e6 / queries,
-        "replicated_r2_us": galleries["replicated_r2"] * 1e6 / queries,
-        "r1_overhead": galleries["resilient_r1"] / galleries["plain"] - 1.0,
-        "r2_cost_ratio": galleries["replicated_r2"] / galleries["plain"],
+        **{f"{key}_us": timing.median(key) * 1e6 / queries
+           for key in timing.samples},
+        "r1_overhead":
+            timing.ratio("resilient_r1", "plain")["median"] - 1.0,
+        "r2_cost_ratio": timing.ratio("replicated_r2", "plain")["median"],
     }
 
 
 def bench_faulted_recovery(extractor, dataset, iterations) -> dict:
     """Kill one of four nodes from the attack's 7th query (logical id 6)
     on, under r=2; results must not move."""
-    clean_s, clean_trace, clean_queries = attack_run(
+    clean_trace, clean_queries = attack_run(
         extractor, dataset, wrapper_config(replication=2), iterations)
     plan = FaultPlan(seed=1).outage("node-1", 6, 10 ** 9)
-    faulted_s, faulted_trace, faulted_queries = attack_run(
+    faulted_trace, faulted_queries = attack_run(
         extractor, dataset, wrapper_config(replication=2), iterations,
         fault_plan=plan)
     outages = sum(1 for _, _, kind in plan.timeline() if kind == "outage")
     return {
         "iterations": iterations,
-        "clean_s": clean_s,
-        "faulted_s": faulted_s,
         "outage_events": outages,
         "identical_trace": faulted_trace == clean_trace,
         "identical_queries": faulted_queries == clean_queries,
@@ -241,7 +244,7 @@ def bench_keyed_faults(extractor, dataset, iterations) -> dict:
     }
 
 
-def bench_checkpoint(trials: int) -> dict:
+def bench_checkpoint() -> dict:
     rng = np.random.default_rng(3)
     checkpoint = AttackCheckpoint(
         algo="simba", iteration=500,
@@ -257,74 +260,46 @@ def bench_checkpoint(trials: int) -> dict:
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ckpt.pkl"
-        save_s = load_s = float("inf")
-        for _ in range(trials):
-            start = time.perf_counter()
-            save_checkpoint(path, checkpoint)
-            save_s = min(save_s, time.perf_counter() - start)
-            start = time.perf_counter()
-            load_checkpoint(path)
-            load_s = min(load_s, time.perf_counter() - start)
+        timing = interleave(
+            {"save": lambda: lambda: save_checkpoint(path, checkpoint),
+             "load": lambda: lambda: load_checkpoint(path)}, ROUNDS)
         size = path.stat().st_size
     return {
         "payload_bytes": size,
-        "save_us": save_s * 1e6,
-        "load_us": load_s * 1e6,
+        "save_us": timing.median("save") * 1e6,
+        "load_us": timing.median("load") * 1e6,
     }
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Benchmark the resilience subsystem.")
-    parser.add_argument("--iterations", type=int, default=120,
-                        help="SimBA iterations per attack run")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="attack runs per configuration (min is kept)")
-    parser.add_argument("--trials", type=int, default=20,
-                        help="trials per micro-bench")
-    parser.add_argument("--overhead-budget", type=float, default=0.05,
-                        help="max fault-free wrapper overhead (fraction)")
     parser.add_argument("--smoke", action="store_true",
-                        help="CI gate: quick run, assert overhead budget "
-                             "and exact fault recovery")
-    parser.add_argument("--out",
-                        default=str(REPO_ROOT / "BENCH_resilience.json"),
-                        help="output JSON path (full runs only)")
+                        help="shorter attack loop for CI; never records")
     args = parser.parse_args(argv)
 
-    iterations = 40 if args.smoke else args.iterations
-    repeats = 1 if args.smoke else args.repeats
-    trials = 5 if args.smoke else args.trials
-
+    iterations = SMOKE_ITERATIONS if args.smoke else ITERATIONS
     extractor, dataset = build_fixture()
-    overhead = bench_wrapper_overhead(extractor, dataset, iterations, repeats)
-    if overhead["overhead"] > args.overhead_budget:
-        # One re-measure damps scheduler/turbo flake before failing.
-        print(f"[bench_resilience] overhead {overhead['overhead']:.1%} over "
-              "budget; re-measuring once")
-        overhead = bench_wrapper_overhead(extractor, dataset,
-                                          iterations, max(repeats, 2))
-
     result = {
         "bench": "resilience",
         "timestamp": time.time(),
         "smoke": args.smoke,
-        "overhead_budget": args.overhead_budget,
-        "wrapper_overhead": overhead,
-        "gallery_micro": bench_gallery_micro(trials),
+        "overhead_budget": OVERHEAD_BUDGET,
+        "wrapper_overhead": bench_wrapper_overhead(
+            extractor, dataset, iterations),
+        "gallery_micro": bench_gallery_micro(),
         "faulted_recovery": bench_faulted_recovery(
             extractor, dataset, iterations),
         "keyed_faults": bench_keyed_faults(extractor, dataset, iterations),
-        "checkpoint": bench_checkpoint(trials),
+        "checkpoint": bench_checkpoint(),
     }
-    print(json.dumps(result, indent=2))
 
     failures = []
-    if result["wrapper_overhead"]["overhead"] > args.overhead_budget:
+    if result["wrapper_overhead"]["overhead"] > OVERHEAD_BUDGET:
         failures.append(
             f"fault-free wrapper overhead "
             f"{result['wrapper_overhead']['overhead']:.1%} exceeds "
-            f"{args.overhead_budget:.0%} budget")
+            f"{OVERHEAD_BUDGET:.0%} budget")
     recovery = result["faulted_recovery"]
     if not recovery["identical_trace"]:
         failures.append("faulted r=2 run diverged from the fault-free trace")
@@ -339,19 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         if key.startswith("identical_") and not same)
     if not keyed["interruptions"]:
         failures.append("the keyed-fault outage never interrupted SimBA")
-
-    for failure in failures:
-        print(f"[bench_resilience] FAIL: {failure}")
-    if failures:
-        return 1
-
-    if args.smoke:
-        print("[bench_resilience] smoke OK")
-    else:
-        out_path = Path(args.out)
-        out_path.write_text(json.dumps(result, indent=2) + "\n")
-        print(f"[bench_resilience] wrote {out_path}")
-    return 0
+    return finish("resilience", result, failures, args.smoke)
 
 
 if __name__ == "__main__":

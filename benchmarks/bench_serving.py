@@ -9,9 +9,14 @@ Three measurements:
    curve of a bounded-queue server.
 2. **batched speedup** — the acceptance gate: the same timeline served
    with micro-batching (``max_batch_size=B``) vs one query at a time
-   (``max_batch_size=1``), measured in *wall-clock* time.  Coalescing B
-   queries into one ``engine.retrieve_batch`` runs one model forward
-   instead of B, so batched throughput must be at least 2x sequential.
+   (``max_batch_size=1``), measured in *wall-clock* time as an
+   interleaved A/B through ``common.interleave``.  Coalescing B queries
+   into one ``engine.retrieve_batch`` runs one model forward instead of
+   B, so the median warm ratio (one world per configuration, traces
+   warm, no embedding cache) must be at least 2x.  The cold ratio — a
+   fresh world per run, so every new batch shape traces inside the
+   timed run — is reported beside it and gated against its recorded
+   value.
 3. **determinism** — the same timeline replayed twice must produce
    identical statuses, per-tenant counts, and virtual makespan.
 
@@ -33,22 +38,23 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_serving.py --churn --smoke   # CI
 
 The full run records ``BENCH_serving.json`` at the repo root and gates
-the batched speedup at 2x.  ``--smoke`` shrinks the workload and relaxes
-the gate to 1.5x (re-measuring once to damp scheduler flake); it never
-writes the JSON.
+the warm batched speedup at 2x.  ``--smoke`` runs the same workload,
+relaxes that gate to 1.5x and never writes the JSON.  Both fail when
+the cold speedup fell more than 10% under its recorded value.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from common import finish, interleave, recorded, regressions  # noqa: E402
 from repro.qa.reference import replay_sequential  # noqa: E402
 from repro.qa.world import build_world, tiny_videos  # noqa: E402
 from repro.serving import (  # noqa: E402
@@ -66,6 +72,17 @@ BASE_CONFIG = ServingConfig(
     service_base_s=0.004, service_per_item_s=0.001,
     tenants={"bulk-miner": TenantPolicy(priority="bulk")},
 )
+
+#: Requests per tenant per measurement, and interleaved wall-clock rounds.
+PER_TENANT, ROUNDS = 40, 42
+
+#: Required median warm batched-vs-sequential wall speedup (full run,
+#: ``--smoke``), and pooled-vs-single virtual speedup at 2x load.
+MIN_SPEEDUP, SMOKE_MIN_SPEEDUP = 2.0, 1.5
+MIN_POOL_SPEEDUP = 1.5
+
+#: Median ratios gated against the recorded baseline.
+REGRESSION_CHECKS = ["batched_speedup.cold_speedup"]
 
 #: Nominal capacity of the cost model at full batches: B queries every
 #: ``base + per_item * B`` seconds.
@@ -113,39 +130,45 @@ def bench_offered_load(per_tenant: int, seed: int = 13) -> list[dict]:
     return points
 
 
-def _timed_run(config: ServingConfig, timeline, repeats: int):
-    """Best-of-``repeats`` wall-clock seconds for one configuration."""
-    best_s, report = float("inf"), None
-    for _ in range(repeats):
-        world = build_world(41)
-        frontend = ServingFrontend(world.service, config)
-        start = time.perf_counter()
-        report = frontend.run(timeline)
-        best_s = min(best_s, time.perf_counter() - start)
-    return best_s, report
-
-
-def bench_batched_speedup(per_tenant: int, repeats: int,
-                          seed: int = 17) -> dict:
+def bench_batched_speedup(per_tenant: int, seed: int = 17) -> dict:
     """Wall-clock: micro-batched front end vs one-query-at-a-time."""
     timeline = make_timeline(seed, CAPACITY_QPS, per_tenant)
     # A large queue keeps both runs shed-free so they serve identical
     # work; only the batch size differs.
     batched_config = BASE_CONFIG.with_(queue_capacity=4096)
     sequential_config = batched_config.with_(max_batch_size=1)
-    _timed_run(batched_config, timeline, 1)  # warm-up both code paths
-    _timed_run(sequential_config, timeline, 1)
-    batched_s, batched = _timed_run(batched_config, timeline, repeats)
-    sequential_s, sequential = _timed_run(sequential_config, timeline,
-                                          repeats)
+
+    configs = {"sequential": sequential_config, "batched": batched_config}
+
+    def setup(config, world=None):
+        # Without a world, each run serves from a fresh one: cold traces.
+        world = world if world is not None else build_world(41)
+        frontend = ServingFrontend(world.service, config)
+        return lambda: frontend.run(timeline)
+
+    timing = interleave({name: partial(setup, config, build_world(41))
+                         for name, config in configs.items()}, ROUNDS)
+    cold_timing = interleave({name: partial(setup, config)
+                              for name, config in configs.items()}, ROUNDS)
+    batched = timing.results["batched"]
+    sequential = timing.results["sequential"]
+    speedup = timing.ratio("sequential", "batched")
+    cold_speedup = cold_timing.ratio("sequential", "batched")
     return {
         "requests": len(timeline),
         "max_batch_size": batched_config.max_batch_size,
-        "batched_wall_s": batched_s,
-        "sequential_wall_s": sequential_s,
-        "speedup": sequential_s / batched_s,
-        "batched_wall_qps": batched.served / batched_s,
-        "sequential_wall_qps": sequential.served / sequential_s,
+        "rounds": ROUNDS,
+        "batched_wall_s": timing.median("batched"),
+        "sequential_wall_s": timing.median("sequential"),
+        "speedup": speedup["median"],
+        "speedup_iqr": speedup["iqr"],
+        "batched_wall_qps": batched.served / timing.median("batched"),
+        "sequential_wall_qps":
+            sequential.served / timing.median("sequential"),
+        "cold_batched_wall_s": cold_timing.median("batched"),
+        "cold_sequential_wall_s": cold_timing.median("sequential"),
+        "cold_speedup": cold_speedup["median"],
+        "cold_speedup_iqr": cold_speedup["iqr"],
         "same_served": batched.served == sequential.served,
         "same_tenant_counts":
             batched.served_by_tenant == sequential.served_by_tenant,
@@ -252,57 +275,36 @@ def bench_churn(per_tenant: int, seed: int = 29) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Benchmark the serving front end.")
-    parser.add_argument("--per-tenant", type=int, default=40,
-                        help="requests per tenant per measurement")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="wall-clock runs per configuration (min kept)")
-    parser.add_argument("--min-speedup", type=float, default=2.0,
-                        help="required batched-vs-sequential wall speedup")
     parser.add_argument("--smoke", action="store_true",
-                        help="CI gate: small workload, 1.5x speedup gate, "
-                             "no JSON output")
+                        help=f"CI gate: {SMOKE_MIN_SPEEDUP}x warm speedup "
+                             "gate, no JSON output")
     parser.add_argument("--churn", action="store_true",
                         help="also measure worker-pool scaling and the "
                              "mutating-timeline (churn) path, gating the "
-                             "pooled virtual speedup at 1.5x")
-    parser.add_argument("--min-pool-speedup", type=float, default=1.5,
-                        help="required pooled-vs-single virtual speedup "
-                             "at 2x load (--churn only)")
-    parser.add_argument("--out", default=str(REPO_ROOT /
-                                             "BENCH_serving.json"),
-                        help="output JSON path (full runs only)")
+                             f"pooled virtual speedup at {MIN_POOL_SPEEDUP}x")
     args = parser.parse_args(argv)
 
-    per_tenant = 12 if args.smoke else args.per_tenant
-    repeats = 1 if args.smoke else args.repeats
-    min_speedup = 1.5 if args.smoke else args.min_speedup
-
-    speedup = bench_batched_speedup(per_tenant, repeats)
-    if speedup["speedup"] < min_speedup:
-        # One re-measure damps scheduler/turbo flake before failing.
-        print(f"[bench_serving] speedup {speedup['speedup']:.2f}x under "
-              f"{min_speedup:.1f}x gate; re-measuring once")
-        speedup = bench_batched_speedup(per_tenant, max(repeats, 2))
-
+    min_speedup = SMOKE_MIN_SPEEDUP if args.smoke else MIN_SPEEDUP
+    speedup = bench_batched_speedup(PER_TENANT)
     result = {
         "bench": "serving",
         "timestamp": time.time(),
         "smoke": args.smoke,
         "capacity_qps": CAPACITY_QPS,
-        "offered_load": bench_offered_load(per_tenant),
+        "offered_load": bench_offered_load(PER_TENANT),
         "batched_speedup": speedup,
-        "determinism": bench_determinism(per_tenant),
+        "determinism": bench_determinism(PER_TENANT),
     }
     if args.churn:
-        result["worker_scaling"] = bench_worker_scaling(per_tenant)
-        result["churn"] = bench_churn(max(4, per_tenant // 2))
-    print(json.dumps(result, indent=2))
+        result["worker_scaling"] = bench_worker_scaling(PER_TENANT)
+        result["churn"] = bench_churn(PER_TENANT // 2)
 
     failures = []
     if speedup["speedup"] < min_speedup:
         failures.append(
             f"batched wall speedup {speedup['speedup']:.2f}x is under the "
             f"{min_speedup:.1f}x gate")
+    failures += regressions(result, recorded("serving"), REGRESSION_CHECKS)
     if not speedup["same_served"] or not speedup["same_tenant_counts"]:
         failures.append("batched and sequential runs served different work")
     determinism = result["determinism"]
@@ -319,10 +321,10 @@ def main(argv: list[str] | None = None) -> int:
         scaling = result["worker_scaling"]
         if not scaling["same_served"]:
             failures.append("worker counts served different work")
-        if scaling["pooled_speedup"] < args.min_pool_speedup:
+        if scaling["pooled_speedup"] < MIN_POOL_SPEEDUP:
             failures.append(
                 f"pooled virtual speedup {scaling['pooled_speedup']:.2f}x "
-                f"at 2x load is under the {args.min_pool_speedup:.1f}x gate")
+                f"at 2x load is under the {MIN_POOL_SPEEDUP:.1f}x gate")
         churn = result["churn"]
         for key in ("identical_statuses", "identical_tenant_counts",
                     "identical_ledger", "identical_events"):
@@ -330,19 +332,7 @@ def main(argv: list[str] | None = None) -> int:
                 failures.append(
                     f"mutating timeline diverged between the pooled "
                     f"front end and the sequential reference ({key})")
-
-    for failure in failures:
-        print(f"[bench_serving] FAIL: {failure}")
-    if failures:
-        return 1
-
-    if args.smoke:
-        print("[bench_serving] smoke OK")
-    else:
-        out_path = Path(args.out)
-        out_path.write_text(json.dumps(result, indent=2) + "\n")
-        print(f"[bench_serving] wrote {out_path}")
-    return 0
+    return finish("serving", result, failures, args.smoke)
 
 
 if __name__ == "__main__":

@@ -2,24 +2,33 @@
 # One-stop verification entry point for CI and pre-PR checks:
 #   1. the tier-1 pytest suite (every test directory, including the
 #      resilience, qa, serving, hashindex and env-flag suites),
-#   2. the observability overhead smoke bench,
-#   3. the perf hot-path smoke bench (gates against BENCH_perf.json),
-#   4. the resilience overhead smoke bench (gates the <5% fault-free
-#      wrapper overhead contract),
+#   2. the observability overhead smoke bench (prints the median
+#      tracing-on vs tracing-off ratio; no gate),
+#   3. the perf hot-path smoke bench (gates its median speedups against
+#      BENCH_perf.json),
+#   4. the resilience smoke bench (gates the <5% median fault-free
+#      wrapper overhead, exact fault recovery and keyed-fault equality),
 #   5. the qa golden-trace regression gate (on the production trace-replay
 #      forward; tier-1's golden test also pins every golden on the eager
 #      reference forward),
-#   6. the serving smoke bench (gates the 1.5x batched-throughput floor
-#      and timeline determinism), the slow/churn-marked gallery stress
-#      tests, and the worker-pool + churn smoke bench (gates the 1.5x
-#      pooled virtual speedup and sequential-vs-pooled mutating-timeline
-#      equality),
-#   7. the ANN smoke bench (gates recall@10 >= 0.9 and the memmap
+#   6. the paper benches in quick mode (all 15 tables and figures with
+#      their shape claims, on a fresh fixture cache so no stale victim
+#      or surrogate masks a change; tables go to a temporary directory,
+#      never results/),
+#   7. the serving smoke bench (gates the 1.5x warm batched-throughput
+#      floor, the cold ratio against BENCH_serving.json, and timeline
+#      determinism), the slow/churn-marked gallery stress tests, and the
+#      worker-pool + churn smoke bench (gates the 1.5x pooled virtual
+#      speedup and sequential-vs-pooled mutating-timeline equality),
+#   8. the ANN smoke bench (gates recall@10 >= 0.9 and the memmap
 #      residency ceiling),
-#   8. the trace-and-fuse smoke bench (gates the 1.3x replay floor and
-#      replay's bit-identity to eager),
-#   9. the attack strategy grid smoke bench (every registry composition
+#   9. the trace-and-fuse smoke bench (gates the 1.3x replay floor, the
+#      median speedups against BENCH_jit.json and replay's bit-identity
+#      to eager),
+#  10. the attack strategy grid smoke bench (every registry composition
 #      under budget against the stateful detector + admission control).
+# Every CI bench times its A/B configurations through the interleaved
+# runner in benchmarks/common.py and gates medians of its time ratios.
 # Smoke benches only print: none of them rewrites a committed BENCH_*.json.
 set -euo pipefail
 
@@ -40,6 +49,13 @@ python benchmarks/bench_resilience.py --smoke
 
 echo "== qa golden-trace gate =="
 python -m repro.qa.regen --check
+
+echo "== paper benches, quick mode (fresh fixture cache) =="
+paper_tmp="$(mktemp -d)"
+trap 'rm -rf "$paper_tmp"' EXIT
+REPRO_BENCH_QUICK=1 REPRO_CACHE="$paper_tmp/cache" \
+    REPRO_RESULTS="$paper_tmp/results" \
+    python -m pytest -q benchmarks/ --benchmark-disable
 
 echo "== serving smoke bench =="
 python benchmarks/bench_serving.py --smoke

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from repro.errors import RetrievalUnavailable
 from repro.retrieval.engine import RetrievalEngine
 from repro.retrieval.lists import RetrievalEntry, RetrievalList
 from repro.video.types import Video
@@ -51,17 +52,44 @@ class EnsembleEngine:
         per video.  Every member
         owns its own gallery, so a gallery snapshot cannot pin the
         ensemble: ``snapshots`` must be ``None``.
+
+        A member outage settles as :meth:`RetrievalEngine.retrieve_batch`
+        does, as if each video had been retrieved in turn: members after
+        the failing one search only the rows it served, the propagating
+        :class:`~repro.errors.RetrievalUnavailable` carries the fused
+        lists of the rows every member served (``served``,
+        ``served_count``), and the fault events earlier members recorded
+        for rows after the failing one are withdrawn.
         """
         if snapshots is not None:
             raise ValueError(
                 "EnsembleEngine: snapshot-pinned retrieval is not "
                 "supported; each member owns its own gallery")
+        ids = list(range(len(videos))) if query_ids is None \
+            else list(query_ids)
+        plans = list({id(plan): plan for plan in
+                      (engine.gallery.fault_plan for engine in self.engines)
+                      if plan is not None}.values())
+        marks = [len(plan.events) for plan in plans]
         depth = 2 * int(m)
-        per_member = [engine.retrieve_batch(videos, depth,
-                                            query_ids=query_ids)
-                      for engine in self.engines]
-        return [self._fuse([results[row] for results in per_member], m)
-                for row in range(len(videos))]
+        per_member, failure, count = [], None, len(videos)
+        for engine in self.engines:
+            try:
+                per_member.append(engine.retrieve_batch(
+                    videos[:count], depth, query_ids=ids[:count]))
+            except RetrievalUnavailable as exc:
+                failure, count = exc, exc.served_count
+                per_member.append(exc.served)
+        fused = [self._fuse([results[row] for results in per_member], m)
+                 for row in range(count)]
+        if failure is None:
+            return fused
+        unsent = set(ids[count + 1:])
+        for plan, mark in zip(plans, marks):
+            plan.events[mark:] = [event for event in plan.events[mark:]
+                                  if event.query not in unsent]
+        failure.served, failure.served_count = fused, count
+        raise failure
 
     def _fuse(self, results: list[RetrievalList], m: int) -> RetrievalList:
         scores: dict[str, float] = defaultdict(float)

@@ -33,10 +33,12 @@ def evaluate_map(engine, queries, m: int = 10) -> float:
 
     A returned gallery video counts as correct when it shares the query's
     label — the standard protocol for category-level video retrieval.
+    Each query's position is its logical query id, so an installed
+    :class:`~repro.resilience.FaultPlan` draws per query.
     """
     relevances = []
-    for video in queries:
-        result = engine.retrieve(video, m)
+    for position, video in enumerate(queries):
+        result = engine.retrieve_batch([video], m, query_ids=[position])[0]
         relevances.append([entry.label == video.label for entry in result])
     return mean_average_precision(relevances)
 

@@ -1,12 +1,17 @@
 """Tests for the extension defenses: ensemble retrieval + stateful detection."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.defenses import EnsembleEngine, StatefulQueryDetector, query_fingerprint
+from repro.errors import RetrievalUnavailable
 from repro.models import create_feature_extractor
 from repro.qa.comparators import assert_retrieval_lists_equal
 from repro.qa.pairs import _qa_priors, duo_query_attack
+from repro.qa.world import build_world, tiny_extractor
+from repro.resilience import ANY_NODE, FaultPlan
 from repro.retrieval import RetrievalEngine, RetrievalService
 from repro.serving import (
     ServingConfig,
@@ -111,6 +116,43 @@ class TestEnsembleEngine:
         member_b = ensemble.engines[1].retrieve(query, m=6).ids
         if member_a != member_b:
             assert fused != member_a or fused != member_b
+
+
+def test_member_outage_settles_like_sequential_retrieval():
+    # Member 1 is down for logical query 1 of four.  Retrieving the
+    # videos one at a time stops there: every member serves row 0,
+    # member 0 also serves row 1, and member 2 never sees row 1.
+    world = build_world(5)
+    engines = [world.engine]
+    for seed in (31, 32):
+        engine = RetrievalEngine(tiny_extractor(seed), num_nodes=2,
+                                 cache_size=0)
+        engine.index_videos(world.gallery_videos)
+        engines.append(engine)
+    ensemble = EnsembleEngine(engines)
+    videos = world.gallery_videos[:4]
+
+    def plans():
+        return [FaultPlan(seed=2).corrupt(ANY_NODE, 0.1),
+                FaultPlan(seed=3).outage(ANY_NODE, 1, 2),
+                FaultPlan(seed=4).corrupt(ANY_NODE, 0.1)]
+
+    def installed(plan_list):
+        stack = contextlib.ExitStack()
+        for plan, engine in zip(plan_list, engines):
+            stack.enter_context(plan.install(engine.gallery))
+        return stack
+
+    with installed(plans()):
+        first = ensemble.retrieve_batch(videos[:1], m=4)
+    plan_list = plans()
+    with installed(plan_list), pytest.raises(RetrievalUnavailable) as info:
+        ensemble.retrieve_batch(videos, m=4)
+    assert info.value.served_count == 1
+    assert_retrieval_lists_equal(first, info.value.served)
+    assert {event.query for event in plan_list[0].events} == {0, 1}
+    assert [event.query for event in plan_list[1].events] == [1] * 2
+    assert {event.query for event in plan_list[2].events} == {0}
 
 
 class TestQueryFingerprint:

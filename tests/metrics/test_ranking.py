@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import ap_at_m, average_precision, mean_average_precision
+from repro.metrics import (
+    ap_at_m,
+    average_precision,
+    evaluate_map,
+    mean_average_precision,
+)
+from repro.qa.world import build_world
+from repro.resilience import FaultPlan
 
 
 class TestAveragePrecision:
@@ -79,3 +86,19 @@ class TestApAtM:
     def test_bounds_property(self, list_a, list_b):
         value = ap_at_m(list_a, list_b)
         assert 0.0 <= value <= 1.0
+
+
+def test_evaluate_map_keys_fault_draws_by_query_position():
+    # Each query's position is its logical id, so a flaky node fails on
+    # the same queries as when they are sent one by one with those ids.
+    world = build_world(9)
+    queries = world.gallery_videos
+    expected = FaultPlan(seed=5).flaky("node-1", 0.3)
+    with expected.install(world.engine.gallery):
+        for position, video in enumerate(queries):
+            world.engine.retrieve_batch([video], 4, query_ids=[position])
+    assert {event.query for event in expected.events} - {0}
+    plan = FaultPlan(seed=5).flaky("node-1", 0.3)
+    with plan.install(world.engine.gallery):
+        evaluate_map(world.engine, queries, m=4)
+    assert plan.timeline() == expected.timeline()
