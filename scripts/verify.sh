@@ -17,9 +17,10 @@
 #      never results/),
 #   7. the serving smoke bench (gates the 1.5x warm batched-throughput
 #      floor, the cold ratio against BENCH_serving.json, and timeline
-#      determinism), the slow/churn-marked gallery stress tests, and the
-#      worker-pool + churn smoke bench (gates the 1.5x pooled virtual
-#      speedup and sequential-vs-pooled mutating-timeline equality),
+#      determinism), the slow/churn-marked gallery stress tests (on the
+#      exact, hamming and ivfpq tiers), and the worker-pool + churn smoke
+#      bench (gates the 1.5x pooled virtual speedup and
+#      sequential-vs-pooled mutating-timeline equality),
 #   8. the ANN smoke bench (gates recall@10 >= 0.9 and the memmap
 #      residency ceiling),
 #   9. the trace-and-fuse smoke bench (gates the 1.3x replay floor, the

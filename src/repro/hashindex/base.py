@@ -14,13 +14,13 @@ two-stage contract:
 
 Both stages run inside :meth:`CompressedIndex.scan`, the array
 primitive of the :class:`~repro.retrieval.protocol.ScanIndex` protocol:
-it returns best-first ``(scores, rows)`` arrays, honours a snapshot
-reader's watermark and tombstone mask by over-fetching past the rows it
-must skip, and builds no entry objects.  ``search``/``search_batch``
-wrap it into :class:`~repro.retrieval.lists.RetrievalEntry` lists.
+it returns best-first ``(scores, rows)`` arrays over the payload built
+for the reader's watermark, drops the rows its tombstone mask hides,
+and builds no entry objects.
 
 This base class shares the :class:`~repro.retrieval.index.RowBuffer`
-row store with ``FeatureIndex`` and owns lazy builds, the exact-feature
+row store (and its ``search``/``search_batch`` wrappers) with
+``FeatureIndex`` and owns the per-watermark builds, the exact-feature
 payload (optionally spilled to a :class:`~repro.hashindex.store.MemmapStore`),
 the rerank stage, and the obs counters every compressed search reports:
 ``hashindex.candidates_scanned``, ``hashindex.rerank_depth``, and the
@@ -29,23 +29,42 @@ store's ``hashindex.bytes_mapped``.
 
 from __future__ import annotations
 
-from typing import Sequence
+import copy
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.obs import counter, histogram
-from repro.retrieval.index import (
-    RowBuffer, as_query_matrix, empty_scan, scan_entries, top_k)
-from repro.retrieval.lists import RetrievalEntry
+from repro.retrieval.index import RowBuffer, as_query_matrix, empty_scan, top_k
 from repro.retrieval.similarity import SimilarityFn, negative_l2
 from repro.hashindex.store import MemmapStore
+from repro.utils.seeding import seeded_rng
 
 #: Rerank depths observed per query, bucketed for the obs histogram.
 RERANK_DEPTH_BUCKETS = (1, 4, 16, 64, 256, 1024, 4096)
 
 
+@dataclass(frozen=True)
+class Build:
+    """One immutable payload over an index's first ``rows`` rows: their
+    exact features plus (per tier subclass) the coder or cells and codes."""
+
+    rows: int
+    exact: np.ndarray
+
+
 class CompressedIndex(RowBuffer):
     """Base class: buffered rows + compressed scan + exact rerank.
+
+    **One snapshot rule.**  A scan at watermark ``w`` reads a
+    :class:`Build` that is a pure function of ``(rng, rows[:w])``: each
+    build draws from a fresh copy of the constructor's generator state,
+    so neither later appends nor earlier reads change what a reader
+    sees.  Tombstoned rows stay in the build; the scan's ``hidden`` mask
+    drops them.  The latest build is cached (one slot), built under a
+    per-index lock and published by one assignment; a scan reads only
+    the one build it took.
 
     Parameters
     ----------
@@ -55,6 +74,8 @@ class CompressedIndex(RowBuffer):
     rerank:
         Candidate depth the compressed scan over-fetches per query; the
         effective depth is ``min(len(index), max(k, rerank))``.
+    rng:
+        Seed or generator every build copies (never advances).
     store:
         Optional :class:`MemmapStore`; when set (or ``memmap=True``
         builds an owned temp store), codes and the exact float payload
@@ -65,7 +86,7 @@ class CompressedIndex(RowBuffer):
     tier = "compressed"
 
     def __init__(self, similarity: SimilarityFn = negative_l2,
-                 rerank: int = 64, *,
+                 rerank: int = 64, rng=None, *,
                  store: MemmapStore | None = None,
                  memmap: bool = False) -> None:
         if rerank < 1:
@@ -75,57 +96,52 @@ class CompressedIndex(RowBuffer):
         self.store = store if store is not None else (
             MemmapStore() if memmap else None)
         super().__init__()
-        self._exact: np.ndarray | None = None
-        self._dirty = True
-
-    def add_batch(self, ids: Sequence[str], labels: Sequence[int],
-                  features: np.ndarray) -> None:
-        """Buffer many rows; the compressed payload rebuilds lazily."""
-        before = len(self)
-        super().add_batch(ids, labels, features)
-        self._dirty = self._dirty or len(self) != before
+        self._seed = copy.deepcopy(seeded_rng(rng))
+        self._lock = threading.Lock()
+        self._built: Build | None = None
 
     # ------------------------------------------------------------------ #
     # Build
     # ------------------------------------------------------------------ #
-    def build(self) -> None:
-        """(Re)build the compressed payload from the buffered rows."""
-        if not self._dirty:
-            return
-        if not self._features:
-            self._exact = None
-            self._dirty = False
-            return
-        matrix = np.stack(self._features)
-        if self.store is not None:
-            self._exact = self.store.put("exact_features", matrix)
-        else:
-            self._exact = matrix
-        self._build_compressed(matrix)
-        self._dirty = False
+    def build(self, rows: int | None = None) -> Build | None:
+        """The payload over the first ``rows`` rows (all by default);
+        ``None`` when there are none."""
+        rows = len(self) if rows is None else min(int(rows), len(self))
+        with self._lock:
+            built = self._built
+            if rows and (built is None or built.rows != rows):
+                matrix = np.stack(self._features[:rows])
+                built = self._built = self._build(
+                    rows, self._put("exact_features", matrix), matrix,
+                    copy.deepcopy(self._seed))
+        return built if rows else None
 
-    def _ensure_built(self) -> None:
-        if self._dirty:
-            self.build()
+    def _put(self, name: str, array: np.ndarray) -> np.ndarray:
+        """``array``, memory-mapped under ``name`` when there is a store."""
+        return array if self.store is None else self.store.put(name, array)
 
-    def _build_compressed(self, matrix: np.ndarray) -> None:
-        """Train/encode the compressed representation of ``matrix``."""
+    def _build(self, rows: int, exact: np.ndarray, matrix: np.ndarray,
+               rng: np.random.Generator) -> Build:
+        """Train/encode the tier's payload over ``matrix`` with ``rng``."""
         raise NotImplementedError
 
-    def _candidates(self, queries: np.ndarray, depth: int) -> list[np.ndarray]:
+    def _candidates(self, built: Build, queries: np.ndarray,
+                    depth: int) -> list[np.ndarray]:
         """Per-query candidate row indexes from the compressed scan.
 
-        Must return at most ``depth`` rows per query, already ranked by
-        the compressed metric (ties broken deterministically).
+        Must return at most ``depth`` rows of ``built`` per query,
+        already ranked by the compressed metric (ties broken
+        deterministically).
         """
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
     # Search = compressed scan + exact rerank
     # ------------------------------------------------------------------ #
-    def effective_rerank(self, k: int) -> int:
-        """Candidate depth used for a top-``k`` query."""
-        return min(len(self), max(int(k), self.rerank))
+    def effective_rerank(self, k: int, rows: int | None = None) -> int:
+        """Candidate depth used for a top-``k`` query over ``rows`` rows."""
+        return min(len(self) if rows is None else rows,
+                   max(int(k), self.rerank))
 
     def scan(self, queries: np.ndarray, k: int, rows: int | None = None,
              hidden: np.ndarray | None = None
@@ -135,23 +151,21 @@ class CompressedIndex(RowBuffer):
         Same contract as :meth:`FeatureIndex.scan
         <repro.retrieval.index.FeatureIndex.scan>`: only the first
         ``rows`` rows count, rows flagged in ``hidden`` never surface,
-        and ``k' = min(k, visible rows)``.  The compressed scan cannot
-        skip rows, so it over-fetches by every row this read must not
-        see and drops them before the exact rerank; queries left with
-        fewer than ``k'`` candidates are padded with ``-inf``/``-1``.
+        and ``k' = min(k, visible rows)``.  The scan reads the build
+        over exactly those rows; it over-fetches by the hidden rows and
+        drops them before the exact rerank, and queries left with fewer
+        than ``k'`` candidates are padded with ``-inf``/``-1``.
         """
         queries = as_query_matrix(queries)
         batch = queries.shape[0]
-        total = len(self._ids)
-        rows = total if rows is None else min(int(rows), total)
-        skipped = total - rows + (0 if hidden is None
-                                  else int(np.count_nonzero(hidden)))
-        width = min(int(k), total - skipped)
+        rows = len(self) if rows is None else min(int(rows), len(self))
+        skipped = 0 if hidden is None else int(np.count_nonzero(hidden))
+        width = min(int(k), rows - skipped)
         if width <= 0:
             return empty_scan(batch)
-        self._ensure_built()
+        built = self.build(rows)
         candidate_rows = self._candidates(
-            queries, self.effective_rerank(int(k) + skipped))
+            built, queries, self.effective_rerank(int(k) + skipped, rows))
         scanned = int(sum(candidates.size for candidates in candidate_rows))
         counter("hashindex.candidates_scanned", tier=self.tier).inc(scanned)
         depth_histogram = histogram("hashindex.rerank_depth",
@@ -163,31 +177,20 @@ class CompressedIndex(RowBuffer):
                 zip(queries, candidate_rows)):
             depth_histogram.observe(candidates.size)
             if skipped:
-                candidates = candidates[candidates < rows]
-                if hidden is not None:
-                    candidates = candidates[~hidden[candidates]]
-            best, picked = self._rerank_one(query, candidates, width)
+                candidates = candidates[~hidden[candidates]]
+            best, picked = self._rerank_one(built.exact, query, candidates,
+                                            width)
             scores[position, :best.size] = best
             found[position, :picked.size] = picked
         counter("hashindex.searches", tier=self.tier).inc(batch)
         return scores, found
 
-    def search(self, query: np.ndarray, k: int) -> list[RetrievalEntry]:
-        """Exact-reranked top-``k``; an empty index returns ``[]``."""
-        query = np.asarray(query, dtype=np.float64).reshape(1, -1)
-        return self.search_batch(query, k)[0]
-
-    def search_batch(self, queries: np.ndarray, k: int
-                     ) -> list[list[RetrievalEntry]]:
-        """Top-``k`` for each row of a ``(B, d)`` query matrix."""
-        return scan_entries(self, *self.scan(queries, k))
-
-    def _rerank_one(self, query: np.ndarray, rows: np.ndarray,
-                    k: int) -> tuple[np.ndarray, np.ndarray]:
+    def _rerank_one(self, exact: np.ndarray, query: np.ndarray,
+                    rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Rescore candidate ``rows`` exactly; the best ``k`` of them."""
         if rows.size == 0:
             return np.empty(0), rows
-        gathered = np.asarray(self._exact[rows], dtype=np.float64)
+        gathered = np.asarray(exact[rows], dtype=np.float64)
         scores = self.similarity(query, gathered)
         best, order = top_k(scores[None, :], min(k, rows.size))
         return best[0], rows[order[0]]
@@ -195,20 +198,20 @@ class CompressedIndex(RowBuffer):
     # ------------------------------------------------------------------ #
     # Memory accounting (BENCH_ann)
     # ------------------------------------------------------------------ #
-    def _resident_payload_bytes(self) -> int:
-        """Bytes of compressed payload held in RAM (subclass-specific)."""
+    def _resident_payload_bytes(self, built: Build) -> int:
+        """Bytes of ``built``'s compressed payload held in RAM."""
         raise NotImplementedError
 
     def memory_stats(self) -> dict:
         """Resident vs mapped bytes, plus the float-footprint baseline."""
-        self._ensure_built()
-        float_bytes = 0 if self._exact is None else int(self._exact.nbytes)
-        exact_resident = 0 if (self._exact is None or self.store is not None) \
-            else float_bytes
+        built = self.build()
+        float_bytes = 0 if built is None else int(built.exact.nbytes)
+        resident = 0 if built is None else self._resident_payload_bytes(built)
         return {
             "rows": len(self),
             "float_feature_bytes": float_bytes,
-            "resident_bytes": self._resident_payload_bytes() + exact_resident,
+            "resident_bytes": resident + (0 if self.store is not None
+                                          else float_bytes),
             "mapped_bytes": 0 if self.store is None else self.store.mapped_bytes,
         }
 
@@ -226,4 +229,4 @@ class CompressedIndex(RowBuffer):
         return total / len(queries)
 
 
-__all__ = ["CompressedIndex", "RERANK_DEPTH_BUCKETS"]
+__all__ = ["Build", "CompressedIndex", "RERANK_DEPTH_BUCKETS"]

@@ -11,13 +11,22 @@ target.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.hashindex.base import CompressedIndex
+from repro.hashindex.base import Build, CompressedIndex
 from repro.hashindex.codes import create_coder, hamming_topk
 from repro.hashindex.store import MemmapStore
 from repro.retrieval.similarity import SimilarityFn, negative_l2
-from repro.utils.seeding import seeded_rng
+
+
+@dataclass(frozen=True)
+class HammingBuild(Build):
+    """A :class:`Build` plus the fitted coder and the packed codes."""
+
+    coder: object
+    codes: np.ndarray
 
 
 class BinaryHashIndex(CompressedIndex):
@@ -40,37 +49,28 @@ class BinaryHashIndex(CompressedIndex):
                  similarity: SimilarityFn = negative_l2, rerank: int = 64,
                  rng=None, *, store: MemmapStore | None = None,
                  memmap: bool = False) -> None:
-        super().__init__(similarity=similarity, rerank=rerank, store=store,
-                         memmap=memmap)
+        super().__init__(similarity=similarity, rerank=rerank, rng=rng,
+                         store=store, memmap=memmap)
         self.nbits = int(nbits)
         self.coder_name = str(coder)
-        self._rng = seeded_rng(rng)
-        self._coder = None
-        self._codes: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
-    def _build_compressed(self, matrix: np.ndarray) -> None:
-        self._coder = create_coder(self.coder_name, self.nbits,
-                                   rng=self._rng)
-        self._coder.fit(matrix)
-        codes = self._coder.encode(matrix)
-        if self.store is not None:
-            codes = self.store.put("hamming_codes", codes)
-        self._codes = codes
+    def _build(self, rows: int, exact: np.ndarray, matrix: np.ndarray,
+               rng: np.random.Generator) -> HammingBuild:
+        coder = create_coder(self.coder_name, self.nbits, rng=rng).fit(matrix)
+        return HammingBuild(rows, exact, coder,
+                            self._put("hamming_codes", coder.encode(matrix)))
 
-    def _candidates(self, queries: np.ndarray, depth: int) -> list[np.ndarray]:
-        query_codes = self._coder.encode(queries)
-        indexes, _ = hamming_topk(query_codes, self._codes, depth)
+    def _candidates(self, built: HammingBuild, queries: np.ndarray,
+                    depth: int) -> list[np.ndarray]:
+        indexes, _ = hamming_topk(built.coder.encode(queries), built.codes,
+                                  depth)
         return list(indexes)
 
-    def _resident_payload_bytes(self) -> int:
-        payload = 0
-        if self._codes is not None and self.store is None:
-            payload += int(self._codes.nbytes)
-        if self._coder is not None and self._coder.fitted:
-            payload += int(self._coder._projection.nbytes)
-            payload += int(self._coder._mean.nbytes)
-        return payload
+    def _resident_payload_bytes(self, built: HammingBuild) -> int:
+        codes = 0 if self.store is not None else int(built.codes.nbytes)
+        return codes + int(built.coder._projection.nbytes) \
+            + int(built.coder._mean.nbytes)
 
 
 __all__ = ["BinaryHashIndex"]

@@ -16,9 +16,9 @@ tier:
   followed by the iterative-quantization rotation (Gong et al.), which
   balances bit variance and markedly improves recall at equal bits.
 
-Both coders are deterministic given an rng and are ``fit`` once on the
-gallery matrix; queries are encoded with the frozen projection so query
-and gallery codes live in the same Hamming space.
+Both subclass :class:`SignCoder`, are deterministic given an rng and
+are ``fit`` once on the gallery matrix; queries are encoded with the
+frozen projection so query and gallery codes share one Hamming space.
 """
 
 from __future__ import annotations
@@ -143,17 +143,11 @@ def hamming_topk(query_words: np.ndarray, gallery_words: np.ndarray,
 # ---------------------------------------------------------------------- #
 # Coders
 # ---------------------------------------------------------------------- #
-class RandomProjectionCoder:
-    """Sign-of-random-projection LSH codes.
+class SignCoder:
+    """Codes are the signs of the centered projection ``(x − mean) @ P``.
 
-    ``fit`` centers the gallery and draws ``nbits`` Gaussian directions;
-    ``encode`` thresholds the centered projection at zero.  Random
-    hyperplanes preserve angles in expectation (classic SimHash), so
-    Hamming distance tracks cosine/ℓ2 neighbourhoods well enough for a
-    rerank stage to recover the exact ranking.
+    Subclasses ``fit`` the mean and the ``(d, nbits)`` projection ``P``.
     """
-
-    name = "lsh"
 
     def __init__(self, nbits: int = 128, rng=None) -> None:
         if nbits < 1:
@@ -167,13 +161,6 @@ class RandomProjectionCoder:
     def fitted(self) -> bool:
         return self._projection is not None
 
-    def fit(self, matrix: np.ndarray) -> "RandomProjectionCoder":
-        matrix = np.asarray(matrix, dtype=np.float64)
-        self._mean = matrix.mean(axis=0)
-        self._projection = self._rng.normal(
-            size=(matrix.shape[1], self.nbits))
-        return self
-
     def encode(self, matrix: np.ndarray) -> np.ndarray:
         """``(n, d)`` floats → ``(n, words)`` packed codes."""
         if not self.fitted:
@@ -183,7 +170,27 @@ class RandomProjectionCoder:
         return pack_bits(bits)
 
 
-class ITQCoder:
+class RandomProjectionCoder(SignCoder):
+    """Sign-of-random-projection LSH codes.
+
+    ``fit`` centers the gallery and draws ``nbits`` Gaussian directions;
+    ``encode`` thresholds the centered projection at zero.  Random
+    hyperplanes preserve angles in expectation (classic SimHash), so
+    Hamming distance tracks cosine/ℓ2 neighbourhoods well enough for a
+    rerank stage to recover the exact ranking.
+    """
+
+    name = "lsh"
+
+    def fit(self, matrix: np.ndarray) -> "RandomProjectionCoder":
+        matrix = np.asarray(matrix, dtype=np.float64)
+        self._mean = matrix.mean(axis=0)
+        self._projection = self._rng.normal(
+            size=(matrix.shape[1], self.nbits))
+        return self
+
+
+class ITQCoder(SignCoder):
     """ITQ-lite: PCA projection + iterative quantization rotation.
 
     Alternates ``B = sign(V R)`` with the orthogonal Procrustes update
@@ -198,17 +205,8 @@ class ITQCoder:
 
     def __init__(self, nbits: int = 128, iterations: int = 12,
                  rng=None) -> None:
-        if nbits < 1:
-            raise ValueError("nbits must be positive")
-        self.nbits = int(nbits)
+        super().__init__(nbits, rng)
         self.iterations = int(iterations)
-        self._rng = seeded_rng(rng)
-        self._projection: np.ndarray | None = None
-        self._mean: np.ndarray | None = None
-
-    @property
-    def fitted(self) -> bool:
-        return self._projection is not None
 
     def fit(self, matrix: np.ndarray) -> "ITQCoder":
         matrix = np.asarray(matrix, dtype=np.float64)
@@ -235,14 +233,6 @@ class ITQCoder:
             rotation = (u @ vt_r).T
         self._projection = directions @ rotation
         return self
-
-    def encode(self, matrix: np.ndarray) -> np.ndarray:
-        """``(n, d)`` floats → ``(n, words)`` packed codes."""
-        if not self.fitted:
-            raise RuntimeError("coder must be fit before encoding")
-        matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-        bits = (matrix - self._mean) @ self._projection >= 0.0
-        return pack_bits(bits)
 
 
 #: Coder registry keyed by name (the ``coder=`` knob on the index).

@@ -13,9 +13,11 @@ hands the best ``rerank`` candidates to the exact rescoring stage of
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.hashindex.base import CompressedIndex
+from repro.hashindex.base import Build, CompressedIndex
 from repro.hashindex.store import MemmapStore
 from repro.hashindex.kmeans import _kmeans, assign_clusters, squared_distances
 from repro.retrieval.similarity import SimilarityFn, negative_l2
@@ -101,6 +103,16 @@ class ProductQuantizer:
         return table[np.arange(self.num_subvectors)[None, :], codes].sum(axis=1)
 
 
+@dataclass(frozen=True)
+class IVFPQBuild(Build):
+    """A :class:`Build` plus the coarse cells, the quantizer and the codes."""
+
+    centroids: np.ndarray
+    cells: list[np.ndarray]
+    quantizer: ProductQuantizer
+    codes: np.ndarray  # (rows, M) uint8
+
+
 class IVFPQIndex(CompressedIndex):
     """Coarse IVF cells + PQ codes + ADC ranking + exact rerank.
 
@@ -124,48 +136,45 @@ class IVFPQIndex(CompressedIndex):
                  memmap: bool = False) -> None:
         if num_cells < 1 or nprobe < 1:
             raise ValueError("num_cells and nprobe must be positive")
-        super().__init__(similarity=similarity, rerank=rerank, store=store,
-                         memmap=memmap)
+        ProductQuantizer(num_subvectors, ksub)  # validate the PQ geometry
+        super().__init__(similarity=similarity, rerank=rerank, rng=rng,
+                         store=store, memmap=memmap)
         self.num_cells = int(num_cells)
         self.nprobe = int(nprobe)
-        self._rng = seeded_rng(rng)
-        self.quantizer = ProductQuantizer(num_subvectors=num_subvectors,
-                                          ksub=ksub, rng=self._rng)
-        self._centroids: np.ndarray | None = None
-        self._cells: list[np.ndarray] = []
-        self._codes: np.ndarray | None = None  # (n, M) uint8
+        self.num_subvectors = int(num_subvectors)
+        self.ksub = int(ksub)
 
     # ------------------------------------------------------------------ #
-    def _build_compressed(self, matrix: np.ndarray) -> None:
-        cells = min(self.num_cells, len(matrix))
-        self._centroids = _kmeans(matrix, cells, rng=self._rng)
-        assignment = assign_clusters(matrix, self._centroids)
-        self._cells = [np.flatnonzero(assignment == c)
-                       for c in range(self._centroids.shape[0])]
-        self.quantizer.fit(matrix)
-        codes = self.quantizer.encode(matrix)
-        if self.store is not None:
-            codes = self.store.put("pq_codes", codes)
-            # Codebooks persist alongside the codes; ADC tables index
-            # straight into the read-only mapping.
-            self.quantizer.codebooks = self.store.put(
-                "pq_codebooks", self.quantizer.codebooks)
-        self._codes = codes
+    def _build(self, rows: int, exact: np.ndarray, matrix: np.ndarray,
+               rng: np.random.Generator) -> IVFPQBuild:
+        centroids = _kmeans(matrix, min(self.num_cells, rows), rng=rng)
+        assignment = assign_clusters(matrix, centroids)
+        quantizer = ProductQuantizer(self.num_subvectors, self.ksub,
+                                     rng=rng).fit(matrix)
+        codes = self._put("pq_codes", quantizer.encode(matrix))
+        # Codebooks persist alongside the codes; ADC tables index
+        # straight into the read-only mapping.
+        quantizer.codebooks = self._put("pq_codebooks", quantizer.codebooks)
+        return IVFPQBuild(rows, exact, centroids,
+                          [np.flatnonzero(assignment == cell)
+                           for cell in range(centroids.shape[0])],
+                          quantizer, codes)
 
-    def _candidates(self, queries: np.ndarray, depth: int) -> list[np.ndarray]:
-        cell_distances = squared_distances(queries, self._centroids)
+    def _candidates(self, built: IVFPQBuild, queries: np.ndarray,
+                    depth: int) -> list[np.ndarray]:
+        cell_distances = squared_distances(queries, built.centroids)
         probe_orders = np.argsort(cell_distances, axis=1)[:, : self.nprobe]
         out = []
         for query, probes in zip(queries, probe_orders):
-            members = np.concatenate([self._cells[c] for c in probes])
+            members = np.concatenate([built.cells[c] for c in probes])
             if members.size == 0:
-                # Every probed cell is empty — widen to the full gallery
+                # Every probed cell is empty — widen to the build's rows
                 # so the rerank contract (≥ k candidates when available)
                 # still holds.
-                members = np.arange(len(self._ids))
-            table = self.quantizer.adc_table(query)
-            approx = self.quantizer.adc_distances(
-                table, np.asarray(self._codes[members]))
+                members = np.arange(built.rows)
+            table = built.quantizer.adc_table(query)
+            approx = built.quantizer.adc_distances(
+                table, np.asarray(built.codes[members]))
             take = min(int(depth), members.size)
             head = np.argpartition(approx, take - 1)[:take]
             head.sort()  # canonical order before the value sort
@@ -173,14 +182,11 @@ class IVFPQIndex(CompressedIndex):
             out.append(members[order])
         return out
 
-    def _resident_payload_bytes(self) -> int:
-        payload = 0
-        if self._codes is not None and self.store is None:
-            payload += int(self._codes.nbytes)
-        if self._centroids is not None:
-            payload += int(self._centroids.nbytes)
-        if self.quantizer.fitted and self.store is None:
-            payload += int(self.quantizer.codebooks.nbytes)
+    def _resident_payload_bytes(self, built: IVFPQBuild) -> int:
+        payload = int(built.centroids.nbytes)
+        if self.store is None:
+            payload += int(built.codes.nbytes)
+            payload += int(built.quantizer.codebooks.nbytes)
         return payload
 
 

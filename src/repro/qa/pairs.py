@@ -1052,18 +1052,25 @@ register(OraclePair(
 # ---------------------------------------------------------------------- #
 # scale-out serving: worker pool + live gallery churn
 # ---------------------------------------------------------------------- #
-def _pooled_world(seed: int, replication: int = 1):
+#: Index tiers the serving oracles draw, by position (shrinks to exact).
+_SERVING_TIERS = ("exact", "hamming", "ivfpq")
+
+
+def _pooled_world(seed: int, replication: int = 1, tier: int = 0):
     """A deterministic three-shard world for pooled and churn runs.
 
     Every gallery accepts live mutation, so the mutating timeline draws
     ``replication`` too; replicated reads without churn have their own
     oracle (``gallery.replicated_vs_single``).  No breakers (the pool
-    would fall back to one worker); uncovered reads degrade.
+    would fall back to one worker); uncovered reads degrade.  A
+    compressed ``tier`` gets 160 rows per shard at r = 1, more than its
+    rerank depth (64), so its scans really are approximate.
     """
-    world = build_world(seed % 997, num_videos=12, num_nodes=3,
-                        replication=replication)
+    world = build_world(seed % 997, num_videos=480 if tier else 12,
+                        num_nodes=3, replication=replication)
     world.engine.configure_resilience(world.engine.resilience.with_(
         breaker=None, on_data_loss="degrade"))
+    world.engine.configure_index_tier(_SERVING_TIERS[tier])
     return world
 
 
@@ -1085,7 +1092,7 @@ def _attach_detector(service, detector: int):
 
 
 def _pooled_run(workers: int, seed: int, tenants: int, per_tenant: int,
-                batch: int, detector: int, faults: int = 0):
+                batch: int, detector: int, faults: int = 0, tier: int = 0):
     """A pure-query timeline through the front end at a worker count.
 
     The contract: worker count is semantics-invisible.  Admission,
@@ -1094,9 +1101,9 @@ def _pooled_run(workers: int, seed: int, tenants: int, per_tenant: int,
     arrival/dispatch virtual times, so W workers change virtual
     latencies and throughput but never statuses, rankings, ledgers, or
     what the detector saw — nor, under a drawn flaky + corrupt plan
-    keyed by request index, the faults met.
+    keyed by request index, the faults met — on every index tier.
     """
-    world = _pooled_world(seed)
+    world = _pooled_world(seed, tier=tier)
     attached = _attach_detector(world.service, detector)
     specs = [TenantSpec(f"tenant-{i}", 150.0 + 50.0 * i, per_tenant)
              for i in range(tenants)]
@@ -1120,10 +1127,11 @@ register(OraclePair(
                      "per_tenant": int(rng.integers(1, 6)),
                      "batch": int(rng.integers(2, 7)),
                      "detector": int(rng.integers(0, 2)),
-                     "faults": int(rng.integers(0, 2))},
+                     "faults": int(rng.integers(0, 2)),
+                     "tier": int(rng.integers(0, 3))},
         {"tenants": shrink_int(1), "per_tenant": shrink_int(1),
          "batch": shrink_int(1), "detector": shrink_int(0),
-         "faults": shrink_int(0)},
+         "faults": shrink_int(0), "tier": shrink_int(0)},
     ),
     compare=_serving_compare,
     cases=3,
@@ -1135,11 +1143,11 @@ register(OraclePair(
 
 def _mutating_timeline(seed: int, tenants: int, per_tenant: int,
                        adds: int, deletes: int, reembeds: int,
-                       replication: int):
+                       replication: int, tier: int):
     """One (requests ⊎ events) timeline and its world, deterministically."""
     from repro.serving import generate_churn
 
-    world = _pooled_world(seed, replication)
+    world = _pooled_world(seed, replication, tier)
     specs = [TenantSpec(f"tenant-{i}", 150.0 + 50.0 * i, per_tenant)
              for i in range(tenants)]
     requests = generate_timeline(seed + 11, specs, world.gallery_videos)
@@ -1152,18 +1160,18 @@ def _mutating_timeline(seed: int, tenants: int, per_tenant: int,
 
 def _mutating_run(pooled: bool, seed: int, tenants: int, per_tenant: int,
                   adds: int, deletes: int, reembeds: int, batch: int,
-                  replication: int, detector: int):
+                  replication: int, detector: int, tier: int):
     """Replay a mutating timeline pooled (W=3) or sequentially.
 
     The contract: a query admitted at time t sees exactly the gallery
     version current at t (events before queries on ties), no matter how
     long its batch waits on a worker — snapshot pinning at admission
     makes add/delete/re-embed under traffic linearizable at arrival
-    order, with bit-identical ledgers.
+    order, with bit-identical ledgers, on every index tier.
     """
     world, timeline = _mutating_timeline(seed, tenants, per_tenant,
                                          adds, deletes, reembeds,
-                                         replication)
+                                         replication, tier)
     attached = _attach_detector(world.service, detector)
     config = _pooled_config(batch, 3)
     if pooled:
@@ -1195,11 +1203,13 @@ register(OraclePair(
                      "reembeds": int(rng.integers(0, 4)),
                      "batch": int(rng.integers(2, 7)),
                      "replication": int(rng.integers(1, 3)),
-                     "detector": int(rng.integers(0, 2))},
+                     "detector": int(rng.integers(0, 2)),
+                     "tier": int(rng.integers(0, 3))},
         {"tenants": shrink_int(1), "per_tenant": shrink_int(1),
          "adds": shrink_int(0), "deletes": shrink_int(0),
          "reembeds": shrink_int(0), "batch": shrink_int(1),
-         "replication": shrink_int(1), "detector": shrink_int(0)},
+         "replication": shrink_int(1), "detector": shrink_int(0),
+         "tier": shrink_int(0)},
     ),
     compare=_mutating_compare,
     cases=3,

@@ -52,7 +52,8 @@ class RowBuffer:
     three lengths and extra entries are ignored; ``add`` is the one-row
     batch.  Ids and labels are appended *before* their feature row and
     the row count is the feature count, so a concurrent reader never
-    sees a feature row without its metadata.
+    sees a feature row without its metadata.  Subclasses provide
+    ``scan``; :meth:`search` and :meth:`search_batch` wrap it.
     """
 
     def __init__(self) -> None:
@@ -98,6 +99,18 @@ class RowBuffer:
         """All stored labels (gallery statistics, metric computation)."""
         return list(self._labels)
 
+    def search(self, query: np.ndarray, k: int) -> list[RetrievalEntry]:
+        """The ``k`` best entries, best first: :meth:`search_batch` of
+        one.  An empty index returns ``[]`` for any query shape."""
+        query = np.asarray(query, dtype=np.float64).reshape(1, -1)
+        return self.search_batch(query, k)[0]
+
+    def search_batch(self, queries: np.ndarray, k: int
+                     ) -> list[list[RetrievalEntry]]:
+        """Top-``k`` entries for each row of a ``(B, d)`` query matrix:
+        the subclass's ``scan``, turned into entry lists."""
+        return scan_entries(self, *self.scan(queries, k))
+
 
 class FeatureIndex(RowBuffer):
     """Flat index mapping features to (video_id, label) rows.
@@ -106,7 +119,7 @@ class FeatureIndex(RowBuffer):
     scores a ``(B, d)`` query matrix against the rows with one
     vectorized similarity call and one ``argpartition`` for the whole
     batch, and returns the best ``k`` per query as ``(scores, rows)``
-    arrays; :meth:`search` and :meth:`search_batch` wrap it into
+    arrays; the buffer's ``search`` and ``search_batch`` wrap it into
     :class:`RetrievalEntry` lists.
 
     The index is append-only and safe for concurrent readers: the
@@ -167,16 +180,3 @@ class FeatureIndex(RowBuffer):
         if hidden is not None:
             scores[:, hidden] = -np.inf
         return top_k(scores, k)
-
-    def search(self, query: np.ndarray, k: int) -> list[RetrievalEntry]:
-        """Return the ``k`` most similar entries, best first.
-
-        An empty index returns an empty list for any query shape.
-        """
-        query = np.asarray(query, dtype=np.float64).reshape(1, -1)
-        return self.search_batch(query, k)[0]
-
-    def search_batch(self, queries: np.ndarray, k: int
-                     ) -> list[list[RetrievalEntry]]:
-        """Top-k for each row of a ``(B, d)`` query matrix (via :meth:`scan`)."""
-        return scan_entries(self, *self.scan(queries, k))

@@ -39,6 +39,7 @@ relocate only ``~1/n`` of the rows when the node count changes.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 
@@ -211,7 +212,8 @@ class ShardedGallery:
 
         Rows already stored on the nodes are re-ingested into the new
         indexes (tombstoned rows are dropped, doubling as a compaction);
-        compressed payloads rebuild lazily on the next search.  Switching
+        a compressed index builds its payload per watermark, when a
+        scan first reads it.  Switching
         to the tier already in place is a no-op; a switch is one version
         step.
 
@@ -662,7 +664,7 @@ class ShardedGallery:
         return (index, *node.scan(queries, k, snap.watermarks[position],
                                   snap.hidden(position), index=index))
 
-    #: Kept resolvable for callers that wrap the scalar leg by name.
+    #: The scalar leg's old name, which ``e2ebench/layers.py`` wraps.
     _snapshot_search_one = _snapshot_search_batch
 
     # -------------------------------------------------------------- #
@@ -695,8 +697,15 @@ class ShardedGallery:
                             node=node.node_id).inc(weight)
                     continue
                 try:
-                    latencies[position] = self._attempt(
-                        position, call, retry, query, legs)
+                    if retry is None:
+                        latencies[position] = self._attempt(
+                            position, call, query, legs)
+                    else:
+                        tries = itertools.count(1)
+                        latencies[position] = retry.run(
+                            lambda: self._attempt(position, call, query,
+                                                  legs, next(tries)),
+                            query or 0)
                 except (NodeDownError, DeadlineExceeded):
                     if breaker is not None:
                         breaker.record_failure(key)
@@ -753,35 +762,28 @@ class ShardedGallery:
             partials.append((index, scores, found))
         return partials, error
 
-    def _attempt(self, position: int, call, retry: RetryExecutor | None,
-                 query: int | None, legs: dict) -> tuple[float, int]:
-        """Node ``position``'s leg for row ``query`` (``None``: every row)
-        under retry and the deadline: ``(latency, attempt)``.  A retry
-        redraws the row's faults and reuses the batch scan in ``legs``.
+    def _attempt(self, position: int, call, query: int | None, legs: dict,
+                 attempt: int = 1) -> tuple[float, int]:
+        """Node ``position``'s ``attempt``-th try at row ``query``
+        (``None``: every row) under the deadline: ``(latency, attempt)``.
+        A retry redraws the row's faults and reuses the batch scan in
+        ``legs``.
         """
         node, plan = self.nodes[position], self.fault_plan
+        injected = plan.on_attempt(node.node_id, query, attempt) \
+            if plan is not None and node.alive else 0.0
+        if position not in legs:
+            start = time.perf_counter()
+            legs[position] = (call(node), time.perf_counter() - start)
+        latency = legs[position][1] + injected
         deadline = None if self.resilience is None \
             else self.resilience.deadline_s
-        attempts = 0
-
-        def attempt():
-            nonlocal attempts
-            attempts += 1
-            injected = plan.on_attempt(node.node_id, query, attempts) \
-                if plan is not None and node.alive else 0.0
-            if position not in legs:
-                start = time.perf_counter()
-                legs[position] = (call(node), time.perf_counter() - start)
-            latency = legs[position][1] + injected
-            if deadline is not None and latency > deadline:
-                counter("resilience.deadline_exceeded",
-                        node=node.node_id).inc()
-                raise DeadlineExceeded(
-                    f"node {node.node_id} answered in {latency:.4f}s "
-                    f"(> deadline {deadline}s)")
-            return latency, attempts
-
-        return attempt() if retry is None else retry.run(attempt, query or 0)
+        if deadline is not None and latency > deadline:
+            counter("resilience.deadline_exceeded", node=node.node_id).inc()
+            raise DeadlineExceeded(
+                f"node {node.node_id} answered in {latency:.4f}s "
+                f"(> deadline {deadline}s)")
+        return latency, attempt
 
     def _uncovered(self, available: set[int]) -> list[int]:
         """Non-empty shards with no replica in ``available``."""

@@ -194,7 +194,7 @@ class ServingFrontend:
         churn = bool(events) or config.churn
         policy = CompactionPolicy(config.compact_dead_fraction,
                                   config.compact_min_dead)
-        pool = WorkerPool(self._effective_workers(events))
+        pool = WorkerPool(self._effective_workers())
         clock = VirtualClock()
         queue = BoundedQueue(config.queue_capacity, config.shed_policy)
         admission = AdmissionController(config)
@@ -274,30 +274,18 @@ class ServingFrontend:
             gallery_events=applied,
         )
 
-    def _effective_workers(self, events: list) -> int:
-        """The worker count after safety fallbacks to the inline pool.
-
-        * ``breaker`` — breaker history is the one piece of scatter state
-          that depends on completion order (fault draws are keyed by
-          request index, and a stateful defense runs in ``begin_batch``
-          on the loop thread: neither needs a fallback);
-        * ``compressed_tier`` — gallery events on a binary/IVF-PQ index,
-          which is not hardened for appends concurrent with reads.
-        """
+    def _effective_workers(self) -> int:
+        """The worker count after the one safety fallback to the inline
+        pool, ``breaker``: breaker history is the one piece of scatter
+        state that depends on completion order (fault draws are keyed by
+        request index, a stateful defense runs in ``begin_batch`` on the
+        loop thread, and every index tier reads per-watermark snapshots:
+        none needs a fallback)."""
         workers = self.config.workers
-        if workers == 1:
-            return 1
-        service = self.service
-        galleries = [member.gallery for member in _members(service.engine)]
-        reason = None
-        if any(gallery._breakers for gallery in galleries):
-            reason = "breaker"
-        elif events and any(gallery.index_tier != "exact"
-                            for gallery in galleries):
-            reason = "compressed_tier"
-        if reason is None:
+        if workers == 1 or not any(member.gallery._breakers for member
+                                   in _members(self.service.engine)):
             return workers
-        counter("serving.pool_fallbacks", reason=reason).inc()
+        counter("serving.pool_fallbacks", reason="breaker").inc()
         return 1
 
     def _dispatch(self, state: "_RunState") -> None:

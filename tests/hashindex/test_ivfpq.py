@@ -1,5 +1,7 @@
 """Product quantization, ADC tables, and the IVF-PQ index."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -93,9 +95,10 @@ class TestIVFPQIndex:
         index = IVFPQIndex(num_cells=4, nprobe=4, num_subvectors=4,
                            rerank=16, rng=2)
         index.add_batch(ids, labels, features)
-        index.build()
-        index._cells = [np.array([], dtype=np.int64)
-                        for _ in index._cells]
+        built = index.build()
+        # Empty every cell of the published build.
+        index._built = dataclasses.replace(
+            built, cells=[np.array([], dtype=np.int64) for _ in built.cells])
         result = index.search(features[0], k=5)
         assert len(result) == 5
         assert result[0].video_id == "v0"

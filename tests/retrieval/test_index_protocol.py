@@ -134,3 +134,45 @@ def test_scan_honours_watermark_and_hidden_mask(index):
 def test_scan_of_empty_index(index):
     scores, rows = index.scan(np.zeros((3, 6)), k=4)
     assert scores.shape == rows.shape == (3, 0)
+
+
+#: Coarse codes and shallow reranks, so a different coder or codebook
+#: changes which rows a compressed scan returns.
+LOSSY = {
+    "feature": FeatureIndex,
+    "hamming": lambda: BinaryHashIndex(nbits=16, rerank=8, rng=3),
+    "ivfpq": lambda: IVFPQIndex(num_cells=8, nprobe=2, num_subvectors=2,
+                                ksub=8, rerank=8, rng=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOSSY))
+def test_scan_at_a_watermark_is_a_pure_function_of_its_rows(name):
+    """A scan at watermark ``w`` is byte-equal to a scan of a fresh
+    same-seed index holding only ``rows[:w]``, whatever reads and
+    appends ran before it, and in whatever order."""
+    ids, labels, features = _rows(120)
+    queries = np.random.default_rng(2).normal(size=(5, 6))
+    hidden = np.zeros(120, dtype=bool)
+    hidden[[1, 8, 40, 77]] = True
+    watermarks = (70, 50, 120, 70, 33)
+
+    def fresh_scan(rows, mask):
+        fresh = LOSSY[name]()
+        fresh.add_batch(ids[:rows], labels[:rows], features[:rows])
+        return fresh.scan(queries, 7, rows, mask)
+
+    interleaved, appended_first = LOSSY[name](), LOSSY[name]()
+    appended_first.add_batch(ids, labels, features)
+    for start, stop in ((0, 50), (50, 90), (90, 120)):
+        interleaved.add_batch(ids[start:stop], labels[start:stop],
+                              features[start:stop])
+        interleaved.scan(queries, 7, rows=stop - 17)
+    for index, order in ((interleaved, watermarks),
+                         (appended_first, watermarks[::-1])):
+        for rows in order:
+            for mask in (None, hidden[:rows]):
+                got = index.scan(queries, 7, rows, mask)
+                want = fresh_scan(rows, mask)
+                assert [array.tobytes() for array in got] == \
+                    [array.tobytes() for array in want]

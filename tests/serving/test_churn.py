@@ -13,7 +13,7 @@ import pytest
 
 from repro.attacks.registry import build_attack
 from repro.attacks.config import AttackConfig
-from repro.obs import counter
+from repro.obs import counter, get_registry
 from repro.qa.invariants import check_budget_conservation
 from repro.qa.reference import replay_sequential
 from repro.qa.world import build_world
@@ -140,6 +140,57 @@ class TestMutatingEquivalence:
                     [e.video_id for e in theirs.result.entries]
         for _, service in runs:
             check_budget_conservation(service)
+
+
+class TestCompressedTierChurn:
+    """Fixed regression cases: adds under traffic on a compressed tier.
+
+    One 160-row node, so a scan reranks 64 of its rows.  Before every
+    tier read per-watermark builds, a rebuild covered all rows and
+    advanced one shared generator, so a list depended on how many adds
+    and reads ran before it: these seeds diverged from the sequential
+    replay (hamming 3 of 30 lists, ivfpq 4 of 30; 3 and 3 at
+    ``max_batch_size=1``), and the pool fell back to one worker.
+    """
+
+    @staticmethod
+    def _run(tier: str, seed: int, config, pooled: bool):
+        world = build_world(seed, num_videos=160, num_nodes=1)
+        world.engine.configure_index_tier(tier)
+        requests = generate_timeline(seed + 11, [TenantSpec("t", 400.0, 30)],
+                                     world.gallery_videos)
+        events = generate_churn(
+            seed, [video.video_id for video in world.gallery_videos], adds=6,
+            horizon_s=max(request.arrival_s for request in requests))
+        timeline = list(requests) + list(events)
+        report = ServingFrontend(world.service, config).run(timeline) \
+            if pooled else replay_sequential(timeline, world.service, config)
+        service = world.service
+        return report, (
+            [(r.status, r.result.ids if r.ok else None)
+             for r in report.responses],
+            report.served_by_tenant, report.gallery_events,
+            (service.query_count, service.queries_issued,
+             service.queries_refunded))
+
+    @staticmethod
+    def _pool_fallbacks() -> float:
+        return sum(value for key, value
+                   in get_registry().snapshot()["counters"].items()
+                   if key.startswith("serving.pool_fallbacks"))
+
+    @pytest.mark.parametrize("tier, seed", [("hamming", 5), ("ivfpq", 2)])
+    def test_front_end_matches_sequential_replay(self, tier, seed):
+        config = ServingConfig(max_batch_size=8, max_wait_s=0.003,
+                               queue_capacity=512, workers=3)
+        _, expected = self._run(tier, seed, config, pooled=False)
+        before = self._pool_fallbacks()
+        pooled, digest = self._run(tier, seed, config, pooled=True)
+        assert pooled.workers == 3
+        assert self._pool_fallbacks() == before
+        assert digest == expected
+        single = config.with_(max_batch_size=1, workers=1)
+        assert self._run(tier, seed, single, pooled=True)[1] == expected
 
 
 class TestAttackUnderChurn:

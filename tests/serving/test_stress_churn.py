@@ -27,14 +27,19 @@ from repro.retrieval import ShardedGallery
 
 DIM = 8
 
+#: Rows per world by index tier: a compressed world holds more rows per
+#: node than the rerank depth (64), so its scans are approximate.
+ROWS = {"exact": 24, "hamming": 216, "ivfpq": 216}
+
 
 class ChurnWorld:
     """One gallery plus the shared bookkeeping a stress run needs."""
 
-    def __init__(self, seed: int = 0, rows: int = 24, nodes: int = 3):
+    def __init__(self, seed: int = 0, nodes: int = 3, tier: str = "exact"):
+        rows = ROWS[tier]
         rng = np.random.default_rng(seed)
         ids, labels, features = draw_clustered_gallery(rng, rows, DIM)
-        self.gallery = ShardedGallery(num_nodes=nodes)
+        self.gallery = ShardedGallery(num_nodes=nodes, index_tier=tier)
         for video_id, label, feature in zip(ids, labels, features):
             self.gallery.add(video_id, label, feature)
         self.ingested = self.gallery.version
@@ -87,8 +92,9 @@ class ChurnWorld:
         assert len(live) == len(set(live)) == len(gallery)
 
 
-def run_stress(threads: int, steps: int, seed: int, free: bool):
-    world = ChurnWorld(seed=seed)
+def run_stress(threads: int, steps: int, seed: int, free: bool,
+               tier: str = "exact"):
+    world = ChurnWorld(seed=seed, tier=tier)
     before = {name: counter(f"gallery.{name}").value
               for name in ("adds", "deletes", "reembeds")}
     harness = BarrierHarness(threads=threads, steps=steps, seed=seed)
@@ -127,15 +133,16 @@ class TestSteppedSmoke:
 
 @pytest.mark.slow
 @pytest.mark.churn
+@pytest.mark.parametrize("tier", sorted(ROWS))
 class TestFreeRunningStress:
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_no_torn_reads_under_real_races(self, seed):
+    def test_no_torn_reads_under_real_races(self, seed, tier):
         world, outcome = run_stress(threads=4, steps=60, seed=seed,
-                                    free=True)
+                                    free=True, tier=tier)
         assert not outcome.errors
 
-    def test_many_readers_one_writer_long_haul(self):
+    def test_many_readers_one_writer_long_haul(self, tier):
         world, outcome = run_stress(threads=6, steps=120, seed=11,
-                                    free=True)
+                                    free=True, tier=tier)
         assert not outcome.errors
         assert world.adds + world.deletes + world.reembeds == 120
