@@ -157,8 +157,7 @@ def bench_sparse_query() -> dict:
         priors = _qa_priors(world.original.pixels.shape, 9)
 
         def setup():
-            attack = duo_query_attack(priors, ITERATIONS, world.service, 0,
-                                      batched=True)
+            attack = duo_query_attack(priors, ITERATIONS, world.service, 0)
 
             def body():
                 with eager_forwards() if eager else contextlib.nullcontext():

@@ -6,8 +6,9 @@ cancels cache/turbo drift):
 
 1. **conv forward** — strided-einsum (seed) vs im2col GEMM per shape.
 2. **query-attack loop** — a SimBA rectification loop against a live
-   victim service, "before" (einsum convs + sequential ±ε evaluation)
-   vs "after" (GEMM convs + speculative pair batching).
+   victim service, "before" (einsum convs + sequential ±ε evaluation
+   through the qa ``SequentialObjective``) vs "after" (GEMM convs +
+   speculative pair batching).
 3. **retrieval internals** — batched vs scalar gallery search, and the
    embedding-cache hit vs a full model forward.
 
@@ -136,7 +137,7 @@ def bench_attack_loop(extractor, dataset) -> dict:
     support = np.zeros(original.pixels.shape, dtype=bool)
     support[:2] = True
 
-    def config(einsum: bool, batched: bool):
+    def config(einsum: bool, sequential: bool):
         engine = RetrievalEngine(extractor, num_nodes=3, cache_size=0)
         engine.index_videos(dataset.train)
         service = RetrievalService.build(engine, m=8)
@@ -147,19 +148,20 @@ def bench_attack_loop(extractor, dataset) -> dict:
         def setup():
             with convs():
                 objective = RetrievalObjective(service, original, target)
+            if sequential:
+                objective = reference.SequentialObjective(objective)
 
             def body():
                 with convs():
                     simba_search(original, objective, support, tau=0.1,
                                  iterations=ITERATIONS,
-                                 rng=np.random.default_rng(0),
-                                 batched=batched)
+                                 rng=np.random.default_rng(0))
             return body
         return setup
 
     timing = interleave(
-        {"sequential_einsum": config(einsum=True, batched=False),
-         "batched_gemm": config(einsum=False, batched=True)}, ROUNDS)
+        {"sequential_einsum": config(einsum=True, sequential=True),
+         "batched_gemm": config(einsum=False, sequential=False)}, ROUNDS)
     speedup = timing.ratio("sequential_einsum", "batched_gemm")
     return {
         "iterations": ITERATIONS,

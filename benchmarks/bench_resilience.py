@@ -13,7 +13,8 @@ Five measurements:
    seeded :class:`FaultPlan` kills one node mid-attack; the run must
    finish with a trace identical to the fault-free run.
 4. **keyed faults** — one SimBA attack under a flaky + corrupt + outage
-   plan, batched (speculating) and sequential; fault draws are keyed by
+   plan, speculating and on the qa ``SequentialObjective`` (one query
+   per candidate); fault draws are keyed by
    logical query id, so both must agree on queries, trace, ledger and
    the plan's timeline, through the outage and the resume it forces.
 5. **checkpoint** — save/load round-trip time for an attack checkpoint.
@@ -26,7 +27,7 @@ Usage::
 Every timing is an interleaved A/B through ``common.interleave``.  The
 full run records ``BENCH_resilience.json`` at the repo root.  Every run
 fails when the median fault-free wrapper overhead exceeds 5%, the
-faulted run diverges from the fault-free one, or the batched and
+faulted run diverges from the fault-free one, or the speculating and
 sequential faulted attacks differ.  ``--smoke`` runs a shorter loop and
 never records.
 """
@@ -49,6 +50,7 @@ from repro.attacks.objective import RetrievalObjective  # noqa: E402
 from repro.attacks.search import simba_search  # noqa: E402
 from repro.errors import RetrievalUnavailable  # noqa: E402
 from repro.models import create_feature_extractor  # noqa: E402
+from repro.qa.reference import SequentialObjective  # noqa: E402
 from repro.resilience import (  # noqa: E402
     ANY_NODE,
     AttackCheckpoint,
@@ -203,13 +205,14 @@ def bench_faulted_recovery(extractor, dataset, iterations) -> dict:
 
 
 def bench_keyed_faults(extractor, dataset, iterations) -> dict:
-    """One SimBA attack under flaky + corrupt + outage, batched and not."""
+    """One SimBA attack under flaky + corrupt + outage, speculating and on
+    the one-query-per-candidate qa reference."""
     original, target = dataset.test[0], dataset.test[1]
     support = np.zeros(original.pixels.shape, dtype=bool)
     support[:2] = True
     runs, interruptions = {}, 0
     with tempfile.TemporaryDirectory() as tmp:
-        for batched in (False, True):
+        for sequential in (True, False):
             service = build_service(extractor, dataset,
                                     wrapper_config(replication=2))
             plan = (FaultPlan(seed=3).flaky("node-0", 0.3)
@@ -217,18 +220,20 @@ def bench_keyed_faults(extractor, dataset, iterations) -> dict:
             with plan.install(service.engine.gallery):
                 for _ in range(50):
                     try:
+                        objective = RetrievalObjective(service, original,
+                                                       target)
                         report = simba_search(
-                            original,
-                            RetrievalObjective(service, original, target),
+                            original, SequentialObjective(objective)
+                            if sequential else objective,
                             support, tau=0.1, iterations=iterations,
-                            rng=np.random.default_rng(0), batched=batched,
-                            checkpoint_path=Path(tmp) / f"{batched}.pkl")
+                            rng=np.random.default_rng(0),
+                            checkpoint_path=Path(tmp) / f"{sequential}.pkl")
                         break
                     except RetrievalUnavailable:
                         interruptions += 1
                 else:
                     raise RuntimeError("SimBA never escaped the outage")
-            runs[batched] = {
+            runs[sequential] = {
                 "queries": report.queries,
                 "trace": report.trace,
                 "ledger": (service.query_count, service.queries_issued,
@@ -238,9 +243,9 @@ def bench_keyed_faults(extractor, dataset, iterations) -> dict:
     return {
         "iterations": iterations,
         "interruptions": interruptions,
-        "fault_events": len(runs[False]["timeline"]),
-        **{f"identical_{key}": runs[False][key] == runs[True][key]
-           for key in runs[False]},
+        "fault_events": len(runs[True]["timeline"]),
+        **{f"identical_{key}": runs[True][key] == runs[False][key]
+           for key in runs[True]},
     }
 
 
@@ -309,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         failures.append("the scripted outage never fired")
     keyed = result["keyed_faults"]
     failures.extend(
-        f"batched and sequential faulted SimBA differ in {key[10:]}"
+        f"speculating and sequential faulted SimBA differ in {key[10:]}"
         for key, same in keyed.items()
         if key.startswith("identical_") and not same)
     if not keyed["interruptions"]:

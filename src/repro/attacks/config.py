@@ -45,9 +45,6 @@ class AttackConfig:
         Default checkpoint location for
         :class:`~repro.resilience.checkpoint.CheckpointSession`; a path
         passed to ``run()`` wins.
-    batched:
-        Speculative/batched candidate evaluation (``None`` auto-enables
-        when the service is stateless).
     sampler / basis / feedback:
         Component-specific keyword overrides, forwarded verbatim to the
         registered component factories (e.g.
@@ -66,7 +63,6 @@ class AttackConfig:
     budget: int | None = None
     seed: int | None = None
     checkpoint_path: str | None = None
-    batched: bool | None = None
     sampler: Mapping[str, object] = field(default_factory=dict)
     basis: Mapping[str, object] = field(default_factory=dict)
     feedback: Mapping[str, object] = field(default_factory=dict)

@@ -9,13 +9,13 @@
 Every evaluation costs one service query, which the objective counts and
 traces.
 
-Batched evaluation: :meth:`RetrievalObjective.values` scores many
-candidates in one service ``query_batch`` (every candidate is counted and
-traced, in order).  :meth:`speculate`/:meth:`commit` support loops that
-may consume only a prefix of a candidate pair — speculated values are
-computed batched but only committed values touch the query counter and
-trace, so the observable attack state is identical to sequential
-:meth:`value` calls.
+:meth:`RetrievalObjective.values` scores many candidates in one service
+``query_batch`` (every candidate is counted and traced, in order).
+:meth:`speculate`/:meth:`commit` support loops that may consume only a
+prefix of a candidate pair — only committed values touch the query
+counter, the trace and a stateful defense, so the attack state matches
+sequential :meth:`value` calls against any service
+(:class:`repro.qa.reference.SequentialObjective` is that reference).
 """
 
 from __future__ import annotations
@@ -62,10 +62,7 @@ class RetrievalObjective:
 
     def value(self, candidate: Video) -> float:
         """Evaluate ``T(candidate, v, v_t)``; costs one query."""
-        value = self._values_of([self.service.query(candidate).ids])[0]
-        self.queries += 1
-        self.trace.append(value)
-        return value
+        return self.values([candidate])[0]
 
     def values(self, candidates: list[Video]) -> list[float]:
         """Evaluate ``T`` for many candidates in one forward batch.
@@ -79,11 +76,6 @@ class RetrievalObjective:
         values = self._values_of([result.ids for result in results])
         self.trace.extend(values)
         return values
-
-    @property
-    def speculation_safe(self) -> bool:
-        """Whether :meth:`speculate` is allowed against this service."""
-        return self.service.speculation_safe
 
     def speculate(self, candidates: list[Video]) -> list[float]:
         """Compute ``T`` for candidates without counting or tracing.

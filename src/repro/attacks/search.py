@@ -82,8 +82,7 @@ def simba_search(original: Video, objective: RetrievalObjective,
                  support: np.ndarray, tau: float, iterations: int,
                  epsilon: float | None = None, rng=None,
                  initial: np.ndarray | None = None, tie_rule: str = "move",
-                 block_size: int | None = None, batched: bool | None = None,
-                 checkpoint_path=None, *,
+                 block_size: int | None = None, checkpoint_path=None, *,
                  metric_prefix: str = "attack.search.simba",
                  checkpoint_algo: str = "simba",
                  project_initial: bool = True,
@@ -117,12 +116,6 @@ def simba_search(original: Video, objective: RetrievalObjective,
         :func:`default_block_size` *once per run* — the chosen width is
         checkpointed, so a resume keeps the original width even if the
         support passed on resume differs.
-    batched:
-        Speculatively evaluate each ±ε pair in one forward batch and
-        commit only consumed results (``None`` auto-enables when the
-        objective supports speculation and the service is stateless).
-        Query counts, the trace, and accepted steps are identical to the
-        sequential loop; an adaptive step changes only *between* pairs.
     checkpoint_path:
         With a path set, a :class:`~repro.errors.RetrievalUnavailable`
         raised mid-run persists loop state before propagating; calling
@@ -175,10 +168,6 @@ def simba_search(original: Video, objective: RetrievalObjective,
     block = default_block_size(coords.size) if block_size is None else \
         max(1, int(block_size))
 
-    if batched is None:
-        batched = bool(getattr(objective, "speculate", None)) and \
-            getattr(objective, "speculation_safe", False)
-
     session = CheckpointSession(checkpoint_path, checkpoint_algo, objective,
                                 rng)
     resumed = session.resume()
@@ -226,7 +215,9 @@ def simba_search(original: Video, objective: RetrievalObjective,
                     cursor += block
                     signs = rng.choice((-1.0, 1.0), size=chosen.size)
                     # Build both ±ε candidates up front (no rng consumed),
-                    # speculate the pair in one batch, commit sequentially.
+                    # speculate the pair in one batch and commit the
+                    # consumed prefix; a candidate the speculation did not
+                    # return (an outage) is sent as a real query.
                     live = []
                     for flip in (+1.0, -1.0):
                         candidate = point.copy()
@@ -240,15 +231,14 @@ def simba_search(original: Video, objective: RetrievalObjective,
                                          original.perturbed(pixels)))
                     speculated = objective.speculate(
                         [adversarial for *_, adversarial in live]
-                    ) if batched and len(live) > 1 else None
+                    ) if len(live) > 1 else []
                     accepted = False
                     for spec_index, (candidate, pixels, adversarial) in \
                             enumerate(live):
-                        if speculated is None or \
-                                spec_index >= len(speculated):
-                            value = objective.value(adversarial)
-                        else:
+                        if spec_index < len(speculated):
                             value = objective.commit(speculated[spec_index])
+                        else:
+                            value = objective.value(adversarial)
                         trace.append(value)
                         counter(f"{metric_prefix}.evaluations").inc()
                         if value < best or \
@@ -279,7 +269,7 @@ def nes_search(original: Video, objective: RetrievalObjective,
                support: np.ndarray, tau: float, iterations: int,
                samples: int = 4, sigma: float = 0.05, lr: float | None = None,
                rng=None, initial: np.ndarray | None = None,
-               batched: bool | None = None, checkpoint_path=None, *,
+               checkpoint_path=None, *,
                metric_prefix: str = "attack.search.nes",
                checkpoint_algo: str = "nes") -> AttackReport:
     """NES gradient-estimation descent on ``T`` over ``support``.
@@ -288,11 +278,11 @@ def nes_search(original: Video, objective: RetrievalObjective,
     ``2·samples`` queries), estimates the gradient of ``T``, and takes a
     signed step of size ``lr`` (default ``tau / 5``).
 
-    With ``batched`` (auto-enabled when the objective exposes ``values``)
-    all ``2·samples`` probe evaluations of an iteration share one forward
-    batch.  NES consumes every evaluation unconditionally and probe
-    construction consumes rng before any evaluation, so the rng stream,
-    query count, and trace are identical to the sequential loop.
+    All ``2·samples`` probe evaluations of an iteration share one
+    forward batch (``objective.values``).  NES consumes every evaluation
+    unconditionally and probe construction consumes rng before any
+    evaluation, so the rng stream, query count, and trace are identical
+    to the sequential loop.
 
     With ``checkpoint_path`` set, a
     :class:`~repro.errors.RetrievalUnavailable` raised mid-run persists
@@ -307,9 +297,6 @@ def nes_search(original: Video, objective: RetrievalObjective,
     lr = tau / 5.0 if lr is None else float(lr)
     perturbation = np.zeros_like(base) if initial is None else initial.copy()
     perturbation = clip_video_range(base, project_linf(perturbation, tau))
-
-    if batched is None:
-        batched = getattr(objective, "values", None) is not None
 
     session = CheckpointSession(checkpoint_path, checkpoint_algo, objective,
                                 rng)
@@ -340,28 +327,16 @@ def nes_search(original: Video, objective: RetrievalObjective,
                     # the sequential draw-evaluate interleaving exactly.
                     probes = [rng.normal(size=perturbation.shape) * mask
                               for _ in range(int(samples))]
-                    antithetic = []
-                    for probe in probes:
-                        antithetic.append(original.perturbed(clip_video_range(
-                            base,
-                            project_linf(perturbation + sigma * probe, tau))))
-                        antithetic.append(original.perturbed(clip_video_range(
-                            base,
-                            project_linf(perturbation - sigma * probe, tau))))
-                    if batched:
-                        # NES consumes all evaluations unconditionally, so
-                        # a plain counted batch preserves trace and query
-                        # count.
-                        values = objective.values(antithetic)
-                    else:
-                        values = [objective.value(v) for v in antithetic]
+                    values = objective.values([
+                        original.perturbed(clip_video_range(base, project_linf(
+                            perturbation + sign * sigma * probe, tau)))
+                        for probe in probes for sign in (1.0, -1.0)])
                     trace.extend(values)
                     counter(f"{metric_prefix}.evaluations").inc(
                         2 * int(samples))
-                    for index, probe in enumerate(probes):
-                        value_plus = values[2 * index]
-                        value_minus = values[2 * index + 1]
-                        gradient += (value_plus - value_minus) * probe
+                    for probe, plus, minus in zip(probes, values[::2],
+                                                  values[1::2]):
+                        gradient += (plus - minus) * probe
                     gradient /= 2.0 * sigma * samples
 
                     perturbation = perturbation - lr * np.sign(gradient) * mask

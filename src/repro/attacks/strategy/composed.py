@@ -16,9 +16,9 @@ The driver owns the cross-cutting machinery:
   round top (pre-rng), and each round's search checkpoints to
   ``<path>.round<r>``; resume is bit-identical, including the query
   accounting and a learned sampler's policy state;
-* **speculation/batching** — ``AttackConfig.batched`` flows to the
-  search primitives, which auto-enable speculative pair evaluation on
-  stateless services;
+* **one evaluation path** — the search primitives always speculate ±ε
+  pairs and batch NES probes; a stateful defense on the service sees
+  only the queries the attack issued, so no knob picks a slower path;
 * **observability** — ``attack.runs`` counter, ``attack.<name>`` span,
   and a per-round objective gauge.
 """

@@ -103,8 +103,7 @@ class SimbaFeedback:
         return simba_search(
             current, objective, tau=tau, iterations=iterations,
             epsilon=epsilon, rng=ctx.rng, tie_rule=self.tie_rule,
-            block_size=self.block_size, batched=config.batched,
-            checkpoint_path=ctx.checkpoint_path, **space)
+            block_size=self.block_size, checkpoint_path=ctx.checkpoint_path, **space)
 
 
 # ---------------------------------------------------------------------- #
@@ -137,7 +136,7 @@ class NesFeedback:
             current, objective, state.support, tau=config.tau_unit(),
             iterations=iterations, samples=self.samples, sigma=self.sigma,
             lr=self.lr, rng=ctx.rng, initial=state.initial,
-            batched=config.batched, checkpoint_path=ctx.checkpoint_path)
+            checkpoint_path=ctx.checkpoint_path)
 
 
 # ---------------------------------------------------------------------- #
@@ -197,8 +196,7 @@ class QairFeedback:
         return simba_search(
             current, objective, state.support, tau=config.tau_unit(),
             iterations=iterations, epsilon=self.step_init, rng=ctx.rng,
-            initial=state.initial, batched=config.batched,
-            checkpoint_path=ctx.checkpoint_path,
+            initial=state.initial, checkpoint_path=ctx.checkpoint_path,
             metric_prefix="attack.search.qair", checkpoint_algo="qair",
             step=AdaptiveStep(self.grow, self.shrink, self.patience,
                               stop_at))

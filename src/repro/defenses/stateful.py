@@ -10,8 +10,9 @@ queries fall within a small distance of an earlier one.
 The fingerprint is a coarse perceptual hash (down-sampled pixel means),
 so the detector needs no access to the model — it runs at the API edge.
 It attaches as the service's preprocessor (``detector.preprocessor(
-account)``), which every query path runs in issue order and which turns
-speculation off; with ``quantize_queries`` it sees the 8-bit upload.
+account)``), whose ``commit`` the service calls with exactly the issued
+queries in issue order; with ``quantize_queries`` it sees the 8-bit
+upload.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from collections import defaultdict, deque
 
 import numpy as np
 
-from repro.retrieval.config import Preprocessor
 from repro.video.types import Video
 
 
@@ -97,10 +97,21 @@ class StatefulQueryDetector:
         """Queries observed for an account so far."""
         return self._observed[account]
 
-    def preprocessor(self, account: str) -> Preprocessor:
-        """A service preprocessor that observes every query for ``account``
-        and passes the video through unchanged."""
-        def observe(video: Video) -> Video:
-            self.observe(account, video)
-            return video
-        return observe
+    def preprocessor(self, account: str) -> "_Observer":
+        """A service preprocessor for ``account``: an identity transform
+        whose ``commit`` observes every issued query."""
+        return _Observer(self, account)
+
+
+class _Observer:
+    """Identity transform; ``commit`` feeds issued queries to a detector."""
+
+    def __init__(self, detector: StatefulQueryDetector, account: str) -> None:
+        self.detector, self.account = detector, account
+
+    def __call__(self, video: Video) -> Video:
+        return video
+
+    def commit(self, videos: list[Video]) -> None:
+        for video in videos:
+            self.detector.observe(self.account, video)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import copy
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,10 @@ from repro.utils.seeding import seeded_rng
 
 #: Rerank depths observed per query, bucketed for the obs histogram.
 RERANK_DEPTH_BUCKETS = (1, 4, 16, 64, 256, 1024, 4096)
+
+#: Builds an index keeps, by watermark, so pooled readers pinned at
+#: different watermarks do not evict one another's (least recent first).
+BUILD_SLOTS = 4
 
 
 @dataclass(frozen=True)
@@ -62,9 +67,9 @@ class CompressedIndex(RowBuffer):
     build draws from a fresh copy of the constructor's generator state,
     so neither later appends nor earlier reads change what a reader
     sees.  Tombstoned rows stay in the build; the scan's ``hidden`` mask
-    drops them.  The latest build is cached (one slot), built under a
-    per-index lock and published by one assignment; a scan reads only
-    the one build it took.
+    drops them.  :data:`BUILD_SLOTS` builds are cached by watermark
+    (stored arrays named ``name@rows``, dropped on eviction), built
+    under a per-index lock; a scan reads only the one build it took.
 
     Parameters
     ----------
@@ -98,7 +103,7 @@ class CompressedIndex(RowBuffer):
         super().__init__()
         self._seed = copy.deepcopy(seeded_rng(rng))
         self._lock = threading.Lock()
-        self._built: Build | None = None
+        self._builds: OrderedDict[int, Build] = OrderedDict()
 
     # ------------------------------------------------------------------ #
     # Build
@@ -107,18 +112,27 @@ class CompressedIndex(RowBuffer):
         """The payload over the first ``rows`` rows (all by default);
         ``None`` when there are none."""
         rows = len(self) if rows is None else min(int(rows), len(self))
+        if not rows:
+            return None
         with self._lock:
-            built = self._built
-            if rows and (built is None or built.rows != rows):
-                matrix = np.stack(self._features[:rows])
-                built = self._built = self._build(
-                    rows, self._put("exact_features", matrix), matrix,
-                    copy.deepcopy(self._seed))
-        return built if rows else None
+            built = self._builds.get(rows)
+            if built is not None:
+                self._builds.move_to_end(rows)
+                return built
+            matrix = np.stack(self._features[:rows])
+            built = self._builds[rows] = self._build(
+                rows, self._put("exact_features", rows, matrix), matrix,
+                copy.deepcopy(self._seed))
+            if len(self._builds) > BUILD_SLOTS:
+                evicted, _ = self._builds.popitem(last=False)
+                if self.store is not None:
+                    self.store.drop(f"@{evicted}")
+        return built
 
-    def _put(self, name: str, array: np.ndarray) -> np.ndarray:
-        """``array``, memory-mapped under ``name`` when there is a store."""
-        return array if self.store is None else self.store.put(name, array)
+    def _put(self, name: str, rows: int, array: np.ndarray) -> np.ndarray:
+        """``array``, memory-mapped as ``name@rows`` when there is a store."""
+        return array if self.store is None else \
+            self.store.put(f"{name}@{rows}", array)
 
     def _build(self, rows: int, exact: np.ndarray, matrix: np.ndarray,
                rng: np.random.Generator) -> Build:
@@ -229,4 +243,4 @@ class CompressedIndex(RowBuffer):
         return total / len(queries)
 
 
-__all__ = ["Build", "CompressedIndex", "RERANK_DEPTH_BUCKETS"]
+__all__ = ["BUILD_SLOTS", "Build", "CompressedIndex", "RERANK_DEPTH_BUCKETS"]

@@ -58,8 +58,8 @@ class BinaryHashIndex(CompressedIndex):
     def _build(self, rows: int, exact: np.ndarray, matrix: np.ndarray,
                rng: np.random.Generator) -> HammingBuild:
         coder = create_coder(self.coder_name, self.nbits, rng=rng).fit(matrix)
-        return HammingBuild(rows, exact, coder,
-                            self._put("hamming_codes", coder.encode(matrix)))
+        codes = self._put("hamming_codes", rows, coder.encode(matrix))
+        return HammingBuild(rows, exact, coder, codes)
 
     def _candidates(self, built: HammingBuild, queries: np.ndarray,
                     depth: int) -> list[np.ndarray]:

@@ -151,10 +151,11 @@ class IVFPQIndex(CompressedIndex):
         assignment = assign_clusters(matrix, centroids)
         quantizer = ProductQuantizer(self.num_subvectors, self.ksub,
                                      rng=rng).fit(matrix)
-        codes = self._put("pq_codes", quantizer.encode(matrix))
+        codes = self._put("pq_codes", rows, quantizer.encode(matrix))
         # Codebooks persist alongside the codes; ADC tables index
         # straight into the read-only mapping.
-        quantizer.codebooks = self._put("pq_codebooks", quantizer.codebooks)
+        quantizer.codebooks = self._put("pq_codebooks", rows,
+                                        quantizer.codebooks)
         return IVFPQBuild(rows, exact, centroids,
                           [np.flatnonzero(assignment == cell)
                            for cell in range(centroids.shape[0])],

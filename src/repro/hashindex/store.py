@@ -97,6 +97,13 @@ class MemmapStore:
         """Bytes this store currently has mapped."""
         return sum(view.nbytes for view in self._arrays.values())
 
+    def drop(self, suffix: str) -> None:
+        """Unmap and delete every array whose name ends with ``suffix``;
+        views already handed out stay readable."""
+        for name in [name for name in self._arrays if name.endswith(suffix)]:
+            self._drop(name)
+            os.remove(self._path(name))
+
     def _drop(self, name: str) -> None:
         existing = self._arrays.pop(name, None)
         if existing is not None:

@@ -15,7 +15,8 @@ with every reference/fast equivalence contract the library claims:
 * replicated (r = 2, 3) vs single-shard retrieval;
 * pinned snapshot reads under churn vs a numpy ranking of the rows
   live at each pinned version;
-* sequential vs speculative/batched DUO query-stage steps;
+* DUO's query stage on :class:`~repro.qa.reference.SequentialObjective`
+  vs the production objective (speculated ±ε pairs);
 * scalar vs vectorized NDCG list similarity;
 * micro-batched serving front end vs sequential replay against the bare
   service (``repro.serving``).
@@ -678,20 +679,20 @@ def _qa_priors(shape: tuple[int, ...], seed: int, k: int = 48) -> TransferPriors
 
 
 def duo_query_attack(priors: TransferPriors, iterations: int, service,
-                     rng, batched: bool | None = None):
-    """DUO's query stage over fixed priors (the ``duo-query`` composition)."""
+                     rng, sequential: bool = False):
+    """DUO's query stage over fixed priors (the ``duo-query`` composition);
+    ``sequential`` runs it on the one-query-per-candidate reference."""
     config = AttackConfig(strategy="duo-query", tau=30.0,
-                          iterations=iterations, batched=batched,
-                          sampler={"priors": priors})
-    return build_attack(config, service=service, rng=rng)
+                          iterations=iterations, sampler={"priors": priors})
+    attack = build_attack(config, service=service, rng=rng)
+    return reference.sequential_attack(attack) if sequential else attack
 
 
-def _sparse_query_run(batched: bool, seed: int, iters: int):
+def _sparse_query_run(sequential: bool, seed: int, iters: int):
     world = build_world(seed, cache_size=0)
     priors = _qa_priors(world.original.pixels.shape, seed + 9)
     report = duo_query_attack(priors, iters, world.service, seed + 5,
-                              batched=batched).run(world.original,
-                                                   world.target)
+                              sequential).run(world.original, world.target)
     return {
         "perturbation_digest": array_digest(report.adversarial.pixels),
         "trace": list(report.trace),
@@ -708,8 +709,8 @@ def _exact_compare(reference, fast):
 
 register(OraclePair(
     name="sparse_query.sequential_vs_speculative",
-    reference=lambda seed, iters: _sparse_query_run(False, seed, iters),
-    fast=lambda seed, iters: _sparse_query_run(True, seed, iters),
+    reference=lambda seed, iters: _sparse_query_run(True, seed, iters),
+    fast=lambda seed, iters: _sparse_query_run(False, seed, iters),
     strategy=Strategy(
         "sparse_query",
         lambda rng: {"seed": int(rng.integers(0, 1000)),
@@ -738,7 +739,10 @@ def _ndcg_lists(seed: int, num_lists: int, length: int, universe: int):
 # micro-batched serving front end vs sequential replay
 # ---------------------------------------------------------------------- #
 def _serving_digest(world, report, detector) -> dict:
-    """What a serving oracle compares: statuses, lists, counts, ledgers."""
+    """What a serving oracle compares: statuses, lists, counts, ledgers;
+    an attached detector must have observed exactly the issued queries."""
+    assert detector is None or detector.observed_count("edge") == \
+        world.service.queries_issued, "detector observed != issued"
     return {
         "statuses": [response.status for response in report.responses],
         "lists": [response.result for response in report.responses

@@ -22,6 +22,9 @@ bench).
   and :meth:`~repro.models.feature_extractor.FeatureExtractor.embed_tensor`
   inside the block on the eager forward instead of the production trace
   replay, so one scenario can be pinned on both paths.
+* :class:`SequentialObjective` / :func:`sequential_attack` — one query
+  per candidate (no speculated ±ε pairs, no batched NES probes): the
+  reference for the evaluation path of :mod:`repro.attacks.search`.
 * :func:`replay_sequential` — a serving timeline (requests, optionally
   interleaved with gallery events) replayed one query at a time against
   the bare service: the reference for
@@ -171,6 +174,37 @@ def eager_forwards():
             replayed
 
 
+class SequentialObjective:
+    """``objective`` with one query per candidate: :meth:`speculate`
+    returns nothing, so the ±ε loop sends each candidate as a real
+    ``value`` query, and :meth:`values` loops ``value``.  Every other
+    attribute (``queries``, ``trace``, checkpoint restores) reads and
+    writes the wrapped objective."""
+
+    def __init__(self, objective) -> None:
+        object.__setattr__(self, "_objective", objective)
+
+    def __getattr__(self, name: str):
+        return getattr(self._objective, name)
+
+    def __setattr__(self, name: str, value) -> None:
+        setattr(self._objective, name, value)
+
+    def speculate(self, candidates: list) -> list[float]:
+        return []
+
+    def values(self, candidates: list) -> list[float]:
+        return [self._objective.value(candidate) for candidate in candidates]
+
+
+def sequential_attack(attack):
+    """A querying composed ``attack``, run on :class:`SequentialObjective`."""
+    build = attack.feedback.build_objective
+    attack.feedback.build_objective = \
+        lambda *args: SequentialObjective(build(*args))
+    return attack
+
+
 def replay_sequential(items: list, service,
                       config: ServingConfig | None = None) -> ServingReport:
     """Replay a timeline one query at a time against a bare service.
@@ -238,5 +272,5 @@ def replay_sequential(items: list, service,
     )
 
 
-__all__ = ["conv2d", "conv3d", "eager_forwards", "max_pool3d",
-           "replay_sequential"]
+__all__ = ["SequentialObjective", "conv2d", "conv3d", "eager_forwards",
+           "max_pool3d", "replay_sequential", "sequential_attack"]

@@ -53,7 +53,6 @@ class AttackCheckpoint:
     version: int = CHECKPOINT_VERSION
     #: Service ledger at the mark (a resume never rewinds issued).
     service_queries_issued: int | None = None
-    service_queries_refunded: int | None = None
 
 
 def _copy_value(value):
@@ -116,23 +115,8 @@ class CheckpointSession:
     def enabled(self) -> bool:
         return self.path is not None
 
-    # -------------------------------------------------------------- #
-    # Accounting helpers
-    # -------------------------------------------------------------- #
-    def _service(self):
-        return getattr(self.objective, "service", None)
-
-    def _counts(self) -> tuple[int | None, int | None, int | None]:
-        service = self._service()
-        return (
-            getattr(service, "query_count", None),
-            getattr(self.objective, "queries", None),
-            len(self.objective.trace)
-            if getattr(self.objective, "trace", None) is not None else None,
-        )
-
     def _restore_counts(self, checkpoint: AttackCheckpoint) -> None:
-        service = self._service()
+        service = getattr(self.objective, "service", None)
         if service is not None and checkpoint.service_query_count is not None:
             service.query_count = checkpoint.service_query_count
             if checkpoint.service_queries_issued is not None:
@@ -179,20 +163,18 @@ class CheckpointSession:
         """
         if not self.enabled:
             return
-        service_count, objective_queries, trace_len = self._counts()
-        service = self._service()
+        service = getattr(self.objective, "service", None)
+        trace = getattr(self.objective, "trace", None)
         self._mark = AttackCheckpoint(
             algo=self.algo,
             iteration=int(iteration),
             rng_state=copy.deepcopy(self.rng.bit_generator.state),
-            service_query_count=service_count,
-            objective_queries=objective_queries,
-            objective_trace_len=trace_len,
+            service_query_count=getattr(service, "query_count", None),
+            objective_queries=getattr(self.objective, "queries", None),
+            objective_trace_len=None if trace is None else len(trace),
             payload={key: _copy_value(value)
                      for key, value in payload.items()},
             service_queries_issued=getattr(service, "queries_issued", None),
-            service_queries_refunded=getattr(service, "queries_refunded",
-                                             None),
         )
 
     def persist(self) -> None:

@@ -15,7 +15,8 @@ from typing import Callable
 
 from repro.video.types import Video
 
-#: A defense preprocessor maps a query video to the video actually embedded.
+#: A defense preprocessor purely maps a query video to the video embedded;
+#: a stateful one adds ``commit(videos)`` (see :mod:`repro.retrieval.service`).
 Preprocessor = Callable[[Video], Video]
 
 

@@ -3,41 +3,26 @@
 This is the attacker's entire world: ``query(video) → R^m(video)``.  The
 facade counts queries (query efficiency is a headline metric for
 black-box attacks), optionally enforces a query budget, and can wrap the
-engine with a defense that preprocesses inputs and/or flags adversarial
-queries.
+engine with a defense preprocessor.  Build one with
+:meth:`RetrievalService.build` from a
+:class:`~repro.retrieval.config.ServiceConfig`.
 
-Construction
-------------
-Build a service with :meth:`RetrievalService.build`, which takes a
-:class:`~repro.retrieval.config.ServiceConfig` (plus an optional
-:class:`~repro.resilience.ResilienceConfig` applied to the engine's
-gallery), or pass ``config=`` to ``__init__`` directly.
+One query path: ``query`` is ``query_batch`` of one, and ``query_batch``
+embeds many videos in one forward with *sequential* accounting — each
+video is budget-checked and counted in order, and an outage
+(:class:`~repro.errors.RetrievalUnavailable`) charges the served
+prefix, refunds the failing query and never issues the suffix, so
+checkpoint/resume counts match an uninterrupted run.
+``speculate``/``commit_speculated`` let a loop evaluate a ±ε pair in one
+forward and commit only the results it consumes.
 
-Batched evaluation
-------------------
-``query_batch`` embeds many candidates in one model forward while keeping
-*sequential* accounting semantics: each video is budget-checked and
-counted in order, so a mid-batch budget exhaustion raises at exactly the
-query index a sequential loop would have.
-
-``speculate``/``commit_speculated`` support attack loops that evaluate a
-candidate pair but may consume only the first result (SimBA's ±flip):
-speculation computes results without touching the query counter, and the
-caller commits exactly the evaluations a sequential attacker would have
-issued.  Speculation requires a stateless service (no preprocessor) —
-a stateful defense must never observe phantom queries.  Stateful
-detectors and instrumentation attach as the preprocessor (e.g.
-:meth:`~repro.defenses.StatefulQueryDetector.preprocessor`), so every
-query path — ``query``, ``query_batch`` and the serving front end's
-``begin_batch`` — feeds them in issue order.
-
-Unavailability
---------------
-When the resilient gallery cannot serve a query exactly it raises
-:class:`~repro.errors.RetrievalUnavailable`.  The service *refunds* that
-query's accounting before propagating, so an attack that checkpoints,
-waits out the outage, and resumes sees exactly the query count an
-uninterrupted run would have.
+A defense preprocessor is a pure transform, applied on every path
+(speculation included).  A stateful defense adds an optional
+``commit(videos)``; the service calls it in issue order with exactly the
+issued queries — an interrupted batch's served prefix and refunded
+failing query, never its unissued suffix, and only the speculated
+candidates the caller consumed — so a detector observes
+``queries_issued`` queries.
 """
 
 from __future__ import annotations
@@ -78,8 +63,9 @@ class RetrievalService:
         # queries_issued == query_count + queries_refunded at all times.
         self.queries_issued = 0
         self.queries_refunded = 0
-        # Fault events of speculated rows, held until committed.
-        self._withheld: list = []
+        # The last speculation: its first issue ordinal, prepared videos,
+        # and fault events held per log until their row is committed.
+        self._speculated: tuple[int, list[Video], list] = (0, [], [])
 
     @classmethod
     def build(cls, engine: RetrievalEngine,
@@ -148,43 +134,15 @@ class RetrievalService:
         self.query_count += 1
         self.queries_issued += 1
         counter("retrieval.queries").inc()
-        if self.config.query_budget is not None:
-            gauge("retrieval.budget_remaining").set(
-                self.config.query_budget - self.query_count)
+        self._gauge_budget()
 
-    def _refund(self, count: int) -> None:
-        """Roll back accounting for queries the engine failed to serve.
-
-        Called when :class:`~repro.errors.RetrievalUnavailable`
-        propagates: the attacker never received a list, so the query
-        must not count — this is what makes checkpoint/resume
-        accounting bit-identical to an uninterrupted run.
-        """
-        self.query_count -= int(count)
-        self.queries_refunded += int(count)
-        counter("retrieval.unavailable").inc(count)
-        if self.config.query_budget is not None:
-            gauge("retrieval.budget_remaining").set(
-                self.config.query_budget - self.query_count)
-
-    def _unissue(self, count: int) -> None:
-        """Roll back queries a sequential caller would never have sent.
-
-        :meth:`begin_batch` pre-accounts the whole batch before compute; on
-        a mid-batch failure the suffix behind the failing video was never
-        issued in sequential semantics, so — unlike :meth:`_refund`,
-        which keeps the query on the issued side of the ledger — it is
-        removed from both ``query_count`` and ``queries_issued``.
-        """
-        self.query_count -= int(count)
-        self.queries_issued -= int(count)
-        counter("retrieval.unissued").inc(count)
+    def _gauge_budget(self) -> None:
         if self.config.query_budget is not None:
             gauge("retrieval.budget_remaining").set(
                 self.config.query_budget - self.query_count)
 
     def _prepare(self, video: Video, record: bool = True) -> Video:
-        """Quantize + run the defense preprocessor on one query video."""
+        """Quantize + run the defense transform on one query video."""
         if self.config.quantize_queries:
             from repro.video.transforms import dequantize_uint8, quantize_uint8
 
@@ -195,8 +153,15 @@ class RetrievalService:
         if self.config.preprocessor is not None:
             with span("retrieval.defense.preprocess"):
                 video = self.config.preprocessor(video)
-            counter("retrieval.defense.preprocessed").inc()
+            if record:
+                counter("retrieval.defense.preprocessed").inc()
         return video
+
+    def _commit(self, prepared: list[Video]) -> None:
+        """Hand issued queries' videos to the preprocessor's ``commit``."""
+        commit = getattr(self.config.preprocessor, "commit", None)
+        if commit is not None and prepared:
+            commit(prepared)
 
     # -------------------------------------------------------------- #
     # Queries
@@ -220,42 +185,46 @@ class RetrievalService:
         loop would have, and the exception propagates before any result
         is returned.
 
-        A mid-batch :class:`~repro.errors.RetrievalUnavailable` is also
-        settled with sequential semantics (serve-or-refund per video):
-        the served prefix stays charged, exactly the failing query is
-        refunded, and the un-dispatched suffix is rolled off the ledger
-        entirely — so checkpoint/resume query counts are bit-identical
-        to a sequential loop hitting the same outage.  The propagated
-        exception carries the prefix (``served``/``served_count``) for
-        callers that deliver partial results, e.g. the serving front end.
+        A mid-batch :class:`~repro.errors.RetrievalUnavailable` is
+        settled like a sequential loop (:meth:`settle_interrupted`); the
+        propagated exception carries the served prefix
+        (``served``/``served_count``).
         """
         first = self.queries_issued
         prepared = self.begin_batch(videos)
         try:
-            return self.compute_batch(
+            results = self.compute_batch(
                 prepared, m, query_ids=range(first, first + len(prepared)))
         except RetrievalUnavailable as exc:
-            self.settle_interrupted(
-                len(prepared), int(getattr(exc, "served_count", 0)))
+            served = int(getattr(exc, "served_count", 0))
+            self.settle_interrupted(len(prepared), served)
+            self._commit(prepared[:served + 1])
             raise
+        commit = getattr(self.config.preprocessor, "commit", None)
+        if commit is not None:
+            commit(prepared)
+        return results
 
     # -------------------------------------------------------------- #
     # Split accounting/compute (pooled serving executor)
     # -------------------------------------------------------------- #
     def begin_batch(self, videos: list[Video]) -> list[Video]:
-        """Account and prepare a batch whose compute happens elsewhere.
+        """Account and transform a batch whose compute happens elsewhere.
 
-        :meth:`query_batch` and the serving event loop (at dispatch time)
-        call this — budget checks, per-video accounting, and (possibly
-        stateful) defense preprocessing all run on the calling thread in
-        issue order, so worker count never changes the ledger.  The
-        prepared videos go to :meth:`compute_batch`, perhaps on a worker.
+        :meth:`query_batch` and the serving event loop (at dispatch) run
+        budget checks, accounting and the transform here, in issue
+        order; the caller commits the issued videos once the batch
+        settles.  A budget exhausted mid-batch commits the charged prefix.
         """
         prepared = []
-        for video in videos:
-            self._check_budget()
-            self._account_one()
-            prepared.append(self._prepare(video))
+        try:
+            for video in videos:
+                self._check_budget()
+                self._account_one()
+                prepared.append(self._prepare(video))
+        except QueryBudgetExceeded:
+            self._commit(prepared)
+            raise
         return prepared
 
     def compute_batch(self, prepared: list[Video], m: int | None = None,
@@ -275,44 +244,31 @@ class RetrievalService:
                 snapshots=snapshots, query_ids=query_ids)
 
     def settle_interrupted(self, total: int, served: int) -> None:
-        """Sequential serve-or-refund settlement for an interrupted batch.
-
-        The exception path of :meth:`query_batch` and of the serving
-        front end: the served prefix stays charged, the failing query is
-        refunded, and the suffix a sequential caller would never have
-        sent is rolled off the ledger.
-        """
-        self._refund(1)
-        self._unissue(int(total) - int(served) - 1)
+        """Sequential serve-or-refund settlement for an interrupted batch:
+        the served prefix stays charged, the failing query is refunded
+        (issued, but no list came back), and the suffix leaves the
+        ledger.  The caller commits the first ``served + 1`` videos."""
+        unissued = int(total) - int(served) - 1
+        self.query_count -= 1 + unissued
+        self.queries_refunded += 1
+        self.queries_issued -= unissued
+        counter("retrieval.unavailable").inc()
+        counter("retrieval.unissued").inc(unissued)
+        self._gauge_budget()
 
     # -------------------------------------------------------------- #
     # Speculative evaluation
     # -------------------------------------------------------------- #
-    @property
-    def speculation_safe(self) -> bool:
-        """Whether results may be precomputed without observable effects.
-
-        A defense preprocessor may be stateful or randomized (a
-        stateful detector, a test spy); evaluating a candidate the
-        attacker would never have sent could perturb it.  Quantization
-        is pure, so it does not block speculation.
-        """
-        return self.config.preprocessor is None
-
     def speculate(self, videos: list[Video],
                   m: int | None = None) -> list[RetrievalList]:
         """Compute retrieval lists without counting any query.
 
-        Callers must pair this with :meth:`commit_speculated` for every
-        result they actually consume, so the query counter, budget, and
-        obs counters end up exactly where sequential :meth:`query` calls
-        would have left them.  Each candidate takes the issue ordinal it
-        would get if committed in order as its logical query id.
+        Callers pair this with :meth:`commit_speculated` for every result
+        they consume, so the ledger, obs counters and the preprocessor's
+        ``commit`` end up where sequential :meth:`query` calls would
+        have left them.  Each candidate takes the issue ordinal it would
+        get if committed in order as its logical query id.
         """
-        if not self.speculation_safe:
-            raise RuntimeError(
-                "speculative queries require a stateless service "
-                "(preprocessor is set)")
         prepared = [self._prepare(video, record=False) for video in videos]
         first = self.queries_issued
         logs = [member.gallery.fault_plan.events for member
@@ -325,8 +281,8 @@ class RetrievalService:
                     prepared, self.config.m if m is None else int(m),
                     query_ids=range(first, first + len(prepared)))
         finally:  # a row's fault events are recorded when it is committed
-            self._withheld = [(log, log[mark:])
-                              for log, mark in zip(logs, marks)]
+            self._speculated = (first, prepared, [
+                (log, log[mark:]) for log, mark in zip(logs, marks)])
             for log, mark in zip(logs, marks):
                 del log[mark:]
 
@@ -335,14 +291,18 @@ class RetrievalService:
 
         Replays :meth:`query`'s accounting per result: budget check (may
         raise :class:`QueryBudgetExceeded` mid-commit, leaving the counter
-        exactly as the sequential attack would have), query counter, and
-        obs counters.
+        exactly as the sequential attack would have), the preprocessor's
+        ``commit``, query counter, and obs counters.
         """
+        first, prepared, withheld = self._speculated
         for _ in range(int(count)):
             self._check_budget()
-            for log, held in self._withheld:
+            for log, held in withheld:
                 log.extend(event for event in held
                            if event.query == self.queries_issued)
+            if self.config.preprocessor is not None:
+                self._commit([prepared[self.queries_issued - first]])
+                counter("retrieval.defense.preprocessed").inc()
             self._account_one()
             if self.config.quantize_queries:
                 counter("retrieval.quantized_queries").inc()

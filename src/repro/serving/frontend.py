@@ -278,8 +278,8 @@ class ServingFrontend:
         """The worker count after the one safety fallback to the inline
         pool, ``breaker``: breaker history is the one piece of scatter
         state that depends on completion order (fault draws are keyed by
-        request index, a stateful defense runs in ``begin_batch`` on the
-        loop thread, and every index tier reads per-watermark snapshots:
+        request index, a stateful defense commits at settle in dispatch
+        order, and every index tier reads per-watermark snapshots:
         none needs a fallback)."""
         workers = self.config.workers
         if workers == 1 or not any(member.gallery._breakers for member
@@ -333,8 +333,8 @@ class ServingFrontend:
                              pinned, [index for index, _ in batch])
         # ``state.batches`` is unique per dispatch: it breaks completion
         # ties in dispatch order.
-        heapq.heappush(state.inflight, (done_s, state.batches,
-                                        _Flight(batch, future)))
+        heapq.heappush(state.inflight, (done_s, state.batches, _Flight(
+            batch, future, prepared, state.batches)))
 
     # The benchmark's per-layer clock wraps both ``_dispatch`` and
     # ``_dispatch_pooled`` by name, so the second name must keep
@@ -343,15 +343,22 @@ class ServingFrontend:
 
     def _settle_flight(self, state: "_RunState", flight: "_Flight",
                        done_s: float) -> None:
-        """Deliver one completed batch at its virtual completion time."""
+        """Deliver one completed batch at its virtual completion time and
+        commit its issued queries to the preprocessor, in dispatch order."""
         batch = flight.batch
+        commit = getattr(self.service.config.preprocessor, "commit", None)
         try:
             results = flight.future.result()
         except RetrievalUnavailable as exc:
-            self.service.settle_interrupted(
-                len(batch), int(getattr(exc, "served_count", 0)))
+            served = int(getattr(exc, "served_count", 0))
+            self.service.settle_interrupted(len(batch), served)
+            if commit is not None:
+                _commit_in_order(state, flight.order,
+                                 flight.prepared[:served + 1], commit)
             self._settle_outage(state, batch, exc, done_s)
             return
+        if commit is not None:
+            _commit_in_order(state, flight.order, flight.prepared, commit)
         for (index, request), result in zip(batch, results):
             self._deliver(state, index, request, result, done_s, len(batch))
 
@@ -449,6 +456,15 @@ class ServingFrontend:
         gauge("serving.queue_depth").set(0)
 
 
+def _commit_in_order(state: "_RunState", order: int, prepared: list,
+                     commit) -> None:
+    """Hold dispatch ``order``'s commit until every earlier one is done."""
+    state.held[order] = prepared
+    while state.committed + 1 in state.held:
+        state.committed += 1
+        commit(state.held.pop(state.committed))
+
+
 def _members(engine) -> tuple:
     """The retrieval engines behind a service: an ensemble's members."""
     return tuple(getattr(engine, "engines", (engine,)))
@@ -460,6 +476,8 @@ class _Flight:
 
     batch: list
     future: object
+    prepared: list
+    order: int  # dispatch number, from 1
 
 
 @dataclass
@@ -478,6 +496,9 @@ class _RunState:
     inflight: list = field(default_factory=list)
     batches: int = 0
     dispatched: int = 0
+    #: Dispatches committed so far; settled ones awaiting an earlier one.
+    committed: int = 0
+    held: dict[int, list] = field(default_factory=dict)
 
 
 __all__ = ["Request", "Response", "ServingFrontend", "ServingReport",

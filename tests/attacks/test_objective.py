@@ -23,6 +23,9 @@ class FakeService:
             [RetrievalEntry(i, 0, -r) for r, i in enumerate(ids)]
         )
 
+    def query_batch(self, videos, m=None):
+        return [self.query(video, m) for video in videos]
+
 
 def make_video(video_id):
     return Video(np.zeros((2, 2, 2, 3)), video_id=video_id)

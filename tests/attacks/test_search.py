@@ -30,6 +30,12 @@ class CountingObjective:
         self.trace.append(value)
         return value
 
+    def values(self, candidates):
+        return [self.value(candidate) for candidate in candidates]
+
+    def speculate(self, candidates):
+        return []  # every candidate is sent as a real ``value`` query
+
 
 @pytest.fixture
 def original(rng):

@@ -76,10 +76,10 @@ class TestEnsembleEngine:
         original, target = tiny_dataset.test[2], tiny_dataset.test[3]
         priors = _qa_priors(original.pixels.shape, 5)
         runs = []
-        for batched in (False, True):
+        for sequential in (True, False):
             service = RetrievalService.build(ensemble, m=5)
             report = duo_query_attack(priors, 4, service, 9,
-                                      batched=batched).run(original, target)
+                                      sequential).run(original, target)
             runs.append((report.adversarial.pixels, report.trace,
                          service.query_count))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])

@@ -97,7 +97,7 @@ class TestIVFPQIndex:
         index.add_batch(ids, labels, features)
         built = index.build()
         # Empty every cell of the published build.
-        index._built = dataclasses.replace(
+        index._builds[built.rows] = dataclasses.replace(
             built, cells=[np.array([], dtype=np.int64) for _ in built.cells])
         result = index.search(features[0], k=5)
         assert len(result) == 5
@@ -135,8 +135,28 @@ class TestIVFPQIndex:
                            rerank=16, rng=0, store=MemmapStore(tmp_path))
         index.add_batch(ids, labels, features)
         index.build()
-        assert "pq_codes" in index.store
-        assert "pq_codebooks" in index.store
-        assert "exact_features" in index.store
+        assert "pq_codes@60" in index.store
+        assert "pq_codebooks@60" in index.store
+        assert "exact_features@60" in index.store
         stats = index.memory_stats()
         assert stats["mapped_bytes"] >= stats["float_feature_bytes"]
+
+    def test_memmap_drops_evicted_builds(self, tmp_path):
+        """Each watermark's build maps its own arrays; evicting a build
+        past ``BUILD_SLOTS`` unmaps them, so ``mapped_bytes`` counts
+        exactly the cached builds."""
+        from repro.hashindex.base import BUILD_SLOTS
+
+        ids, labels, features, _ = _gallery(rows=60, dim=16)
+        index = IVFPQIndex(num_cells=4, nprobe=2, num_subvectors=4,
+                           rerank=16, rng=0, store=MemmapStore(tmp_path))
+        index.add_batch(ids, labels, features)
+        watermarks = [60 - step for step in range(BUILD_SLOTS + 1)]
+        for rows in watermarks:
+            index.build(rows)
+        assert "exact_features@60" not in index.store
+        assert not (tmp_path / "exact_features_60.npy").exists()
+        cached = [index.build(rows) for rows in watermarks[1:]]
+        assert index.store.mapped_bytes == sum(
+            built.exact.nbytes + built.codes.nbytes
+            + built.quantizer.codebooks.nbytes for built in cached)

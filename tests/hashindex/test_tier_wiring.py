@@ -114,9 +114,8 @@ def test_duo_attack_completes_under_budget_on_compressed_tier(tier):
         world = build_world(11, cache_size=0, query_budget=budget)
         world.engine.configure_index_tier(selected_tier)
         priors = _qa_priors(world.original.pixels.shape, 20)
-        report = duo_query_attack(priors, 2, world.service, 16,
-                                  batched=True).run(world.original,
-                                                    world.target)
+        report = duo_query_attack(priors, 2, world.service,
+                                  16).run(world.original, world.target)
         return report.adversarial, report.trace, world.service.query_count
 
     _, _, exact_queries = run("exact", budget=None)

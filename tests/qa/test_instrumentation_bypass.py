@@ -1,15 +1,15 @@
 """Fast query paths must not route around a stateful defense.
 
 A stateful detector (or a test spy) attached as the service's
-preprocessor has to observe *every* query the attacker issues.  These
-tests pin the escape hatches shut: ``query_batch`` feeds it every video
-in order, and ``speculate`` refuses to run at all — so the detector and
-the obs counters see exactly the stream a sequential attacker would
+preprocessor has to observe *every* query the attacker issues and
+nothing else.  These tests pin both edges: ``query_batch`` commits every
+video in order, and ``speculate`` only transforms — the candidates a
+caller consumes reach ``commit``, the rest never do — so the detector
+and the obs counters see exactly the stream a sequential attacker would
 have produced.
 """
 
 import numpy as np
-import pytest
 
 from repro.defenses.stateful import StatefulQueryDetector
 from repro.obs import counter
@@ -19,25 +19,41 @@ from repro.qa.pairs import _qa_priors, duo_query_attack
 from repro.qa.world import build_world
 
 
+class _Spy:
+    """A detector's preprocessor plus an id record of its commits."""
+
+    def __init__(self, detector, account):
+        self.feed = detector.preprocessor(account)
+        self.observed = []
+
+    def __call__(self, video):
+        return self.feed(video)
+
+    def commit(self, videos):
+        self.observed.extend(video.video_id for video in videos)
+        self.feed.commit(videos)
+
+
 def _spy_on(service, detector, account="acct"):
     """Attach a detector plus an id-recording spy as the preprocessor."""
-    observed = []
-    feed = detector.preprocessor(account)
-
-    def spy(video):
-        observed.append(video.video_id)
-        return feed(video)
-
+    spy = _Spy(detector, account)
     service.config = service.config.with_(preprocessor=spy)
-    return observed
+    return spy.observed
 
 
-def test_wrapped_service_disables_speculation():
+def test_speculation_commits_only_consumed_candidates():
     world = build_world(41)
-    _spy_on(world.service, StatefulQueryDetector())
-    assert not world.service.speculation_safe
-    with pytest.raises(RuntimeError):
-        world.service.speculate([world.original])
+    detector = StatefulQueryDetector()
+    observed = _spy_on(world.service, detector)
+    candidates = world.gallery_videos[:3]
+    results = world.service.speculate(candidates)
+    assert len(results) == 3
+    assert observed == [] and world.service.queries_issued == 0
+    world.service.commit_speculated(1)
+    # Only the consumed candidate reached the detector.
+    assert observed == [candidates[0].video_id]
+    assert detector.observed_count("acct") == \
+        world.service.queries_issued == 1
 
 
 def test_query_batch_feeds_the_detector_every_video():
@@ -56,28 +72,26 @@ def test_query_batch_feeds_the_detector_every_video():
     assert wrapped.service.query_count == plain.service.query_count == 4
 
 
-def _run_sparse_query(world, batched=None, iters=6, seed=17):
+def _run_sparse_query(world, sequential=False, iters=6, seed=17):
     """DUO's query stage (``duo-query``) over fixed priors."""
     priors = _qa_priors(world.original.pixels.shape, seed + 1)
     report = duo_query_attack(priors, iters, world.service, seed,
-                              batched=batched).run(world.original,
-                                                   world.target)
+                              sequential).run(world.original, world.target)
     return report.adversarial, report.trace, report
 
 
 def test_attack_under_detector_matches_clean_sequential_run():
     # Clean world, explicitly sequential.
     plain = build_world(47)
-    plain_adv, plain_trace, plain_report = _run_sparse_query(plain,
-                                                          batched=False)
+    plain_adv, plain_trace, plain_report = _run_sparse_query(
+        plain, sequential=True)
 
-    # Same world, but every query flows through a detector spy; batched
-    # is left on auto (None) — it must self-disable.
+    # Same world, but every query flows through a detector spy; the
+    # attack speculates its ±ε pairs and commits only what it consumed.
     guarded = build_world(47)
     detector = StatefulQueryDetector()
     observed = _spy_on(guarded.service, detector)
-    guarded_adv, guarded_trace, guarded_report = _run_sparse_query(guarded,
-                                                                batched=None)
+    guarded_adv, guarded_trace, guarded_report = _run_sparse_query(guarded)
 
     # Identical attack results...
     np.testing.assert_array_equal(plain_adv.pixels, guarded_adv.pixels)
@@ -95,14 +109,12 @@ def test_speculative_path_reports_the_same_obs_counter_stream():
     sequential_world = build_world(53)
     before = queries_counter.value
     _, seq_trace, seq_report = _run_sparse_query(sequential_world,
-                                              batched=False)
+                                                 sequential=True)
     sequential_delta = queries_counter.value - before
 
     speculative_world = build_world(53)
-    assert speculative_world.service.speculation_safe
     before = queries_counter.value
-    _, spec_trace, spec_report = _run_sparse_query(speculative_world,
-                                                batched=True)
+    _, spec_trace, spec_report = _run_sparse_query(speculative_world)
     speculative_delta = queries_counter.value - before
 
     assert spec_trace == seq_trace
@@ -122,15 +134,14 @@ def test_jit_replay_preserves_query_instrumentation():
     before = queries_counter.value
     with eager_forwards():
         plain_adv, plain_trace, plain_report = _run_sparse_query(
-            plain, batched=False)
+            plain, sequential=True)
     plain_delta = queries_counter.value - before
 
     fused = build_world(61)
     detector = StatefulQueryDetector()
     observed = _spy_on(fused.service, detector)
     before = queries_counter.value
-    fused_adv, fused_trace, fused_report = _run_sparse_query(fused,
-                                                          batched=None)
+    fused_adv, fused_trace, fused_report = _run_sparse_query(fused)
     fused_delta = queries_counter.value - before
 
     # Replay is bit-identical, so the attack takes the exact same path...

@@ -249,27 +249,41 @@ class TestServiceAndEngineBatch:
     def test_retrieve_batch_empty(self, tiny_victim):
         assert tiny_victim.engine.retrieve_batch([], m=4) == []
 
-    def test_speculate_requires_stateless_service(self, tiny_victim,
-                                                  tiny_dataset):
+    def test_speculate_commits_only_consumed(self, tiny_victim,
+                                             tiny_dataset):
+        committed = []
+
+        class Spy:
+            def __call__(self, video):
+                return video
+
+            def commit(self, videos):
+                committed.extend(video.video_id for video in videos)
+
         service = RetrievalService.build(tiny_victim.engine, m=4,
-                                         preprocessor=lambda video: video)
-        assert not service.speculation_safe
-        with pytest.raises(RuntimeError, match="stateless"):
-            service.speculate(tiny_dataset.test[:2])
+                                         preprocessor=Spy())
+        videos = tiny_dataset.test[:2]
+        assert len(service.speculate(videos)) == 2
+        assert committed == []
+        service.commit_speculated(1)
+        assert committed == [videos[0].video_id]
+        assert service.queries_issued == 1
 
     def test_instrumented_query_is_not_bypassed(self, tiny_victim,
                                                 tiny_dataset):
         # An identity spy preprocessor (attached the way a stateful
-        # detector is) must disable speculation and see every batched query.
+        # detector is) must commit every batched query, once.
         calls = []
 
-        def spy(video):
-            calls.append(video.video_id)
-            return video
+        class Spy:
+            def __call__(self, video):
+                return video
+
+            def commit(self, videos):
+                calls.extend(video.video_id for video in videos)
 
         service = RetrievalService.build(tiny_victim.engine, m=4,
-                                         preprocessor=spy)
-        assert not service.speculation_safe
+                                         preprocessor=Spy())
         service.query_batch(tiny_dataset.test[:3])
         assert len(calls) == 3
         assert service.query_count == 3

@@ -154,14 +154,14 @@ class TestCompressedTierChurn:
     """
 
     @staticmethod
-    def _run(tier: str, seed: int, config, pooled: bool):
+    def _run(tier: str, seed: int, config, pooled: bool, **churn):
         world = build_world(seed, num_videos=160, num_nodes=1)
         world.engine.configure_index_tier(tier)
         requests = generate_timeline(seed + 11, [TenantSpec("t", 400.0, 30)],
                                      world.gallery_videos)
         events = generate_churn(
             seed, [video.video_id for video in world.gallery_videos], adds=6,
-            horizon_s=max(request.arrival_s for request in requests))
+            horizon_s=max(request.arrival_s for request in requests), **churn)
         timeline = list(requests) + list(events)
         report = ServingFrontend(world.service, config).run(timeline) \
             if pooled else replay_sequential(timeline, world.service, config)
@@ -191,6 +191,31 @@ class TestCompressedTierChurn:
         assert digest == expected
         single = config.with_(max_batch_size=1, workers=1)
         assert self._run(tier, seed, single, pooled=True)[1] == expected
+
+    @pytest.mark.parametrize("tier", ["hamming", "ivfpq"])
+    def test_pooled_readers_build_each_watermark_once(self, tier,
+                                                      monkeypatch):
+        """Readers pinned at different watermarks keep their own builds
+        (``BUILD_SLOTS``) instead of evicting one another's and refitting."""
+        from repro.hashindex import BinaryHashIndex, IVFPQIndex
+
+        index_class = {"hamming": BinaryHashIndex, "ivfpq": IVFPQIndex}[tier]
+        builds, indexes = [], []  # indexes stay alive, so ids stay unique
+        fit = index_class._build
+
+        def counted(index, rows, *args):
+            builds.append((id(index), rows))
+            indexes.append(index)
+            return fit(index, rows, *args)
+
+        monkeypatch.setattr(index_class, "_build", counted)
+        config = ServingConfig(max_batch_size=8, max_wait_s=0.003,
+                               queue_capacity=512, workers=3)
+        report, _ = self._run(tier, 2, config, pooled=True, deletes=3,
+                              reembeds=3)
+        assert report.workers == 3 and report.gallery_events == 12
+        assert len(set(builds)) > 1
+        assert len(builds) == len(set(builds))
 
 
 class TestAttackUnderChurn:
