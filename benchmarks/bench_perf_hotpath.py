@@ -1,6 +1,6 @@
 """Benchmark the ``repro.perf`` hot paths against the seed implementations.
 
-Three hot paths, measured at the model shapes the repro actually runs,
+The hot paths, measured at the model shapes the repro actually runs,
 each an interleaved A/B through ``common.interleave`` (interleaving
 cancels cache/turbo drift):
 
@@ -9,7 +9,11 @@ cancels cache/turbo drift):
    victim service, "before" (einsum convs + sequential ±ε evaluation
    through the qa ``SequentialObjective``) vs "after" (GEMM convs +
    speculative pair batching).
-3. **retrieval internals** — batched vs scalar gallery search, and the
+3. **frame-incremental embedding** — the same SimBA loop against a
+   ResNet-18+LSTM victim, cacheless vs the default embedding cache,
+   which re-encodes only each candidate's changed frame and resumes
+   the LSTM at it.
+4. **retrieval internals** — batched vs scalar gallery search, and the
    embedding-cache hit vs a full model forward.
 
 Usage::
@@ -48,6 +52,7 @@ from repro.attacks.search import simba_search  # noqa: E402
 from repro.models import create_feature_extractor  # noqa: E402
 from repro.nn import Tensor, no_grad  # noqa: E402
 from repro.nn import functional as F  # noqa: E402
+from repro.perf.cache import DEFAULT_CAPACITY  # noqa: E402
 from repro.qa import reference  # noqa: E402
 from repro.retrieval import (  # noqa: E402
     FeatureIndex,
@@ -85,7 +90,7 @@ ITERATIONS, ROUNDS = 150, 22
 
 #: Median ratios gated against the recorded baseline.
 REGRESSION_CHECKS = ["attack.speedup", "conv_min_speedup",
-                     "batched_search.speedup"]
+                     "frame_incremental.speedup", "batched_search.speedup"]
 
 
 def bench_conv() -> list[dict]:
@@ -129,9 +134,12 @@ def build_attack_fixture(seed: int = 0):
 def bench_attack_loop(extractor, dataset) -> dict:
     """A seeded SimBA rectification loop, before vs after.
 
-    Both configurations run cacheless: every SimBA candidate has unique
-    pixels, so an embedding cache can never hit in this loop and would
-    only add hashing overhead (the cache is measured on its own below).
+    Both configurations run cacheless, so the ratio isolates the convs
+    and the pair batching.  Every SimBA candidate has unique pixels, so
+    no clip-level cache entry ever hits here, and this C3D victim mixes
+    frames in its convolutions, so it declines frame-level reuse too;
+    :func:`bench_frame_incremental` measures that reuse on a
+    frame-separable victim.
     """
     original, target = dataset.test[0], dataset.test[1]
     support = np.zeros(original.pixels.shape, dtype=bool)
@@ -168,6 +176,66 @@ def bench_attack_loop(extractor, dataset) -> dict:
         "rounds": ROUNDS,
         "sequential_einsum_s": timing.median("sequential_einsum"),
         "batched_gemm_s": timing.median("batched_gemm"),
+        "speedup": speedup["median"],
+        "speedup_iqr": speedup["iqr"],
+    }
+
+
+#: The frames the frame-incremental leg's SimBA support covers (of 6).
+INCREMENTAL_FRAMES = (2, 4)
+
+
+def bench_frame_incremental(seed: int = 0) -> dict:
+    """A seeded SimBA loop on a ResNet-18+LSTM victim, with the default
+    embedding cache vs cacheless.
+
+    Each ±ε candidate changes the support frames of the current point,
+    so the cache re-encodes those alone and resumes the LSTM at the
+    first of them.  Both configurations embed bit-identical features
+    (oracle pair ``embed.frame_incremental_vs_full``); every round
+    starts from an empty cache, as every attack on a fresh engine does.
+    The victim has the end-to-end benchmark's width and frame size: at
+    the attack fixture's 12×12 and width 2, per-op dispatch outweighs
+    the rows the encoder skips, and the two configurations tie.
+    """
+    dataset = load_dataset(
+        "ucf101", num_classes=4, train_videos=16, test_videos=4,
+        height=16, width=16, num_frames=6, seed=seed,
+    )
+    extractor = create_feature_extractor("resnet18", feature_dim=16,
+                                         width=4, rng=seed)
+    extractor.eval()
+    extractor.requires_grad_(False)
+    original, target = dataset.test[0], dataset.test[1]
+    support = np.zeros(original.pixels.shape, dtype=bool)
+    support[list(INCREMENTAL_FRAMES)] = True
+
+    def config(cache_size: int):
+        engine = RetrievalEngine(extractor, num_nodes=3,
+                                 cache_size=cache_size)
+        engine.index_videos(dataset.train)
+        service = RetrievalService.build(engine, m=8)
+
+        def setup():
+            engine.clear_embedding_cache()
+            objective = RetrievalObjective(service, original, target)
+
+            def body():
+                simba_search(original, objective, support, tau=0.1,
+                             iterations=ITERATIONS,
+                             rng=np.random.default_rng(0))
+            return body
+        return setup
+
+    timing = interleave({"cacheless": config(0),
+                         "incremental": config(DEFAULT_CAPACITY)}, ROUNDS)
+    speedup = timing.ratio("cacheless", "incremental")
+    return {
+        "iterations": ITERATIONS,
+        "rounds": ROUNDS,
+        "support_frames": list(INCREMENTAL_FRAMES),
+        "cacheless_s": timing.median("cacheless"),
+        "incremental_s": timing.median("incremental"),
         "speedup": speedup["median"],
         "speedup_iqr": speedup["iqr"],
     }
@@ -257,6 +325,7 @@ def main(argv: list[str] | None = None) -> int:
         "conv": conv_rows,
         "conv_min_speedup": min(row["speedup"] for row in conv_rows),
         "attack": bench_attack_loop(extractor, dataset),
+        "frame_incremental": bench_frame_incremental(),
         "batched_search": bench_batched_search(),
         "embed_cache": bench_embed_cache(extractor, dataset),
     }

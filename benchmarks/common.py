@@ -9,13 +9,15 @@ committed full-scale ones stay put, unless ``REPRO_RESULTS`` names one.
 The CI benches (``bench_*.py``) time every A/B comparison through
 :func:`interleave`, gate recorded ratios with :func:`regressions`, and
 end with :func:`finish`, which records ``BENCH_<name>.json`` only on a
-full run that passed.
+full run that passed, stamped with the :func:`environment` it ran in.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
+import subprocess
 import tempfile
 import time
 from pathlib import Path
@@ -166,13 +168,40 @@ def regressions(result: dict, baseline: dict, checks: list[str],
     return failures
 
 
+#: Environment variables that set the BLAS thread count.
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def environment() -> dict:
+    """What a run measured on: Python and numpy versions, BLAS thread
+    variables, CPU count and the git HEAD (``None`` outside a checkout)."""
+    try:
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=Path(__file__).parent,
+            capture_output=True, text=True, timeout=10,
+            check=True).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        head = None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas_threads": {key: os.environ.get(key)
+                         for key in BLAS_THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+        "git_head": head,
+    }
+
+
 def finish(name: str, result: dict, failures: list[str],
            smoke: bool) -> int:
     """Print ``result`` and ``failures``; return the exit status.
 
     Only a full run with no failures records ``BENCH_<name>.json``;
     ``--smoke`` and failing runs leave the recorded baseline alone.
+    Every run's ``result`` gains an ``environment`` entry.
     """
+    result = {**result, "environment": environment()}
     print(json.dumps(result, indent=2))
     for failure in failures:
         print(f"[BENCH_{name}] FAIL: {failure}")

@@ -34,16 +34,15 @@ class HashingHead(FeatureExtractor):
         self.code_bits = int(code_bits)
         self.beta = float(beta)
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Relaxed codes in ``(−1, 1)``: ``tanh(β · proj(backbone(x)))``."""
-        logits = self.projection(self.backbone(x))
-        return (logits * self.beta).tanh()
+    def tail(self, features: Tensor) -> Tensor:
+        """Relaxed codes in ``(−1, 1)``: ``tanh(β · proj(features))``."""
+        return (self.projection(features) * self.beta).tanh()
 
     def sharpen(self, factor: float = 2.0) -> None:
         """Continuation step: increase β so codes approach ±1."""
         self.beta *= float(factor)
         # Replay schedules bake β in as a constant: retrace on next use.
-        self.__dict__.pop("_jit_compiled", None)
+        self.drop_compiled()
 
     def binary_codes(self, videos: Video | list[Video],
                      batch_size: int = 16) -> np.ndarray:

@@ -7,9 +7,11 @@ Three independent optimisations, all behaviour-preserving:
   buffers.  GEMM always: ``repro.nn.functional`` calls these kernels for
   every conv, and the strided-``einsum`` path survives only as the
   :mod:`repro.qa.reference` oracle reference.
-* :mod:`repro.perf.cache` — content-hash LRU cache for query embeddings
-  (:class:`EmbeddingCache`), used by the retrieval engine so repeated
-  queries of unchanged videos skip the model forward entirely.
+* :mod:`repro.perf.cache` — content-hash cache for query embeddings at
+  frame granularity (:class:`EmbeddingCache`), used by the retrieval
+  engine so repeated queries of unchanged videos skip the model
+  forward, and a candidate that changed a few frames of a cached clip
+  re-encodes only those (frame-separable victims).
 * Batched candidate evaluation lives where the data lives
   (``RetrievalObjective.values``, ``ShardedGallery.search_batch``); this
   package only hosts the compute kernels those paths share.

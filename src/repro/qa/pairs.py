@@ -11,7 +11,9 @@ with every reference/fast equivalence contract the library claims:
   the production slab-wise one, byte for byte (ties, overlaps);
 * ``search`` vs ``search_batch`` on :class:`FeatureIndex` and
   :class:`ShardedGallery`;
-* cached vs uncached query embeddings (``cache_size``);
+* cached vs uncached query embeddings (``cache_size``), and
+  frame-incremental embeddings (cached frame encodings, resumed
+  recurrent states) vs the full forward;
 * replicated (r = 2, 3) vs single-shard retrieval;
 * pinned snapshot reads under churn vs a numpy ranking of the rows
   live at each pinned version;
@@ -658,6 +660,90 @@ register(OraclePair(
     compare=_embed_compare,
     cases=2,
     description="EmbeddingCache hits are bit-identical to fresh forwards",
+))
+
+
+# ---------------------------------------------------------------------- #
+# frame-incremental vs full query embeddings
+# ---------------------------------------------------------------------- #
+#: Backbones the pair draws: two frame-separable ones and a decliner.
+_INCREMENTAL_BACKBONES = ("resnet18", "resnet34", "c3d")
+
+
+def _incremental_clips(seed: int, batch: int, changed: int) -> list:
+    """A base clip, a warm-up batch and a target batch of variants.
+
+    Every variant redraws a random subset of the frames in the
+    ``changed`` bitmask, so the clips share frame prefixes and suffixes
+    with the base and with each other; a target clip may repeat a
+    warm-up clip's frames or equal the base.
+    """
+    from repro.qa.world import FRAMES, tiny_videos
+    from repro.video.types import Video
+
+    rng = np.random.default_rng(seed)
+    base = tiny_videos(seed, 1)[0]
+    frames = [t for t in range(FRAMES) if changed >> t & 1]
+
+    def variant():
+        pixels = base.pixels.copy()
+        for t in frames:
+            if rng.random() < 0.7:
+                pixels[t] = rng.random(pixels[t].shape)
+        return Video(pixels, base.label)
+
+    warm = [variant() for _ in range(batch)]
+    target = [variant() for _ in range(batch)]
+    if batch > 1:
+        target[-1] = warm[0]
+    return [[base], warm, target, target]
+
+
+def _incremental_run(incremental: bool, seed: int, backbone: int,
+                     batch: int, chunk: int, changed: int, capacity: int,
+                     fuse: int) -> list:
+    from repro.perf.cache import EmbeddingCache
+
+    extractor = tiny_extractor(seed % 9973,
+                               backbone=_INCREMENTAL_BACKBONES[backbone])
+    cache = EmbeddingCache(capacity) if incremental else None
+    return [extractor.embed_videos(clips, batch_size=chunk, fuse=bool(fuse),
+                                   cache=cache)
+            for clips in _incremental_clips(seed, batch, changed)]
+
+
+def _incremental_strategy(rng: np.random.Generator) -> dict:
+    batch = int(rng.integers(1, 9))
+    return {"seed": int(rng.integers(0, 2**31)),
+            "backbone": int(rng.integers(0, len(_INCREMENTAL_BACKBONES))),
+            "batch": batch,
+            "chunk": int(rng.integers(1, batch + 1)),
+            "changed": int(rng.integers(1, 256)),
+            "capacity": int(rng.integers(1, 25)),
+            "fuse": int(rng.integers(0, 2))}
+
+
+def _incremental_compare(reference, fast):
+    assert len(reference) == len(fast)
+    for call, (ref, got) in enumerate(zip(reference, fast)):
+        np.testing.assert_array_equal(ref, got, err_msg=f"embed call {call}")
+
+
+register(OraclePair(
+    name="embed.frame_incremental_vs_full",
+    reference=lambda **case: _incremental_run(False, **case),
+    fast=lambda **case: _incremental_run(True, **case),
+    strategy=Strategy(
+        "frame_incremental",
+        _incremental_strategy,
+        {"batch": shrink_int(1), "chunk": shrink_int(1),
+         "backbone": shrink_int(0), "capacity": shrink_int(1)},
+    ),
+    compare=_incremental_compare,
+    cases=6,
+    description="embedding through the frame cache (cached frame "
+                "encodings, resumed recurrent states, declines) is "
+                "bit-identical to the full forward",
 ))
 
 

@@ -162,8 +162,9 @@ def eager_forwards():
 
     replayed = FeatureExtractor.embed_videos, FeatureExtractor.embed_tensor
 
-    def eager(self, videos, batch_size=16, fuse=True):
-        return replayed[0](self, videos, batch_size=batch_size, fuse=False)
+    def eager(self, videos, batch_size=16, fuse=True, **cache):
+        return replayed[0](self, videos, batch_size=batch_size, fuse=False,
+                           **cache)
 
     FeatureExtractor.embed_videos = eager
     FeatureExtractor.embed_tensor = FeatureExtractor.__call__

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.errors import RetrievalUnavailable
 from repro.models.feature_extractor import FeatureExtractor
-from repro.perf.cache import DEFAULT_CAPACITY, EmbeddingCache, content_key
+from repro.perf.cache import DEFAULT_CAPACITY, EmbeddingCache, frame_keys
 from repro.resilience.config import ResilienceConfig
 from repro.retrieval.lists import RetrievalList
 from repro.retrieval.nodes import ShardedGallery
@@ -20,13 +20,17 @@ class RetrievalEngine:
     This is the *owner-side* view of the system — it exposes the model.
     Attackers must use :class:`~repro.retrieval.service.RetrievalService`.
 
-    Query embeddings flow through a content-hash LRU cache
-    (:class:`~repro.perf.cache.EmbeddingCache`): re-querying unchanged
-    pixels skips the model forward and returns bit-identical features.
-    The cache assumes the extractor's weights are frozen for the engine's
-    lifetime (true for every victim service here); call
-    :meth:`clear_embedding_cache` after mutating them.  ``cache_size=0``
-    disables caching.
+    Query embeddings flow through a content-hash cache at frame
+    granularity (:class:`~repro.perf.cache.EmbeddingCache`):
+    re-querying unchanged pixels skips the model forward, and on a
+    frame-separable victim (ResNet+LSTM) a clip that differs from
+    earlier queries in a few frames — an attack's ±ε candidate —
+    re-encodes only those frames and resumes the LSTM at the first of
+    them.  Either way the features are bit-identical to a full forward
+    over the same misses.  The cache assumes the extractor's weights
+    are frozen for the engine's lifetime (true for every victim service
+    here); call :meth:`clear_embedding_cache` after mutating them.
+    ``cache_size=0`` disables caching and runs the full forward.
     """
 
     def __init__(self, extractor: FeatureExtractor,
@@ -72,21 +76,20 @@ class RetrievalEngine:
     # -------------------------------------------------------------- #
     def embed_queries(self, videos: list[Video],
                       batch_size: int = 16) -> np.ndarray:
-        """Embed videos through the cache; misses share one forward batch."""
+        """Embed videos through the cache; misses share one embed call."""
         if not videos:
             return np.zeros((0, self.extractor.feature_dim))
-        if not self.embedding_cache.enabled:
+        cache = self.embedding_cache
+        if not cache.enabled:
             return self.extractor.embed_videos(videos, batch_size=batch_size)
-        keys = [content_key(video.pixels) for video in videos]
-        features: list[np.ndarray | None] = [
-            self.embedding_cache.get(key) for key in keys
-        ]
+        keys = [frame_keys(video.pixels) for video in videos]
+        features = cache.lookup(keys)
         miss_rows = [i for i, feature in enumerate(features) if feature is None]
         if miss_rows:
             fresh = self.extractor.embed_videos(
-                [videos[i] for i in miss_rows], batch_size=batch_size)
+                [videos[i] for i in miss_rows], batch_size=batch_size,
+                cache=cache, keys=[keys[i] for i in miss_rows])
             for row, feature in zip(miss_rows, fresh):
-                self.embedding_cache.put(keys[row], feature)
                 features[row] = feature
         return np.stack(features)
 

@@ -157,4 +157,17 @@ def test_passing_full_run_records(monkeypatch, tmp_path):
     common = load_common(monkeypatch)
     monkeypatch.setattr(common, "BENCH_DIR", tmp_path)
     assert common.finish("probe", {"speedup": 9.0}, [], smoke=False) == 0
-    assert common.recorded("probe") == {"speedup": 9.0}
+    recorded = common.recorded("probe")
+    assert recorded.pop("environment") == common.environment()
+    assert recorded == {"speedup": 9.0}
+
+
+def test_environment_names_the_run(monkeypatch):
+    common = load_common(monkeypatch, OPENBLAS_NUM_THREADS="1")
+    stamp = common.environment()
+    assert stamp["python"].count(".") == 2
+    assert stamp["numpy"] == np.__version__
+    assert stamp["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert set(stamp["blas_threads"]) == set(common.BLAS_THREAD_VARS)
+    assert stamp["cpu_count"] >= 1
+    assert stamp["git_head"] is None or len(stamp["git_head"]) == 40
